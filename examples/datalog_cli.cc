@@ -6,13 +6,6 @@
 //   $ ./examples/datalog_cli --demo [--explain|--analyze]
 //   $ ./examples/datalog_cli --demo --sp-src=St_Andrews --sp-dst=Brussels
 //
-// --adaptive evaluates the translated expression with adaptive
-// mid-query re-optimization (plan::ExecuteAdaptive): stage-wise
-// execution, observed cardinalities recorded in the FeedbackCache, and
-// the remaining joins re-planned when an estimate's q-error exceeds
-// the threshold.  Results are identical to the static plan; with
-// --explain/--analyze re-planned subtrees carry a "[replanned]" mark.
-//
 // With --demo it runs the built-in Figure 1 store and a reachability
 // program.  --explain prints the physical plan of the translated
 // TriAL(*) expression — operator tree with estimated vs actual row
@@ -32,7 +25,6 @@
 #include <vector>
 
 #include "core/eval.h"
-#include "core/plan/adapt.h"
 #include "core/plan/plan.h"
 #include "core/plan/profile.h"
 #include "datalog/analysis.h"
@@ -47,8 +39,7 @@ using namespace trial;
 namespace {
 
 int RunProgram(const TripleStore& store, const std::string& text,
-               const std::string& answer, bool explain, bool analyze,
-               bool adaptive) {
+               const std::string& answer, bool explain, bool analyze) {
   auto prog = datalog::ParseProgram(text);
   if (!prog.ok()) {
     std::fprintf(stderr, "program: %s\n", prog.status().ToString().c_str());
@@ -85,11 +76,9 @@ int RunProgram(const TripleStore& store, const std::string& text,
       return 1;
     }
     std::printf("translated expression: %s\n", (*expr)->ToString().c_str());
-    if (explain || analyze || adaptive) {
+    if (explain || analyze) {
       // The same operators the smart engine runs, with the tree kept
-      // for rendering estimated vs actual cardinalities.  --adaptive
-      // routes through ExecuteAdaptive instead, which plans internally
-      // (consulting the FeedbackCache) and returns the assembled tree.
+      // for rendering estimated vs actual cardinalities.
       Status vs = ValidateExpr(*expr);
       if (!vs.ok()) {
         std::fprintf(stderr, "validate: %s\n", vs.ToString().c_str());
@@ -98,29 +87,14 @@ int RunProgram(const TripleStore& store, const std::string& text,
       // Warm the stats so the plan shows exact distinct counts (the
       // planner never forces the builds on its own).
       for (RelId r = 0; r < store.NumRelations(); ++r) store.RelationStats(r);
-      plan::PlanPtr pl;
-      plan::AdaptiveResult ar;
-      if (adaptive) {
-        ExecLimits lim;
-        lim.adaptive = true;
-        result = plan::ExecuteAdaptive(*expr, store, lim, analyze, &ar);
-        pl = std::move(ar.plan);
-        std::printf("adaptive: %zu replan(s)\n", ar.replans);
-      } else {
-        pl = plan::PlanExpr(*expr, store);
-        result = plan::ExecutePlan(*pl, store, {}, analyze);
-      }
-      if (result.ok() && pl != nullptr) plan::RecordRootRows(*pl, *result);
-      if (pl != nullptr && analyze) {
+      plan::PlanPtr pl = plan::PlanExpr(*expr, store);
+      result = plan::ExecutePlan(*pl, store, {}, analyze);
+      if (result.ok()) plan::RecordRootRows(*pl, *result);
+      if (analyze) {
         std::printf("plan (EXPLAIN ANALYZE):\n%s",
                     plan::ExplainAnalyze(*pl).c_str());
-        // Traces need one clock origin; adaptive stage-wise execution
-        // restarts it per stage, so only static runs emit a trace.
-        if (!adaptive) {
-          plan::EmitTrace(
-              plan::CollectTrace(*pl, (*expr)->ToString(), 1));
-        }
-      } else if (pl != nullptr && explain) {
+        plan::EmitTrace(plan::CollectTrace(*pl, (*expr)->ToString(), 1));
+      } else {
         std::printf("plan (estimated vs actual rows):\n%s",
                     plan::Explain(*pl).c_str());
       }
@@ -181,7 +155,6 @@ const char* kDemoProgram = R"(
 int main(int argc, char** argv) {
   bool explain = false;
   bool analyze = false;
-  bool adaptive = false;
   bool demo = false;
   std::string sp_src, sp_dst;
   std::vector<const char*> pos;
@@ -190,8 +163,6 @@ int main(int argc, char** argv) {
       explain = true;
     } else if (std::strcmp(argv[i], "--analyze") == 0) {
       analyze = true;
-    } else if (std::strcmp(argv[i], "--adaptive") == 0) {
-      adaptive = true;
     } else if (std::strcmp(argv[i], "--demo") == 0) {
       demo = true;
     } else if (std::strncmp(argv[i], "--sp-src=", 9) == 0) {
@@ -212,7 +183,7 @@ int main(int argc, char** argv) {
       return RunShortestPath(store, sp_src, sp_dst, explain, analyze);
     }
     std::printf("demo: Figure 1 store, same-operator hops\n\n");
-    return RunProgram(store, kDemoProgram, "ans", explain, analyze, adaptive);
+    return RunProgram(store, kDemoProgram, "ans", explain, analyze);
   }
   // Shortest-path mode needs only the data file.
   if (!sp_src.empty() && pos.size() == 1) {
@@ -249,5 +220,5 @@ int main(int argc, char** argv) {
   while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, got);
   std::fclose(f);
   return RunProgram(store, text, pos.size() > 2 ? pos[2] : "ans", explain,
-                    analyze, adaptive);
+                    analyze);
 }

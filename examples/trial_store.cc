@@ -31,15 +31,6 @@
 //                    operator line adds actual rows, estimate q-error,
 //                    strategy taken, self and cumulative wall time and
 //                    peak intermediate size
-//   --adaptive       with --query: adaptive mid-query re-optimization —
-//                    execute the join region stage-wise, record every
-//                    observed cardinality in the process FeedbackCache,
-//                    and re-plan the remaining joins when an estimate is
-//                    off by more than the q-error threshold.  Results
-//                    are byte-identical to the static plan; EXPLAIN /
-//                    ANALYZE mark re-planned subtrees "[replanned]"
-//   --q-error-threshold=F  with --adaptive: re-plan trigger threshold
-//                    (default 10)
 //   --trace=PATH     with --analyze: export the profiled run as a
 //                    nested-span JSON trace (parent-child operator
 //                    nesting, nanosecond timestamps from query start)
@@ -71,7 +62,6 @@
 
 #include "core/eval.h"
 #include "core/parser.h"
-#include "core/plan/adapt.h"
 #include "core/plan/plan.h"
 #include "core/plan/profile.h"
 #include "loader/bulk_load.h"
@@ -100,8 +90,6 @@ struct Args {
   std::string sp_dst;
   bool explain = false;
   bool analyze = false;
-  bool adaptive = false;
-  double q_error_threshold = 0;  // 0: ExecLimits default
   size_t query_threads = 1;  // 1: serial only; 0: hardware concurrency
   std::string json;
   std::string save;
@@ -125,10 +113,6 @@ struct QueryStats {
   double plan_est_rows = 0;
   size_t plan_actual_rows = 0;
   std::string plan_text;
-  // Adaptive fields (--adaptive).
-  bool adaptive = false;
-  size_t replans = 0;
-  double replan_ms = 0;
 };
 
 // Parses a nonnegative integer flag value; returns false (with a
@@ -186,10 +170,6 @@ bool ParseArgs(int argc, char** argv, Args* a) {
       a->explain = true;
     } else if (arg == "--analyze") {
       a->analyze = true;
-    } else if (arg == "--adaptive") {
-      a->adaptive = true;
-    } else if (const char* v = value("--q-error-threshold=")) {
-      a->q_error_threshold = std::atof(v);
     } else if (const char* v = value("--trace=")) {
       a->trace = v;
     } else if (const char* v = value("--metrics=")) {
@@ -229,16 +209,6 @@ bool ParseArgs(int argc, char** argv, Args* a) {
   }
   if (!a->trace.empty() && !a->analyze) {
     std::fprintf(stderr, "--trace requires --analyze\n");
-    return false;
-  }
-  if (!a->trace.empty() && a->adaptive) {
-    std::fprintf(stderr,
-                 "--trace cannot be combined with --adaptive (stage-wise "
-                 "execution breaks the single-origin span nesting)\n");
-    return false;
-  }
-  if (a->q_error_threshold < 0) {
-    std::fprintf(stderr, "--q-error-threshold wants a positive number\n");
     return false;
   }
   if (a->open &&
@@ -321,14 +291,6 @@ void WriteJson(const Args& args, const BulkLoadStats& stats,
                    query.parallel_seconds);
     }
     std::fprintf(f, "  \"query_threads\": %zu", query.threads);
-    if (query.adaptive) {
-      std::fprintf(f,
-                   ",\n"
-                   "  \"query_adaptive\": true,\n"
-                   "  \"query_replans\": %zu,\n"
-                   "  \"query_replan_ms\": %.3f",
-                   query.replans, query.replan_ms);
-    }
     if (query.explained) {
       std::fprintf(f,
                    ",\n"
@@ -365,40 +327,24 @@ int RunQuery(const TripleStore& store, const Args& args, QueryStats* out) {
   // --explain/--analyze evaluate through the plan API — the same
   // operators the smart engine shim runs, but with the tree kept for
   // rendering (and, under --analyze, per-operator profiling).
-  // --adaptive instead routes through plan::ExecuteAdaptive, which
-  // plans internally (consulting the FeedbackCache) and hands back the
-  // assembled final tree for rendering.
   plan::PlanPtr pl;
-  plan::AdaptiveResult ar;
   const bool want_plan = args.explain || args.analyze;
-  if (want_plan || args.adaptive) {
+  if (want_plan) {
     Status vs = ValidateExpr(*expr);
     if (!vs.ok()) {
       std::fprintf(stderr, "query validate error: %s\n",
                    vs.ToString().c_str());
       return 1;
     }
-  }
-  if (want_plan) {
     // Warm every relation's stats so the plan shows exact distinct
     // counts: the planner itself never forces the O(n log n) builds,
     // but an EXPLAIN user explicitly asked for cost diagnostics.
     for (RelId r = 0; r < store.NumRelations(); ++r) store.RelationStats(r);
-  }
-  if (want_plan && !args.adaptive) pl = plan::PlanExpr(*expr, store);
-  ExecLimits lim;
-  if (args.adaptive) {
-    lim.adaptive = true;
-    if (args.q_error_threshold > 0) {
-      lim.q_error_threshold = args.q_error_threshold;
-    }
+    pl = plan::PlanExpr(*expr, store);
   }
   Timer t;
   Result<TripleSet> result = TripleSet();
-  if (args.adaptive) {
-    result = plan::ExecuteAdaptive(*expr, store, lim, args.analyze, &ar);
-    pl = std::move(ar.plan);
-  } else if (pl != nullptr) {
+  if (pl != nullptr) {
     result = plan::ExecutePlan(*pl, store, {}, args.analyze);
   } else {
     result = engine->Eval(*expr, store);
@@ -409,12 +355,7 @@ int RunQuery(const TripleStore& store, const Args& args, QueryStats* out) {
                  result.status().ToString().c_str());
     return 1;
   }
-  if (args.adaptive) {
-    out->adaptive = true;
-    out->replans = ar.replans;
-    out->replan_ms = static_cast<double>(ar.replan_ns) / 1e6;
-  }
-  if (pl != nullptr && want_plan) {
+  if (pl != nullptr) {
     plan::RecordRootRows(*pl, *result);  // about to print the result anyway
     out->explained = true;
     out->plan_nodes = pl->TreeSize();
@@ -433,14 +374,7 @@ int RunQuery(const TripleStore& store, const Args& args, QueryStats* out) {
                              : "plan (estimated vs actual rows):\n%s",
                 out->plan_text.c_str());
   }
-  if (args.adaptive) {
-    std::printf("adaptive: %zu replan(s), %.3fms re-planning\n", out->replans,
-                out->replan_ms);
-  }
-  // Traces need a single execution clock origin; adaptive stage-wise
-  // execution restarts it per stage, so span nesting would be wrong
-  // (ParseArgs already rejects --trace with --adaptive).
-  if (args.analyze && !args.adaptive) {
+  if (args.analyze) {
     plan::QueryTrace trace = plan::CollectTrace(*pl, out->expr, 1);
     plan::EmitTrace(trace);  // installed sinks (servers, tests) see it
     if (!args.trace.empty()) {

@@ -28,19 +28,13 @@ struct ExecLimits {
   /// first; this is a safety net.
   size_t max_rounds = 10'000'000;
 
-  /// Enable adaptive mid-query re-optimization: the plan executor pauses
-  /// at materialization points inside a DP join region, and when an
-  /// operator's observed cardinality is off its estimate by more than
-  /// `q_error_threshold`, re-runs the DP reorderer over the not-yet-
-  /// executed suffix with observed cardinalities substituted.  Join
-  /// *order* may change mid-query; results are byte-identical to the
-  /// static plan at any thread count.
+  /// Learn from execution: the smart evaluator plans each query with
+  /// the process FeedbackCache's observed cardinalities and records what
+  /// the executed plan produced (plan::ExecuteAdaptive), so later plans
+  /// of an expression it has run start from the true counts.  Join
+  /// *order* may change between executions; results are byte-identical
+  /// to the plain plan at any thread count.
   bool adaptive = false;
-
-  /// Q-error (max(est/actual, actual/est), both clamped >= 1) above
-  /// which the adaptive executor triggers a re-plan of the remaining
-  /// join region.  Only consulted when `adaptive` is set.
-  double q_error_threshold = 10.0;
 
   /// Parallel execution knobs, honored by the plan executor's join and
   /// fixpoint kernels, the Procedure 3/4 fast paths and the Datalog

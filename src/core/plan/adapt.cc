@@ -1,33 +1,9 @@
-// Adaptive mid-query re-optimization (see adapt.h for the model).
-//
-// Execution proceeds stage-wise over the root join region: FindNext
-// walks the current tree to the lowest node whose region children are
-// all materialized (a leaf subtree, or a join both of whose inputs are
-// done), executes exactly that subtree through ExecutePlanStage, and
-// records the observation into the FeedbackCache under the region
-// signature + DP leaf mask.  When the observation's q-error vs the
-// node's estimate crosses the threshold, the whole region is re-planned
-// with the feedback substituted and every already-materialized subset
-// priced as sunk (DoneSubset) — the DP then reuses the stored
-// intermediates (spliced in as `bound` nodes) and is free to flip the
-// order of everything not yet executed.
-//
-// Termination: every loop iteration materializes a subset, and after
-// the replan cap is reached the loop runs the remaining plan to
-// completion; re-executed masks carry exact feedback, so their q-error
-// is 1 and cannot re-trigger.
+// Cardinality feedback (see adapt.h for the model).
 
 #include "core/plan/adapt.h"
 
-#include <algorithm>
-#include <map>
-#include <memory>
 #include <string>
-#include <utility>
-#include <vector>
 
-#include "core/plan/profile.h"
-#include "core/plan/reorder.h"
 #include "util/metrics.h"
 
 namespace trial {
@@ -38,224 +14,19 @@ namespace {
 // cardinalities, not results, so eviction only costs re-learning.
 constexpr size_t kMaxFeedbackEntries = 4096;
 
-// Backstop on mid-query re-plans: after this many the current plan runs
-// to completion.  Exact feedback on executed masks makes re-triggering
-// on the same observation impossible, so this is never hit in practice.
-constexpr size_t kMaxReplans = 8;
-
-bool SingleBit(uint32_t mask) { return mask != 0 && (mask & (mask - 1)) == 0; }
-
-int BitIndex(uint32_t mask) {
-  int i = 0;
-  while ((mask & (1u << i)) == 0) ++i;
-  return i;
-}
-
-// The region's non-join leaves in DFS left-to-right order — exactly the
-// leaf numbering Reorderer::Flatten assigns, so leaf index i maps to DP
-// mask bit 1<<i across the initial plan and every re-plan.
-void FlattenLeaves(const Expr& e, std::vector<const Expr*>* out) {
-  if (e.kind() != ExprKind::kJoin) {
-    out->push_back(&e);
-    return;
+// Records the counted rows of every executed node of one DP join region
+// under its subset key.  A single-bit mask is a region leaf: its subtree
+// belongs to the leaf (possibly with a region of its own, keyed by a
+// different signature), so the walk stops there.
+void RecordRegion(const PlanNode& n, const std::string& region_sig,
+                  const TripleStore& store, FeedbackCache& fb) {
+  if (n.region_mask == 0) return;
+  if (n.runtime.executed && n.runtime.rows_known) {
+    fb.Record(store, RegionSubsetKey(region_sig, n.region_mask),
+              static_cast<double>(n.runtime.actual_rows));
   }
-  FlattenLeaves(*e.left(), out);
-  FlattenLeaves(*e.right(), out);
-}
-
-// One materialized join-region subset.
-struct Done {
-  std::shared_ptr<const TripleSet> set;
-  int cls[3] = {-1, -1, -1};
-  PlanPtr tree;  // the subtree that computed it, runtimes filled
-};
-
-bool ClsMatch(const int a[3], const int b[3]) {
-  return a[0] == b[0] && a[1] == b[1] && a[2] == b[2];
-}
-
-class AdaptiveRun {
- public:
-  AdaptiveRun(const Expr& e, const TripleStore& store, const ExecLimits& limits,
-              bool profile, FeedbackCache& fb)
-      : expr_(e), store_(store), limits_(limits), profile_(profile), fb_(fb) {
-    hints_.feedback = &fb_;
-  }
-
-  Result<TripleSet> Run(PlanPtr plan, AdaptiveResult* res) {
-    region_sig_ = expr_.ToString();
-    FlattenLeaves(expr_, &leaf_exprs_);
-    full_mask_ = (1u << leaf_exprs_.size()) - 1;
-    current_ = std::move(plan);
-    while (done_.find(full_mask_) == done_.end()) {
-      PlanPtr* slot = FindNext(&current_);
-      PlanNode& step = **slot;
-      double est = step.est_rows;
-      TRIAL_ASSIGN_OR_RETURN(TripleSet result,
-                             ExecutePlanStage(step, store_, limits_, profile_));
-      size_t observed = result.size();
-      uint32_t mask = step.region_mask;
-      RecordObservation(mask, observed);
-      Done& d = done_[mask];
-      d.set = std::make_shared<TripleSet>(std::move(result));
-      for (int c = 0; c < 3; ++c) d.cls[c] = step.region_cls[c];
-      d.tree = Detach(slot, d.set);
-      if (mask != full_mask_ &&
-          QError(est, static_cast<double>(observed)) >
-              limits_.q_error_threshold &&
-          replans_ < kMaxReplans) {
-        Replan(est, static_cast<double>(observed));
-      }
-    }
-    if (res != nullptr) {
-      res->plan = Assemble(full_mask_);
-      res->replans = replans_;
-      res->replan_ns = replan_ns_;
-    }
-    return TripleSet(*done_[full_mask_].set);
-  }
-
-  size_t replans() const { return replans_; }
-  uint64_t replan_ns() const { return replan_ns_; }
-
- private:
-  // Marks `n` reusable when its (mask, schema) is materialized,
-  // attaching the stored intermediate.
-  bool BindIfDone(PlanNode& n) {
-    if (n.bound != nullptr) return true;
-    if (n.region_mask == 0) return false;
-    auto it = done_.find(n.region_mask);
-    if (it == done_.end() || !ClsMatch(it->second.cls, n.region_cls)) {
-      return false;
-    }
-    n.bound = it->second.set;
-    return true;
-  }
-
-  // The owning slot of the next subtree to materialize: descend from
-  // the root into the first non-done region child; a leaf subtree or a
-  // join with every child done is the step.
-  PlanPtr* FindNext(PlanPtr* slot) {
-    PlanNode& n = **slot;
-    if (SingleBit(n.region_mask) || n.region_mask == 0) return slot;
-    for (PlanPtr& c : n.children) {
-      if (!BindIfDone(*c)) return FindNext(&c);
-    }
-    return slot;
-  }
-
-  // Swaps the executed subtree out of the tree, leaving a bound
-  // placeholder carrying the same region bookkeeping.
-  PlanPtr Detach(PlanPtr* slot, std::shared_ptr<const TripleSet> set) {
-    PlanPtr placeholder = std::make_unique<PlanNode>();
-    PlanNode& n = **slot;
-    placeholder->op = n.op;
-    placeholder->rel_name = n.rel_name;
-    placeholder->region_mask = n.region_mask;
-    for (int c = 0; c < 3; ++c) placeholder->region_cls[c] = n.region_cls[c];
-    placeholder->est_rows = n.est_rows;
-    placeholder->replanned = n.replanned;
-    placeholder->bound = std::move(set);
-    std::swap(*slot, placeholder);
-    return placeholder;  // now owns the executed subtree
-  }
-
-  void RecordObservation(uint32_t mask, size_t observed) {
-    double rows = static_cast<double>(observed);
-    fb_.Record(store_, RegionSubsetKey(region_sig_, mask), rows);
-    if (SingleBit(mask)) {
-      fb_.Record(store_, leaf_exprs_[BitIndex(mask)]->ToString(), rows);
-    } else if (mask == full_mask_) {
-      fb_.Record(store_, region_sig_, rows);
-    }
-  }
-
-  void Replan(double est, double obs) {
-    uint64_t t0 = MonotonicNanos();
-    std::vector<DoneSubset> sunk;
-    for (const auto& [mask, d] : done_) {
-      DoneSubset ds;
-      ds.mask = mask;
-      for (int c = 0; c < 3; ++c) ds.cls[c] = d.cls[c];
-      sunk.push_back(ds);
-    }
-    PlanningHints hints = hints_;
-    hints.done_subsets = &sunk;
-    PlanPtr next = ReorderJoinRegion(
-        expr_, store_,
-        [this](const Expr& sub) { return PlanExpr(sub, store_, hints_); },
-        hints);
-    uint64_t dt = MonotonicNanos() - t0;
-    if (next == nullptr) return;  // keep the current plan
-    MarkReplanned(*next);
-    next->replan_est = est;
-    next->replan_obs = obs;
-    current_ = std::move(next);
-    ++replans_;
-    replan_ns_ += dt;
-    if (MetricsEnabled()) {
-      MetricsRegistry& reg = MetricsRegistry::Global();
-      reg.GetCounter("exec.replans")->Increment();
-      reg.GetHistogram("exec.replan_ns")->Observe(dt);
-    }
-  }
-
-  // Everything the re-plan will actually have to execute is new work
-  // under a new order — flag it for EXPLAIN; materialized subsets bind
-  // and keep their original rendering.
-  void MarkReplanned(PlanNode& n) {
-    if (BindIfDone(n)) return;
-    n.replanned = true;
-    for (PlanPtr& c : n.children) MarkReplanned(*c);
-  }
-
-  // The executed tree: the full-mask subtree with every bound
-  // placeholder replaced by the subtree that really computed it.
-  PlanPtr Assemble(uint32_t mask) {
-    PlanPtr root = std::move(done_[mask].tree);
-    if (root != nullptr) Fill(&root);
-    return root;
-  }
-
-  void Fill(PlanPtr* slot) {
-    PlanNode& n = **slot;
-    if (n.bound != nullptr) {
-      auto it = done_.find(n.region_mask);
-      if (it != done_.end() && ClsMatch(it->second.cls, n.region_cls) &&
-          it->second.tree != nullptr) {
-        PlanPtr sub = std::move(it->second.tree);
-        Fill(&sub);
-        *slot = std::move(sub);
-        return;
-      }
-    }
-    for (PlanPtr& c : n.children) Fill(&c);
-  }
-
-  const Expr& expr_;
-  const TripleStore& store_;
-  const ExecLimits& limits_;
-  const bool profile_;
-  FeedbackCache& fb_;
-  PlanningHints hints_;  // feedback only; done_subsets is per-replan
-
-  std::string region_sig_;
-  std::vector<const Expr*> leaf_exprs_;
-  uint32_t full_mask_ = 0;
-  PlanPtr current_;
-  std::map<uint32_t, Done> done_;
-  size_t replans_ = 0;
-  uint64_t replan_ns_ = 0;
-};
-
-// Per-strategy counters over the assembled tree (the plan_exec.cc
-// walker is file-local; same naming).
-void CountStrategies(const PlanNode& n, MetricsRegistry& reg) {
-  if (n.runtime.executed && n.runtime.strategy != nullptr) {
-    reg.GetCounter(std::string("exec.strategy.") + n.runtime.strategy)
-        ->Increment();
-  }
-  for (const PlanPtr& c : n.children) CountStrategies(*c, reg);
+  if ((n.region_mask & (n.region_mask - 1)) == 0) return;
+  for (const PlanPtr& c : n.children) RecordRegion(*c, region_sig, store, fb);
 }
 
 }  // namespace
@@ -321,45 +92,19 @@ Result<TripleSet> ExecuteAdaptive(const ExprPtr& e, const TripleStore& store,
                                   const ExecLimits& limits, bool profile,
                                   AdaptiveResult* out, FeedbackCache* fb) {
   if (fb == nullptr) fb = &FeedbackCache::Global();
-  const bool metrics = MetricsEnabled();
-  const uint64_t t0 = metrics ? MonotonicNanos() : 0;
   PlanningHints hints;
   hints.feedback = fb;
   PlanPtr plan = PlanExpr(e, store, hints);
-
-  Result<TripleSet> result = TripleSet();
-  AdaptiveResult res;
-  if (plan != nullptr && plan->region_mask != 0) {
-    // The root is a DP join region: run it stage-wise with re-planning.
-    AdaptiveRun run(*e, store, limits, profile, *fb);
-    result = run.Run(std::move(plan), &res);
-    if (!result.ok()) {
-      res.plan = nullptr;
-      res.replans = run.replans();
-      res.replan_ns = run.replan_ns();
-    }
-  } else {
-    // No region to adapt (single scan, select, star, union, pairwise
-    // fallback): static execution, but still learn the root cardinality.
-    result = ExecutePlanStage(*plan, store, limits, profile);
-    if (result.ok()) {
-      fb->Record(store, e->ToString(), static_cast<double>(result->size()));
-    }
-    res.plan = std::move(plan);
+  Result<TripleSet> result = ExecutePlan(*plan, store, limits, profile);
+  if (result.ok()) {
+    // Counting the root normalizes the result, which every caller is
+    // about to read anyway.
+    RecordRootRows(*plan, *result);
+    const std::string sig = e->ToString();
+    fb->Record(store, sig, static_cast<double>(result->size()));
+    RecordRegion(*plan, sig, store, *fb);
   }
-
-  if (metrics) {
-    MetricsRegistry& reg = MetricsRegistry::Global();
-    reg.GetCounter("exec.queries")->Increment();
-    reg.GetHistogram("exec.query_ns")->Observe(MonotonicNanos() - t0);
-    if (result.ok()) {
-      reg.GetHistogram("exec.result_rows")->Observe(result->size());
-    } else {
-      reg.GetCounter("exec.query_errors")->Increment();
-    }
-    if (res.plan != nullptr) CountStrategies(*res.plan, reg);
-  }
-  if (out != nullptr) *out = std::move(res);
+  if (out != nullptr) out->plan = std::move(plan);
   return result;
 }
 

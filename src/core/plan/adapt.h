@@ -1,31 +1,23 @@
-// Adaptive mid-query re-optimization + learned cardinality cache.
+// Cardinality feedback: a learned cardinality cache and the query
+// entry point that feeds it.
 //
-// The DP join reorderer (reorder.cc) can pick a ~190x-better order, but
-// only when its estimates are right — and on correlated data the
-// aggregated projections still misestimate by orders of magnitude.  The
-// standard cure (RDF-3X, and most of the RDF-store literature) is
-// cardinality feedback: run the plan in pipeline stages, compare every
-// materialized intermediate's observed rows against the estimate, and
-// when the q-error crosses a threshold, re-cost the not-yet-executed
-// suffix with the observation substituted for the estimate.
-//
-// Two pieces live here:
+// The DP join reorderer (reorder.cc) picks good orders only when its
+// estimates are right.  The planner prices constant selections from
+// exact ranges and the aggregated projections, and equi-joins from the
+// top-k frequencies; whatever the statistics still miss, an execution
+// observes.  Cardinality feedback remembers those observations, so the
+// next plan of the same (sub)expression starts from the true counts:
 //
 //   FeedbackCache   observed cardinalities keyed by normalized
 //                   (sub)expression, persisted across queries of one
-//                   process; the planner consults it before statistics,
-//                   so every misestimate is a one-time cost.
+//                   process; the planner consults it before statistics.
 //
-//   ExecuteAdaptive stage-wise execution of a planned query: leaves and
-//                   joins of the root join region are materialized one
-//                   at a time, each observation is recorded into the
-//                   cache, and when an observation's q-error vs the
-//                   plan's estimate exceeds limits.q_error_threshold
-//                   the remaining region is re-planned around the
-//                   already-materialized subsets (priced as sunk).
+//   ExecuteAdaptive plans a query with the cache, runs the plan once on
+//                   the ordinary executor, and records what the root
+//                   and every counted join-region subset produced.
 //
-// Contract: adaptivity changes join ORDER, never semantics — the result
-// is byte-identical to the static plan's at any thread count (all join
+// Contract: feedback changes join ORDER, never semantics — the result
+// is byte-identical to the plain plan's at any thread count (all join
 // orders produce the same normalized TripleSet).  Feedback only moves
 // cost estimates, so a stale or aliased cache entry can at worst pick a
 // slower order, never a wrong answer.
@@ -87,26 +79,24 @@ class FeedbackCache {
 /// the region — so the mask alone qualifies the subexpression.
 std::string RegionSubsetKey(const std::string& region_sig, uint32_t mask);
 
-// ---- adaptive execution ------------------------------------------------
+// ---- execution with feedback -------------------------------------------
 
-/// What ExecuteAdaptive did, for EXPLAIN / metrics / benchmarks.
+/// What ExecuteAdaptive did, for EXPLAIN / profiling.
 struct AdaptiveResult {
-  /// The assembled physical tree that was actually executed (re-planned
-  /// subtrees spliced in, runtimes filled) — render with Explain /
-  /// ExplainAnalyze.  Always set on success.
+  /// The physical tree that was executed, runtimes filled — render with
+  /// Explain / ExplainAnalyze / CollectTrace.  Always set, on failure
+  /// too.
   PlanPtr plan;
-  size_t replans = 0;     ///< mid-query re-plans triggered
-  uint64_t replan_ns = 0; ///< total wall time spent re-planning
 };
 
-/// Plans `e` (consulting `fb` before statistics), executes it in
-/// pipeline stages, records every materialized cardinality into `fb`,
-/// and re-plans the remaining join region whenever an observation's
-/// q-error vs the estimate exceeds limits.q_error_threshold.  Results
-/// are byte-identical to ExecutePlan(PlanExpr(e, store)) at any thread
-/// count.  `out` may be null; `fb` null means FeedbackCache::Global().
-/// Accounts exec.queries / exec.query_ns once per call, plus
-/// exec.replans / exec.replan_ns per re-plan, when metrics are on.
+/// Plans `e` consulting `fb` before statistics, executes the plan once
+/// through ExecutePlan, and records into `fb` the root's row count
+/// (keyed by the expression text) plus, when the root is a DP join
+/// region, every executed region subset whose rows were counted (keyed
+/// by RegionSubsetKey).  Results are byte-identical to
+/// ExecutePlan(PlanExpr(e, store)) at any thread count.  `out` may be
+/// null; `fb` null means FeedbackCache::Global().  Metrics are those of
+/// ExecutePlan: exec.query_ns times the execution, not the planning.
 Result<TripleSet> ExecuteAdaptive(const ExprPtr& e, const TripleStore& store,
                                   const ExecLimits& limits = {},
                                   bool profile = false,

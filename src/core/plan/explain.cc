@@ -62,16 +62,6 @@ void Render(const PlanNode& n, int depth, std::string* out) {
   } else {
     out->append(" actual=-");
   }
-  if (n.replanned) {
-    if (n.replan_obs > 0) {
-      char buf[96];
-      std::snprintf(buf, sizeof buf, " [replanned est=%s→obs=%.0f]",
-                    FmtEst(n.replan_est).c_str(), n.replan_obs);
-      out->append(buf);
-    } else {
-      out->append(" [replanned]");
-    }
-  }
   out->append("\n");
   for (const PlanPtr& c : n.children) Render(*c, depth + 1, out);
 }

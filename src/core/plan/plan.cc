@@ -1,5 +1,6 @@
 #include "core/plan/plan.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace trial {
@@ -44,6 +45,30 @@ double EstimateBoundMatches(const TripleSetStats& stats, const bool bound[3]) {
     }
   }
   return est;
+}
+
+double ConstEqSelectivity(const TripleSet* rel, int column, ObjId v,
+                          double distinct) {
+  const double uniform = 1.0 / std::max(distinct, 1.0);
+  if (rel == nullptr) return uniform;
+  const double n = static_cast<double>(rel->size());
+  if (n == 0) return 0.0;
+  AccessPath path = PlanAccess(column == 0, column == 1, column == 2);
+  if (rel->IndexReady(path.order)) {
+    return static_cast<double>(rel->Lookup(column, v).size()) / n;
+  }
+  const TripleSetStats* stats = rel->CachedStats();
+  if (stats == nullptr || !stats->HasAgg(column)) return uniform;
+  double head = 0;
+  for (const ValueFreq& f : stats->topk[column]) {
+    if (f.value == v) return static_cast<double>(f.count) / n;
+    head += static_cast<double>(f.count);
+  }
+  // Outside the heavy hitters: the tail's average frequency (zero when
+  // the top-k covers every distinct value, i.e. v does not occur).
+  double tail_distinct = static_cast<double>(stats->distinct[column]) -
+                         static_cast<double>(stats->topk[column].size());
+  return tail_distinct > 0 ? (n - head) / tail_distinct / n : 0.0;
 }
 
 JoinPlan JoinPlan::Build(const CondSet& cond) {

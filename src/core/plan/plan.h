@@ -60,26 +60,13 @@ class FeedbackCache;  // core/plan/adapt.h — learned cardinality cache
 
 // ---- planning hints ----------------------------------------------------
 
-/// A join-region subset the adaptive executor has already materialized:
-/// the DP leaf mask plus the intermediate's output schema (variable
-/// class per column).  During a mid-query re-plan the reorderer prices
-/// matching DP entries at zero cost (the work is sunk) so the suffix
-/// plan reuses them.
-struct DoneSubset {
-  uint32_t mask = 0;
-  int cls[3] = {-1, -1, -1};
-};
-
-/// Optional inputs threaded through PlanExpr / ReorderJoinRegion.  All
-/// fields may be null; the default-constructed value plans exactly as
-/// before.  Pointees must outlive the planning call.
+/// Optional inputs threaded through PlanExpr / ReorderJoinRegion.  The
+/// default-constructed value plans from statistics alone.  Pointees
+/// must outlive the planning call.
 struct PlanningHints {
   /// Observed cardinalities from prior executions, consulted before
   /// statistics (adapt.h).
   const FeedbackCache* feedback = nullptr;
-  /// Already-materialized join-region subsets of the CURRENT query —
-  /// set only by the adaptive executor's mid-query re-plan.
-  const std::vector<DoneSubset>* done_subsets = nullptr;
 };
 
 // ---- shared access / cost primitives ----------------------------------
@@ -100,11 +87,22 @@ bool PreferIndexProbe(double probe_count, double build_size);
 /// the planner's selectivity math alike).
 double EstimateBoundMatches(const TripleSetStats& stats, const bool bound[3]);
 
-/// A bound-column access: up to three columns pinned to values.  The
-/// scan/probe primitive shared by SelectFilter, the join probe side and
-/// the Datalog atom matcher — any one or two bound columns are served
-/// as a contiguous permutation range (PlanAccess); a third is left to
-/// the caller's verification.
+/// Selectivity of the constant equality column = v on a relation with
+/// `distinct` values in that column.  When `rel` is the stored relation
+/// itself, it is priced from what `rel` already holds, without building
+/// a permutation or decoding a snapshot segment: the exact range size
+/// |σ_{column=v}(rel)| / |rel| when the permutation serving `column` is
+/// ready (IndexReady, two binary searches), else v's exact heavy-hitter
+/// count, or the tail average (n − Σtopk) / (d − k) for a value outside
+/// the cached top-k.  Without either (`rel` null, no cached stats, no
+/// aggregated projection) it is the uniform 1 / max(distinct, 1).
+double ConstEqSelectivity(const TripleSet* rel, int column, ObjId v,
+                          double distinct);
+
+/// A bound-column access: up to three columns pinned to values, the
+/// Datalog atom matcher's scan/probe primitive (datalog/eval.cc).  Any
+/// one or two bound columns are served as a contiguous permutation
+/// range (PlanAccess); a third is left to the caller's verification.
 struct BoundProbe {
   int ncols = 0;
   int col[3] = {0, 0, 0};
@@ -307,26 +305,10 @@ struct PlanNode {
 
   /// DP join-region bookkeeping (reorder.cc): which leaves of the
   /// enclosing join region this subtree covers (bitmask over the
-  /// region's flattened leaf order) and the output schema's variable
-  /// class per column.  Zero mask = not part of a reordered region.
-  /// The adaptive executor (adapt.cc) keys materialized intermediates
-  /// on (region_mask, region_cls) to splice them into re-plans.
+  /// region's flattened left-to-right leaf order).  Zero mask = not part
+  /// of a reordered region.  ExecuteAdaptive (adapt.cc) keys observed
+  /// subset cardinalities on it (RegionSubsetKey).
   uint32_t region_mask = 0;
-  int region_cls[3] = {-1, -1, -1};
-
-  /// Adaptive execution: when set, ExecutePlan returns *bound instead
-  /// of executing the subtree — the adaptive executor attaches an
-  /// already-materialized intermediate here when splicing a re-planned
-  /// suffix.  Never set by the planner.
-  std::shared_ptr<const TripleSet> bound;
-
-  /// Set by the adaptive executor on nodes created (or re-costed) by a
-  /// mid-query re-plan; rendered by Explain / ExplainAnalyze as
-  /// "[replanned]".  The trigger node additionally carries the
-  /// estimated-vs-observed cardinality that forced the re-plan.
-  bool replanned = false;
-  double replan_est = 0;
-  double replan_obs = 0;
 
   std::vector<PlanPtr> children;
 
@@ -341,15 +323,15 @@ struct PlanNode {
 /// Lowers a (validated) expression into a physical plan against
 /// `store`.  Never fails: an unknown relation plans as a zero-estimate
 /// scan and surfaces kNotFound at execution time, exactly as the
-/// evaluators always did.  Uses relations' cached stats when available
-/// (CachedStats) but never forces a permutation build — estimates are
+/// evaluators always did.  Uses relations' cached stats and already
+/// built permutations when available (CachedStats, IndexReady) but never
+/// forces a permutation build or a segment decode — estimates are
 /// generic heuristics until something computes the real counts.
 PlanPtr PlanExpr(const ExprPtr& e, const TripleStore& store);
 
 /// PlanExpr with planning hints: a FeedbackCache of observed
-/// cardinalities consulted before statistics, and (during an adaptive
-/// mid-query re-plan) the set of already-materialized join-region
-/// subsets to price as sunk.  `PlanExpr(e, store)` ≡ hints = {}.
+/// cardinalities consulted before statistics.  `PlanExpr(e, store)` ≡
+/// hints = {}.
 PlanPtr PlanExpr(const ExprPtr& e, const TripleStore& store,
                  const PlanningHints& hints);
 PlanPtr PlanExpr(const Expr& e, const TripleStore& store,
@@ -376,15 +358,6 @@ PlanPtr PlanShortestPath(const TripleStore& store, const std::string& rel,
 Result<TripleSet> ExecutePlan(PlanNode& root, const TripleStore& store,
                               const ExecLimits& limits = {},
                               bool profile = false);
-
-/// ExecutePlan minus the per-query metrics accounting: runs the tree
-/// and verifies the snapshot, nothing else.  The adaptive executor
-/// (adapt.cc) runs each pipeline stage through this so a query that
-/// re-plans twice still counts as ONE query in exec.queries /
-/// exec.query_ns.
-Result<TripleSet> ExecutePlanStage(PlanNode& root, const TripleStore& store,
-                                   const ExecLimits& limits = {},
-                                   bool profile = false);
 
 /// Records `result`'s cardinality on the root node for Explain.  This
 /// normalizes (sorts) the result if nothing has read it yet — call it

@@ -117,13 +117,6 @@ class Executor {
     n.runtime.peak_rows = std::max(a.size(), b.size());
   }
   Result<TripleSet> ExecNode(PlanNode& n) {
-    // Adaptive execution: a bound node carries an already-materialized
-    // intermediate spliced in by a mid-query re-plan (adapt.cc).  The
-    // copy shares the set's lazily-built index cache cell.
-    if (n.bound != nullptr) {
-      n.runtime.strategy = "reused";
-      return *n.bound;
-    }
     switch (n.op) {
       case PlanOp::kIndexScan: {
         const TripleSet* rel = store_.FindRelation(n.rel_name);
@@ -659,19 +652,20 @@ void CountStrategies(const PlanNode& n, MetricsRegistry& reg) {
   for (const PlanPtr& c : n.children) CountStrategies(*c, reg);
 }
 
-}  // namespace
-
-Result<TripleSet> ExecutePlanStage(PlanNode& root, const TripleStore& store,
-                                   const ExecLimits& limits, bool profile) {
+// Runs the tree and verifies the snapshot.  A lazy snapshot decode that
+// hit corruption yields empty scans, not a Status — surface the sticky
+// diagnostic instead of a silently wrong (empty/partial) result.  The
+// result itself may be a still-lazy pass-through of a relation (a bare
+// index scan), so force it too.
+Result<TripleSet> ExecVerified(PlanNode& root, const TripleStore& store,
+                               const ExecLimits& limits, bool profile) {
   Result<TripleSet> result = Executor(store, limits, profile).Exec(root);
-  // A lazy snapshot decode that hit corruption yields empty scans, not
-  // a Status — surface the sticky diagnostic instead of a silently
-  // wrong (empty/partial) result.  The result itself may be a still-lazy
-  // pass-through of a relation (a bare index scan), so force it too.
   if (result.ok()) TRIAL_RETURN_IF_ERROR(result->VerifyMaterialized());
   TRIAL_RETURN_IF_ERROR(store.SnapshotStatus());
   return result;
 }
+
+}  // namespace
 
 Result<TripleSet> ExecutePlan(PlanNode& root, const TripleStore& store,
                               const ExecLimits& limits, bool profile) {
@@ -679,7 +673,7 @@ Result<TripleSet> ExecutePlan(PlanNode& root, const TripleStore& store,
   // only when something (metrics or profiling) will consume it.
   const bool metrics = MetricsEnabled();
   const uint64_t t0 = metrics ? MonotonicNanos() : 0;
-  Result<TripleSet> result = ExecutePlanStage(root, store, limits, profile);
+  Result<TripleSet> result = ExecVerified(root, store, limits, profile);
   if (metrics) {
     MetricsRegistry& reg = MetricsRegistry::Global();
     reg.GetCounter("exec.queries")->Increment();

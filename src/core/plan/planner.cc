@@ -7,7 +7,11 @@
 // (lowering never forces a permutation build; see CachedStats):
 //
 //   scan E                rows = |E|, distinct = exact stats
-//   σ const-equality      rows /= distinct[col]          (column pinned)
+//   σ const-equality      on a stored relation: |σ_{col=v}(E)| exactly
+//                         when the permutation serving col is ready,
+//                         else v's top-k count or the tail average
+//                         (ConstEqSelectivity); otherwise
+//                         rows /= distinct[col]          (column pinned)
 //   σ col=col equality    rows /= max(d_a, d_b)
 //   η equality            rows *= 1/2                    (ρ is opaque)
 //   inequalities          rows *= 1                      (non-selective)
@@ -82,14 +86,18 @@ double DefaultDistinct(double rows) {
 // the one-sided filter atoms of a join side).  Mirrors the routing of
 // SelectIndexed / JoinPlan: constant equalities pin a column, column
 // equalities use 1/max(d,d'), η equalities halve, inequalities pass.
+// When `card` describes the stored relation `rel`, each constant
+// equality shrinks by that value's own frequency in `rel` instead of
+// 1/d (ConstEqSelectivity); several atoms combine under independence.
 void ApplyUnaryCond(const std::vector<ObjConstraint>& theta,
-                    const std::vector<DataConstraint>& eta, Card* card) {
+                    const std::vector<DataConstraint>& eta,
+                    const TripleSet* rel, Card* card) {
   for (const ObjConstraint& c : theta) {
     if (!c.equal) continue;
     if (c.lhs.is_pos != c.rhs.is_pos) {
       int col = PosColumn(c.lhs.is_pos ? c.lhs.pos : c.rhs.pos);
-      double d = std::max(card->distinct[col], 1.0);
-      card->rows /= d;
+      ObjId v = c.lhs.is_pos ? c.rhs.constant : c.lhs.constant;
+      card->rows *= ConstEqSelectivity(rel, col, v, card->distinct[col]);
       card->distinct[col] = 1;
     } else if (c.lhs.is_pos && c.rhs.is_pos) {
       int a = PosColumn(c.lhs.pos), b = PosColumn(c.rhs.pos);
@@ -113,8 +121,8 @@ void FilteredSides(const JoinPlan& jp, const Card& l, const Card& r,
                    Card* lf, Card* rf) {
   *lf = l;
   *rf = r;
-  ApplyUnaryCond(jp.left_theta, jp.left_eta, lf);
-  ApplyUnaryCond(jp.right_theta, jp.right_eta, rf);
+  ApplyUnaryCond(jp.left_theta, jp.left_eta, nullptr, lf);
+  ApplyUnaryCond(jp.right_theta, jp.right_eta, nullptr, rf);
 }
 
 // Distinct estimate of join-output column `p` drawn from the filtered
@@ -196,7 +204,10 @@ class Planner {
         node->spec.cond = e.select_cond();
         PlanPtr child = Lower(*e.left());
         Card c = CardOf(*child);
-        ApplyUnaryCond(node->spec.cond.theta, node->spec.cond.eta, &c);
+        const TripleSet* rel = child->op == PlanOp::kIndexScan
+                                   ? store_.FindRelation(child->rel_name)
+                                   : nullptr;
+        ApplyUnaryCond(node->spec.cond.theta, node->spec.cond.eta, rel, &c);
         // Predicted access path: columns pinned by constant equalities
         // probe the child's permutations when the build amortizes —
         // free for SPO, shared with the store for an IndexScan child.
@@ -350,7 +361,7 @@ class Planner {
   }
 
   const TripleStore& store_;
-  const PlanningHints hints_;  // small, copied: two optional pointers
+  const PlanningHints hints_;  // small, copied: one optional pointer
 };
 
 }  // namespace

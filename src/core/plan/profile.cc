@@ -197,15 +197,6 @@ std::string ExplainAnalyze(const PlanNode& root) {
       if (n.runtime.strategy != nullptr) {
         out->append(" (").append(n.runtime.strategy).append(")");
       }
-      if (n.replanned) {
-        if (n.replan_obs > 0) {
-          std::snprintf(buf, sizeof buf, " [replanned est=%s→obs=%.0f]",
-                        FmtEstRows(n.replan_est).c_str(), n.replan_obs);
-          out->append(buf);
-        } else {
-          out->append(" [replanned]");
-        }
-      }
       if (n.runtime.profiled) {
         out->append(" self=").append(FmtNs(n.runtime.self_ns));
         out->append(" cum=").append(

@@ -26,11 +26,9 @@
 //                          --analyze --trace=PATH`.
 //
 //   TraceSink              the per-query consumption API: the future
-//                          trial_serve stats endpoint and the ROADMAP
-//                          adaptive re-planner both subscribe here —
+//                          trial_serve stats endpoint subscribes here —
 //                          per-operator estimate-vs-actual q-error is
-//                          exactly the cardinality-feedback signal
-//                          mid-query re-costing needs.
+//                          the signal an estimator regression shows in.
 //
 // Q-error convention: QError(est, actual) = max(est/actual, actual/est)
 // with both sides clamped to >= 1 first, so empty results and zero
@@ -126,8 +124,8 @@ TraceSink* SetTraceSink(TraceSink* sink);
 
 /// Hands `trace` to the installed sink; no-op when none is installed.
 /// The CLIs call this after every --analyze query, so a linked-in
-/// consumer (trial_serve, the re-planner, tests) sees every record
-/// without touching caller code.
+/// consumer (trial_serve, tests) sees every record without touching
+/// caller code.
 void EmitTrace(const QueryTrace& trace);
 
 }  // namespace plan

@@ -235,16 +235,20 @@ class Reorderer {
   // attaches every predicate whose classes are contained in a leaf to
   // each such leaf.  Attaching at every occurrence is valid — the join
   // keys enforce class equality, and all atoms are deterministic — and
-  // strictly more selective than applying once.
+  // strictly more selective than applying once.  A const-equality on a
+  // stored relation is priced like the planner's selection, by the
+  // value's own frequency (ConstEqSelectivity).
   void DistributeLeafAtoms() {
     for (size_t l = 0; l < leaves_.size(); ++l) {
       Leaf& leaf = leaves_[l];
       const double* d = leaf.plan->est_distinct;
+      const TripleSet* rel =
+          leaf.index_scan ? store_.FindRelation(leaf.plan->rel_name) : nullptr;
       for (const auto& ce : const_eqs_) {
         for (int c = 0; c < 3; ++c) {
           if (leaf.cls[c] != ce.first) continue;
           leaf.theta.push_back(EqConst(static_cast<Pos>(c), ce.second));
-          leaf.fsel /= std::max(d[c], 1.0);
+          leaf.fsel *= ConstEqSelectivity(rel, c, ce.second, d[c]);
         }
       }
       for (int i = 0; i < 3; ++i) {
@@ -322,7 +326,7 @@ class Reorderer {
     return true;
   }
 
-  // ---- feedback / done-subset hints -----------------------------------
+  // ---- feedback hints --------------------------------------------------
 
   // Observed rows of subset `mask` from the FeedbackCache (keyed by the
   // region signature + mask; single-leaf masks additionally try the
@@ -341,21 +345,6 @@ class Reorderer {
     }
     fb_memo_.emplace(mask, obs);
     return obs;
-  }
-
-  // Whether subset `mask` with output schema `schema` is one of the
-  // adaptive executor's already-materialized intermediates (exact
-  // schema match — the splice reuses the set column-for-column).
-  bool IsDone(uint32_t mask, const int schema[3]) const {
-    if (hints_.done_subsets == nullptr) return false;
-    for (const DoneSubset& d : *hints_.done_subsets) {
-      if (d.mask != mask) continue;
-      if (d.cls[0] == schema[0] && d.cls[1] == schema[1] &&
-          d.cls[2] == schema[2]) {
-        return true;
-      }
-    }
-    return false;
   }
 
   // ---- DP --------------------------------------------------------------
@@ -377,9 +366,8 @@ class Reorderer {
           e.dist[c] = std::min(e.dist[c], std::max(obs, 1.0));
         }
       }
-      // A stored relation pre-exists; anything else paid its subtree —
-      // unless the adaptive executor already materialized it (sunk).
-      e.cost = leaf.index_scan || IsDone(1u << l, e.schema) ? 0.0 : e.rows;
+      // A stored relation pre-exists; anything else paid its subtree.
+      e.cost = leaf.index_scan ? 0.0 : e.rows;
       e.fsel = leaf.fsel;
       e.leaf = static_cast<int>(l);
       table_[1u << l].push_back(e);
@@ -561,9 +549,7 @@ class Reorderer {
           if (d <= 0) d = DefaultDistinct(rows);
           e.dist[c] = std::min(d, std::max(rows, 1.0));
         }
-        // An already-materialized subset costs nothing to (re)produce —
-        // the adaptive executor binds the stored intermediate to it.
-        e.cost = IsDone(mask, e.schema) ? 0.0 : cand.cost;
+        e.cost = cand.cost;
         e.op = cand.op;
         e.lmask = lmask;
         e.rmask = rmask;
@@ -614,12 +600,7 @@ class Reorderer {
     const Entry e = table_[mask][idx];  // copy: table untouched below
     if (e.leaf >= 0) {
       PlanPtr leaf_plan = std::move(leaves_[e.leaf].plan);
-      if (leaf_plan != nullptr) {
-        leaf_plan->region_mask = mask;
-        for (int c = 0; c < 3; ++c) {
-          leaf_plan->region_cls[c] = leaves_[e.leaf].cls[c];
-        }
-      }
+      if (leaf_plan != nullptr) leaf_plan->region_mask = mask;
       return leaf_plan;
     }
     const Entry& le = table_[e.lmask][e.lidx];
@@ -636,7 +617,6 @@ class Reorderer {
     // region's original output classes at the root.
     for (int j = 0; j < 3; ++j) {
       int cls = out_cls != nullptr ? out_cls[j] : e.schema[j];
-      node->region_cls[j] = cls;
       node->spec.out[j] = ClassPos(le, re, cls, &ok);
       int col = SchemaCol(e, cls);
       node->est_distinct[j] = col >= 0 ? e.dist[col] : e.dist[j];

@@ -21,10 +21,8 @@ namespace plan {
 ///
 /// `hints.feedback` substitutes observed cardinalities (keyed by the
 /// region signature + DP leaf mask, see adapt.h) for the statistical
-/// estimates of matching subsets; `hints.done_subsets` prices already-
-/// materialized subsets at zero cost (the adaptive executor's mid-query
-/// re-plan).  Emitted nodes carry their DP subset bookkeeping in
-/// PlanNode::region_mask / region_cls.
+/// estimates of matching subsets.  Emitted nodes carry their DP leaf
+/// mask in PlanNode::region_mask.
 PlanPtr ReorderJoinRegion(
     const Expr& e, const TripleStore& store,
     const std::function<PlanPtr(const Expr&)>& lower_leaf,

@@ -21,9 +21,9 @@
 // the effectiveness when metrics are on.
 //
 // With opts.adaptive set, a cache miss routes through
-// plan::ExecuteAdaptive — mid-query re-planning plus the learned
-// cardinality FeedbackCache — and caches the assembled final tree, so
-// the NEXT evaluation starts from the adapted join order.
+// plan::ExecuteAdaptive: the plan is built with the learned-cardinality
+// FeedbackCache and what it observes is recorded there, so the next
+// plan of any expression it covered starts from the true counts.
 
 #include <algorithm>
 #include <cstddef>
@@ -72,9 +72,8 @@ class SmartEvaluator final : public Evaluator {
       plan::AdaptiveResult ar;
       Result<TripleSet> result =
           plan::ExecuteAdaptive(e, store, opts_, /*profile=*/false, &ar);
-      // Cache the assembled (adapted) tree: the next evaluation runs
-      // the corrected join order statically.  Note the epoch as of
-      // before execution — execution itself never mutates the store.
+      // Note the epoch as of before execution — execution itself never
+      // mutates the store.
       if (result.ok() && ar.plan != nullptr) {
         CacheInsert(key, &store, epoch, std::move(ar.plan));
       }

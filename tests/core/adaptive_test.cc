@@ -1,8 +1,8 @@
-// Adaptive mid-query re-optimization (core/plan/adapt.*): the
-// byte-identical contract against the static plan at every thread
-// count, a golden join-order flip on the correlated-misestimate shape,
-// the FeedbackCache's epoch/store scoping, and the smart evaluator's
-// LRU plan cache.
+// Cardinality feedback (core/plan/adapt.*): the byte-identical contract
+// of ExecuteAdaptive against the plain plan at every thread count, the
+// correlated-misestimate shape planned right up front and its feedback
+// recorded for the next plan, the FeedbackCache's epoch/store scoping,
+// and the smart evaluator's LRU plan cache.
 
 #include <gtest/gtest.h>
 
@@ -64,9 +64,10 @@ ExprPtr RandomJoinTree(Rng* rng, int leaves) {
 // ---- byte-identical property ------------------------------------------
 
 // ExecuteAdaptive must return exactly ExecutePlan(PlanExpr(e))'s result
-// on random 3-5-relation join expressions, at 1/2/4 threads, with an
-// aggressive threshold so re-planning actually fires.  Each case gets a
-// fresh FeedbackCache: no learning leaks between expressions.
+// on random 3-5-relation join expressions, at 1/2/4 threads — also the
+// second time round, when the plan comes from the recorded feedback.
+// Each case gets a fresh FeedbackCache: no learning leaks between
+// expressions.
 TEST(AdaptiveEquivalence, ByteIdenticalToStaticOnRandomJoins) {
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     Rng rng(seed * 131 + 7);
@@ -80,33 +81,32 @@ TEST(AdaptiveEquivalence, ByteIdenticalToStaticOnRandomJoins) {
         FeedbackCache fb;
         ExecLimits lim;
         lim.adaptive = true;
-        lim.q_error_threshold = 1.2;  // re-plan on nearly any miss
         lim.exec.num_threads = threads;
         lim.exec.min_parallel_items = 1;
-        AdaptiveResult ar;
-        auto got = ExecuteAdaptive(e, store, lim, false, &ar, &fb);
-        ASSERT_TRUE(got.ok())
-            << "seed " << seed << " expr " << e->ToString() << ": "
-            << got.status().ToString();
-        EXPECT_TRUE(*got == *want)
-            << "seed " << seed << " threads " << threads << " replans "
-            << ar.replans << "\n"
-            << e->ToString();
-        ASSERT_NE(ar.plan, nullptr);
+        for (int pass = 0; pass < 2; ++pass) {
+          AdaptiveResult ar;
+          auto got = ExecuteAdaptive(e, store, lim, false, &ar, &fb);
+          ASSERT_TRUE(got.ok())
+              << "seed " << seed << " expr " << e->ToString() << ": "
+              << got.status().ToString();
+          EXPECT_TRUE(*got == *want)
+              << "seed " << seed << " threads " << threads << " pass "
+              << pass << "\n"
+              << e->ToString();
+          ASSERT_NE(ar.plan, nullptr);
+        }
       }
     }
   }
 }
 
-// ---- golden join-order flip -------------------------------------------
+// ---- golden: the correlated misestimate -------------------------------
 
-// The bench_adaptive shape in miniature: one hot predicate p0 carries
-// half of R1 while the cold half spreads over singleton predicates, so
-// uniformity prices sigma[2=p0](R1) at ~2 rows (actual: hot).  The
-// static DP order joins the "tiny" selection first; the adaptive run
-// must observe the miss at the first stage, re-plan, and join R2-R3
-// first — moving the selection from depth 2 to a direct child of the
-// root.
+// One hot predicate p0 carries half of R1 while the cold half spreads
+// over singleton predicates, so uniformity (|R1| / distinct predicates)
+// prices sigma[2=p0](R1) at ~2 rows against 2000 actual.  Joining that
+// "tiny" selection first is the bad order; priced by p0's own frequency
+// the planner joins R2-R3 first and R1 last, up front.
 struct Fixture {
   TripleStore store;
   ObjId p0 = 0;
@@ -153,10 +153,10 @@ ExprPtr MisestimateQuery(ObjId p0) {
       Expr::Rel("R3"), chain);
 }
 
-// Depth of the IndexScan over R1, or -1.  In the static order
+// Depth of the IndexScan over R1, or -1.  In the bad order
 // ((sigma(R1) JOIN R2) JOIN R3) the scan sits at depth 3 (root -> inner
-// join -> selection -> scan); after the flip the selection subtree is a
-// direct child of the root, so the scan sits at depth 2.
+// join -> selection -> scan); when R1 joins last the selection subtree
+// is a direct child of the root, so the scan sits at depth 2.
 int R1Depth(const PlanNode& n, int depth) {
   if (n.rel_name == "R1") return depth;
   for (const PlanPtr& c : n.children) {
@@ -166,14 +166,18 @@ int R1Depth(const PlanNode& n, int depth) {
   return -1;
 }
 
-TEST(AdaptiveGolden, ReplansAndFlipsJoinOrderOnCorrelatedMisestimate) {
+uint64_t CounterValue(const char* name) {
+  return MetricsRegistry::Global().GetCounter(name)->value();
+}
+
+TEST(AdaptiveGolden, CorrelatedMisestimatePlansR1LastAndRecordsFeedback) {
   Fixture fx = MisestimateFixture(2000);
   ExprPtr e = MisestimateQuery(fx.p0);
 
+  // The plain plan already joins R1 last: the selection is priced at
+  // p0's exact frequency, not at |R1| / distinct predicates.
   PlanPtr st = PlanExpr(e, fx.store);
-  // Precondition for the golden shape: the static order joins the
-  // underestimated selection first (R1 sits under the root's outer join).
-  ASSERT_GE(R1Depth(*st, 0), 3) << Explain(*st);
+  EXPECT_EQ(R1Depth(*st, 0), 2) << Explain(*st);
   auto want = ExecutePlan(*st, fx.store);
   ASSERT_TRUE(want.ok());
 
@@ -184,24 +188,41 @@ TEST(AdaptiveGolden, ReplansAndFlipsJoinOrderOnCorrelatedMisestimate) {
   auto got = ExecuteAdaptive(e, fx.store, lim, false, &ar, &fb);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_TRUE(*got == *want);
-  EXPECT_GE(ar.replans, 1u);
   ASSERT_NE(ar.plan, nullptr);
-  // The flip: after re-planning, R1 joins last (its selection subtree
-  // is a direct child of the root, scan at depth 2).
   EXPECT_EQ(R1Depth(*ar.plan, 0), 2) << Explain(*ar.plan);
-  // EXPLAIN marks the re-planned subtree with the est->obs pair.
-  std::string text = Explain(*ar.plan);
-  EXPECT_NE(text.find("[replanned"), std::string::npos) << text;
+  // The root is counted on the returned tree and recorded under both
+  // its expression key and its region-subset key; so is every counted
+  // region node below it.
+  const double rows = static_cast<double>(want->size());
+  EXPECT_TRUE(ar.plan->runtime.rows_known);
+  EXPECT_EQ(ar.plan->runtime.actual_rows, want->size());
+  const std::string sig = e->ToString();
+  EXPECT_DOUBLE_EQ(fb.Lookup(fx.store, sig), rows);
+  EXPECT_DOUBLE_EQ(
+      fb.Lookup(fx.store, RegionSubsetKey(sig, ar.plan->region_mask)), rows);
+  ASSERT_EQ(ar.plan->children.size(), 2u);
+  for (const PlanPtr& c : ar.plan->children) {
+    ASSERT_NE(c->region_mask, 0u) << Explain(*ar.plan);
+    ASSERT_TRUE(c->runtime.rows_known);
+    EXPECT_DOUBLE_EQ(fb.Lookup(fx.store, RegionSubsetKey(sig, c->region_mask)),
+                     static_cast<double>(c->runtime.actual_rows));
+  }
 
-  // Warm run: the planner consults the cache up front, plans the good
-  // order immediately, and never needs to re-plan.
-  AdaptiveResult warm;
-  auto again = ExecuteAdaptive(e, fx.store, lim, false, &warm, &fb);
+  // A warm re-plan hits the recorded feedback: the root estimate is the
+  // observed count, and the order stays.
+  bool was_enabled = MetricsEnabled();
+  SetMetricsEnabled(true);
+  uint64_t hits0 = CounterValue("feedback.hits");
+  PlanningHints hints;
+  hints.feedback = &fb;
+  PlanPtr warm = PlanExpr(e, fx.store, hints);
+  EXPECT_GT(CounterValue("feedback.hits"), hits0);
+  SetMetricsEnabled(was_enabled);
+  EXPECT_DOUBLE_EQ(warm->est_rows, rows) << Explain(*warm);
+  EXPECT_EQ(R1Depth(*warm, 0), 2) << Explain(*warm);
+  auto again = ExecuteAdaptive(e, fx.store, lim, false, nullptr, &fb);
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(*again == *want);
-  EXPECT_EQ(warm.replans, 0u);
-  ASSERT_NE(warm.plan, nullptr);
-  EXPECT_EQ(R1Depth(*warm.plan, 0), 2) << Explain(*warm.plan);
 }
 
 // ---- FeedbackCache scoping --------------------------------------------
@@ -239,10 +260,6 @@ TEST(FeedbackCacheTest, RegionSubsetKeysAreDistinctPerMask) {
 }
 
 // ---- smart evaluator LRU plan cache -----------------------------------
-
-uint64_t CounterValue(const char* name) {
-  return MetricsRegistry::Global().GetCounter(name)->value();
-}
 
 TEST(PlanCacheTest, RepeatQueriesHitUntilTheStoreMutates) {
   TripleStore store = ZipfStore(256, 77);

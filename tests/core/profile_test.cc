@@ -13,6 +13,7 @@
 
 #include "core/builder.h"
 #include "core/eval.h"
+#include "core/plan/adapt.h"
 #include "core/plan/plan.h"
 #include "core/plan/profile.h"
 #include "graph/generators.h"
@@ -102,7 +103,7 @@ TEST(QErrorFn, ClampsAndIsSymmetricRatio) {
   EXPECT_DOUBLE_EQ(QError(8, 0), 8.0);
   // NaN estimates read as "no information" and infinities clamp to a
   // huge finite ratio — q-error is always finite and >= 1, so it can
-  // feed histograms and the adaptive re-plan threshold safely.
+  // feed histograms and trace exports safely.
   EXPECT_DOUBLE_EQ(QError(std::numeric_limits<double>::quiet_NaN(), 6), 6.0);
   EXPECT_TRUE(std::isfinite(QError(std::numeric_limits<double>::infinity(),
                                    std::numeric_limits<double>::infinity())));
@@ -177,6 +178,36 @@ TEST(SpanTrace, NestsForDpReorderedPlanAcrossThreadCounts) {
     EXPECT_NE(json.find("\"query\": \"multi-join\""), std::string::npos);
     EXPECT_NE(json.find("\"children\": ["), std::string::npos);
   }
+}
+
+// The feedback path profiles like the plain one: ExecuteAdaptive runs
+// its plan once on the single executor, so a 3-leaf join region gets
+// one clock origin, properly nested spans, and a root whose cumulative
+// time covers its children's.
+TEST(SpanTrace, AdaptiveExecutionNestsUnderOneClockOrigin) {
+  TripleStore store = MultiJoinStore();
+  ExprPtr e = CompositionJoin(
+      CompositionJoin(Expr::Rel("E"), Expr::Rel("E1")), Expr::Rel("tiny"));
+  FeedbackCache fb;
+  AdaptiveResult ar;
+  auto r = ExecuteAdaptive(e, store, {}, /*profile=*/true, &ar, &fb);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_NE(ar.plan, nullptr);
+  const PlanNode& root = *ar.plan;
+  ASSERT_NE(root.region_mask, 0u) << Explain(root);
+  ASSERT_EQ(root.children.size(), 2u);
+  EXPECT_TRUE(root.runtime.profiled);
+  EXPECT_EQ(root.runtime.actual_rows, r->size());
+  uint64_t child_cum = 0;
+  for (const PlanPtr& c : root.children) {
+    ASSERT_TRUE(c->runtime.profiled);
+    child_cum += c->runtime.end_ns - c->runtime.start_ns;
+  }
+  EXPECT_GE(root.runtime.end_ns - root.runtime.start_ns, child_cum);
+  QueryTrace trace = CollectTrace(root, "adaptive", 1);
+  EXPECT_EQ(trace.spans.size(), root.TreeSize());
+  EXPECT_EQ(trace.spans[0].start_ns, root.runtime.start_ns);
+  CheckSpanInvariants(trace);
 }
 
 TEST(ExplainAnalyzeRender, AnnotatesEveryLineWithRuntimeFields) {

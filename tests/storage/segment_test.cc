@@ -311,8 +311,15 @@ TEST(SnapshotOpen, OpenIsLazyUntilFirstScan) {
                               {Eq(Pos::P3, Pos::P1p)}));
   plan::PlanPtr p = plan::PlanExpr(e, *opened);
   EXPECT_GT(p->est_rows, 0);
+  // A constant selection is priced from the persisted top-k, not from a
+  // decoded permutation range.
+  ObjId pred = store.Relation(0).triples().front().p;
+  plan::PlanPtr sel = plan::PlanExpr(
+      Expr::Select(Expr::Rel("E"), Where({EqConst(Pos::P2, pred)})), *opened);
+  EXPECT_GT(sel->est_rows, 0);
   EXPECT_EQ(SnapshotDecodeCount(*opened), 0u) << "planning decoded triples";
   EXPECT_FALSE(opened->Relation(0).IndexReady(IndexOrder::kSPO));
+  EXPECT_FALSE(opened->Relation(0).IndexReady(IndexOrder::kPOS));
 
   // The first execution decodes — and only then.
   auto r = plan::ExecutePlan(*p, *opened);
