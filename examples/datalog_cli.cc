@@ -1,18 +1,22 @@
 // datalog_cli: load an N-Triples file and a (Reach)TripleDatalog program,
 // evaluate, print the answer relation.  A tiny end-to-end driver for the
-// whole stack: parser -> validator -> translation -> TriAL* engine.
+// whole stack: parser -> validator -> translation -> plan -> executor.
 //
 //   $ ./examples/datalog_cli [--explain|--analyze] data.nt prog.dl [pred]
 //   $ ./examples/datalog_cli --demo [--explain|--analyze]
 //   $ ./examples/datalog_cli --demo --sp-src=St_Andrews --sp-dst=Brussels
 //
 // With --demo it runs the built-in Figure 1 store and a reachability
-// program.  --explain prints the physical plan of the translated
-// TriAL(*) expression — operator tree with estimated vs actual row
-// counts — for the translation route (general recursion is evaluated
-// directly and has no TriAL plan).  --analyze additionally profiles
-// the execution: per-operator self/cumulative wall time, estimate
-// q-error, strategy taken and peak intermediate size.
+// program.  Programs are evaluated by datalog::EvalProgram, which runs
+// nonrecursive TripleDatalog and ReachTripleDatalog programs without
+// negated atoms as the physical plan of their TriAL(*) translation
+// (Proposition 2 / Theorem 2), and every other program — general
+// recursion, negated atoms, translator rejections — on the direct
+// engine.  --explain prints that plan (datalog::PlanProgram), operator
+// tree with estimated vs actual row counts; --analyze additionally
+// profiles the execution: per-operator self/cumulative wall time,
+// estimate q-error, strategy taken and peak intermediate size.  For a
+// program on the direct route both print the reason it has no plan.
 //
 // --sp-src=NAME [--sp-dst=NAME] answers a weighted shortest-path query
 // over relation "E" instead of (or after) a program: a DijkstraScan
@@ -24,13 +28,11 @@
 #include <string>
 #include <vector>
 
-#include "core/eval.h"
 #include "core/plan/plan.h"
 #include "core/plan/profile.h"
 #include "datalog/analysis.h"
 #include "datalog/eval.h"
 #include "datalog/parser.h"
-#include "datalog/to_trial.h"
 #include "rdf/fixtures.h"
 #include "rdf/ntriples.h"
 
@@ -55,53 +57,34 @@ int RunProgram(const TripleStore& store, const std::string& text,
           ? "TripleDatalog (nonrecursive)"
           : info->cls == datalog::ProgramClass::kReachTripleDatalog
                 ? "ReachTripleDatalog"
-                : "general recursive (evaluated directly; no translation)";
+                : "general recursive";
   std::printf("program class: %s\n", cls);
 
-  // Preferred route: translate to TriAL(*) and run the smart engine
-  // (Proposition 2 / Theorem 2); fall back to direct evaluation for
-  // general recursion.
   Result<TripleSet> result = TripleSet();
-  if (info->cls == datalog::ProgramClass::kGeneralRecursive) {
-    if (explain || analyze) {
-      std::printf("(general recursion is evaluated directly; "
-                  "no TriAL plan)\n");
-    }
-    result = datalog::EvalProgram(*prog, store, answer);
-  } else {
-    auto expr = datalog::ProgramToTriAL(*prog, store, answer);
-    if (!expr.ok()) {
-      std::fprintf(stderr, "translate: %s\n",
-                   expr.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("translated expression: %s\n", (*expr)->ToString().c_str());
-    if (explain || analyze) {
-      // The same operators the smart engine runs, with the tree kept
-      // for rendering estimated vs actual cardinalities.
-      Status vs = ValidateExpr(*expr);
-      if (!vs.ok()) {
-        std::fprintf(stderr, "validate: %s\n", vs.ToString().c_str());
-        return 1;
-      }
-      // Warm the stats so the plan shows exact distinct counts (the
-      // planner never forces the builds on its own).
-      for (RelId r = 0; r < store.NumRelations(); ++r) store.RelationStats(r);
-      plan::PlanPtr pl = plan::PlanExpr(*expr, store);
-      result = plan::ExecutePlan(*pl, store, {}, analyze);
-      if (result.ok()) plan::RecordRootRows(*pl, *result);
+  if (explain || analyze) {
+    // Warm the stats so the plan shows exact distinct counts (the
+    // planner never forces the builds on its own).
+    for (RelId r = 0; r < store.NumRelations(); ++r) store.RelationStats(r);
+    Result<plan::PlanPtr> pl = datalog::PlanProgram(*prog, store, answer);
+    if (pl.ok()) {
+      plan::PlanNode& root = **pl;
+      result = plan::ExecutePlan(root, store, {}, analyze);
+      if (result.ok()) plan::RecordRootRows(root, *result);
       if (analyze) {
         std::printf("plan (EXPLAIN ANALYZE):\n%s",
-                    plan::ExplainAnalyze(*pl).c_str());
-        plan::EmitTrace(plan::CollectTrace(*pl, (*expr)->ToString(), 1));
+                    plan::ExplainAnalyze(root).c_str());
+        plan::EmitTrace(plan::CollectTrace(root, prog->ToString(), 1));
       } else {
         std::printf("plan (estimated vs actual rows):\n%s",
-                    plan::Explain(*pl).c_str());
+                    plan::Explain(root).c_str());
       }
     } else {
-      auto engine = MakeSmartEvaluator();
-      result = engine->Eval(*expr, store);
+      std::printf("no plan, direct engine: %s\n",
+                  pl.status().ToString().c_str());
+      result = datalog::EvalProgram(*prog, store, answer);
     }
+  } else {
+    result = datalog::EvalProgram(*prog, store, answer);
   }
   if (!result.ok()) {
     std::fprintf(stderr, "eval: %s\n", result.status().ToString().c_str());

@@ -243,6 +243,10 @@ struct PlanRuntime {
   size_t rounds = 0;        ///< fixpoint rounds until saturation
   size_t probe_rounds = 0;  ///< rounds whose delta probed the index
   size_t hash_rounds = 0;   ///< rounds that fell back to the hash table
+  /// Root only: metrics were on, but the result was not yet normalized
+  /// when ExecutePlan returned, so exec.result_rows is observed by
+  /// RecordRootRows instead.
+  bool result_rows_pending = false;
 
   // ---- kDijkstraScan ---------------------------------------------------
   bool sp_reached = false;   ///< destination reachable (or src in graph)
@@ -359,7 +363,8 @@ Result<TripleSet> ExecutePlan(PlanNode& root, const TripleStore& store,
                               const ExecLimits& limits = {},
                               bool profile = false);
 
-/// Records `result`'s cardinality on the root node for Explain.  This
+/// Records `result`'s cardinality on the root node for Explain, and the
+/// exec.result_rows observation ExecutePlan left pending.  This
 /// normalizes (sorts) the result if nothing has read it yet — call it
 /// only when you are about to consume the result anyway.
 void RecordRootRows(PlanNode& root, const TripleSet& result);

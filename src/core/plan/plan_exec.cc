@@ -679,7 +679,14 @@ Result<TripleSet> ExecutePlan(PlanNode& root, const TripleStore& store,
     reg.GetCounter("exec.queries")->Increment();
     reg.GetHistogram("exec.query_ns")->Observe(MonotonicNanos() - t0);
     if (result.ok()) {
-      reg.GetHistogram("exec.result_rows")->Observe(result->size());
+      // Count the rows only where that is free.  A result with pending
+      // inserts would be sorted here, inside the executor, instead of at
+      // the caller's first read; RecordRootRows observes it then.
+      if (result->IndexReady(IndexOrder::kSPO)) {
+        reg.GetHistogram("exec.result_rows")->Observe(result->size());
+      } else {
+        root.runtime.result_rows_pending = true;
+      }
     } else {
       reg.GetCounter("exec.query_errors")->Increment();
     }
@@ -691,6 +698,11 @@ Result<TripleSet> ExecutePlan(PlanNode& root, const TripleStore& store,
 void RecordRootRows(PlanNode& root, const TripleSet& result) {
   root.runtime.rows_known = true;
   root.runtime.actual_rows = result.size();
+  if (root.runtime.result_rows_pending) {
+    root.runtime.result_rows_pending = false;
+    MetricsRegistry::Global().GetHistogram("exec.result_rows")->Observe(
+        root.runtime.actual_rows);
+  }
 }
 
 }  // namespace plan

@@ -5,8 +5,10 @@
 #include <vector>
 
 #include "core/eval.h"
+#include "core/plan/adapt.h"
 #include "core/plan/plan.h"
 #include "datalog/analysis.h"
+#include "datalog/to_trial.h"
 #include "util/metrics.h"
 
 namespace trial {
@@ -340,10 +342,11 @@ class RuleEvaluator {
           std::optional<ObjId> a = Resolve(l->lhs, *env);
           std::optional<ObjId> b = Resolve(l->rhs, *env);
           if (!a || !b) {
-            // Unknown constant: an equality can never hold; an
-            // inequality trivially holds when the other side is known.
-            if (l->positive) return Status::OK();
-            if (!a && !b) return Status::OK();
+            // A constant the store lacks equals only a constant of the
+            // same name; a variable is always bound to a stored object.
+            bool eq = !l->lhs.is_var && !l->rhs.is_var &&
+                      l->lhs.name == l->rhs.name;
+            if (eq != l->positive) return Status::OK();
             continue;
           }
           bool eq = *a == *b;
@@ -444,15 +447,93 @@ Result<std::map<std::string, TripleSet>> EvalProgramAll(
   return idb;
 }
 
-Result<TripleSet> EvalProgram(const Program& program, const TripleStore& store,
-                              const std::string& answer_pred,
-                              const DatalogOptions& opts) {
+namespace {
+
+// True when the expression reads U: the translator's complement of a
+// negated atom, U − e.  The translation shares the subtree of a
+// predicate among its uses, so each shared node is visited once.
+bool ReadsUniverse(const ExprPtr& e, std::set<const Expr*>* seen) {
+  if (e == nullptr || !seen->insert(e.get()).second) return false;
+  return e->kind() == ExprKind::kUniverse || ReadsUniverse(e->left(), seen) ||
+         ReadsUniverse(e->right(), seen);
+}
+
+// The TriAL(*) expression computing `answer_pred`, or the reason the
+// program must run on the direct route.
+Result<ExprPtr> PlanRouteExpr(const Program& program,
+                              const TripleStore& store,
+                              const std::string& answer_pred) {
+  TRIAL_ASSIGN_OR_RETURN(ProgramInfo info, AnalyzeProgram(program));
+  if (info.cls == ProgramClass::kGeneralRecursive) {
+    return Status::Unimplemented(
+        "general recursion is outside TriAL*; evaluated by the direct "
+        "engine");
+  }
+  TRIAL_ASSIGN_OR_RETURN(ExprPtr e,
+                         ProgramToTriAL(program, store, answer_pred));
+  std::set<const Expr*> seen;
+  if (ReadsUniverse(e, &seen)) {
+    return Status::Unimplemented(
+        "a negated atom translates to a complement U - e of |adom|^3 "
+        "triples; evaluated by the direct engine, which only probes");
+  }
+  TRIAL_RETURN_IF_ERROR(ValidateExpr(e));
+  return e;
+}
+
+Result<TripleSet> EvalDirect(const Program& program, const TripleStore& store,
+                             const std::string& answer_pred,
+                             const DatalogOptions& opts) {
   TRIAL_ASSIGN_OR_RETURN(auto all, EvalProgramAll(program, store, opts));
   auto it = all.find(answer_pred);
   if (it == all.end()) {
     return Status::NotFound("program does not define " + answer_pred);
   }
-  return it->second;
+  return std::move(it->second);
+}
+
+}  // namespace
+
+Result<plan::PlanPtr> PlanProgram(const Program& program,
+                                  const TripleStore& store,
+                                  const std::string& answer_pred) {
+  TRIAL_ASSIGN_OR_RETURN(ExprPtr e,
+                         PlanRouteExpr(program, store, answer_pred));
+  return plan::PlanExpr(e, store);
+}
+
+Result<TripleSet> EvalProgram(const Program& program, const TripleStore& store,
+                              const std::string& answer_pred,
+                              const DatalogOptions& opts) {
+  const bool metrics = MetricsEnabled();
+  const uint64_t t0 = metrics ? MonotonicNanos() : 0;
+  Result<ExprPtr> e = PlanRouteExpr(program, store, answer_pred);
+  if (!e.ok()) {
+    if (metrics) {
+      MetricsRegistry::Global().GetCounter("datalog.fallbacks")->Increment();
+    }
+    return EvalDirect(program, store, answer_pred, opts);
+  }
+  Result<TripleSet> result =
+      opts.adaptive
+          ? plan::ExecuteAdaptive(*e, store, opts)
+          : plan::ExecutePlan(*plan::PlanExpr(*e, store), store, opts);
+  if (!result.ok()) return result.status();
+  // The answer is a derived predicate: the direct route's cap applies to
+  // it too.  size() normalizes the set, as the direct route's answer
+  // always was, so the count below is free.
+  const size_t rows = result->size();
+  if (rows > opts.max_result_triples) {
+    return Status::ResourceExhausted("predicate " + answer_pred +
+                                     " too large");
+  }
+  if (metrics) {
+    MetricsRegistry& reg = MetricsRegistry::Global();
+    reg.GetCounter("datalog.programs")->Increment();
+    reg.GetHistogram("datalog.derived_rows")->Observe(rows);
+    reg.GetHistogram("datalog.program_ns")->Observe(MonotonicNanos() - t0);
+  }
+  return result;
 }
 
 }  // namespace datalog

@@ -1,5 +1,6 @@
 #include "datalog/to_trial.h"
 
+#include <array>
 #include <map>
 #include <optional>
 #include <vector>
@@ -58,11 +59,17 @@ struct RuleContext {
 
   Status AddConstraint(const Literal& l) {
     if (l.kind == Literal::Kind::kEq) {
+      if (!l.lhs.is_var && !l.rhs.is_var) {
+        // Two constants: distinct names are distinct objects, whether or
+        // not the store holds them.
+        if ((l.lhs.name == l.rhs.name) != l.positive) unsatisfiable = true;
+        return Status::OK();
+      }
       std::optional<ObjTerm> a = ObjTermOf(l.lhs);
       std::optional<ObjTerm> b = ObjTermOf(l.rhs);
       if (!a.has_value() || !b.has_value()) {
-        // An equality with an unknown constant can never hold; an
-        // inequality with one always holds.
+        // A variable never equals a constant the store lacks: the
+        // equality can never hold, the inequality always holds.
         if (l.positive) unsatisfiable = true;
         return Status::OK();
       }
@@ -148,19 +155,11 @@ class Translator {
     std::vector<const Literal*> rels = rule.RelationalLiterals();
     RuleContext ctx{&store_, {}, {}, false};
     ExprPtr left, right;
+    TRIAL_ASSIGN_OR_RETURN(left, AtomExpr(*rels[0]));
+    ctx.BindAtom(rels[0]->atom, kLeftPos);
     if (rels.size() == 2) {
-      TRIAL_ASSIGN_OR_RETURN(left, AtomExpr(*rels[0]));
       TRIAL_ASSIGN_OR_RETURN(right, AtomExpr(*rels[1]));
-      ctx.BindAtom(rels[0]->atom, kLeftPos);
       ctx.BindAtom(rels[1]->atom, kRightPos);
-    } else {
-      // Single-atom rule: join the atom with itself on the identity.
-      TRIAL_ASSIGN_OR_RETURN(left, AtomExpr(*rels[0]));
-      right = left;
-      ctx.BindAtom(rels[0]->atom, kLeftPos);
-      for (int i = 0; i < 3; ++i) {
-        ctx.cond.theta.push_back(Eq(kLeftPos[i], kRightPos[i]));
-      }
     }
     for (const Literal& l : rule.body) {
       if (l.kind == Literal::Kind::kAtom) continue;
@@ -168,6 +167,18 @@ class Translator {
     }
     if (ctx.unsatisfiable) return Expr::Empty();
     TRIAL_ASSIGN_OR_RETURN(auto out, HeadSpec(rule, ctx));
+    if (rels.size() == 1) {
+      // Single-atom rule: every position is the atom's, so the condition
+      // is unary.  A head in the atom's column order is a selection;
+      // any other head joins the atom with itself on the identity.
+      if (out == std::array<Pos, 3>{Pos::P1, Pos::P2, Pos::P3}) {
+        return ctx.cond.empty() ? left : Expr::Select(left, ctx.cond);
+      }
+      right = left;
+      for (int i = 0; i < 3; ++i) {
+        ctx.cond.theta.push_back(Eq(kLeftPos[i], kRightPos[i]));
+      }
+    }
     JoinSpec spec;
     spec.out = out;
     spec.cond = std::move(ctx.cond);

@@ -17,6 +17,7 @@
 #include "core/plan/plan.h"
 #include "core/plan/profile.h"
 #include "graph/generators.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 
 namespace trial {
@@ -273,6 +274,41 @@ TEST(ProfileOff, DefaultExecutionRecordsNoProfilingState) {
   QueryTrace trace = CollectTrace(*p);
   EXPECT_EQ(trace.spans.size(), p->TreeSize());
   EXPECT_EQ(trace.wall_ns, 0u);
+}
+
+// Metrics must not move work between layers: with the registry on,
+// ExecutePlan counts exec.result_rows only when the count is free, so a
+// result comes back with the same pending normalization either way and
+// the sort stays with the caller's first read.  A union result is
+// normalized by its merge, a join result is not; the join's count is
+// observed by RecordRootRows instead.
+TEST(MetricsOn, ExecutorLeavesPendingNormalizationToTheCaller) {
+  TripleStore store = SkewedStore(512);
+  const ExprPtr join = CompositionJoin(Expr::Rel("E"), Expr::Rel("E"));
+  const ExprPtr queries[] = {Expr::Union(join, Expr::Rel("E")), join};
+  Histogram* rows = MetricsRegistry::Global().GetHistogram("exec.result_rows");
+  const bool was = MetricsEnabled();
+  bool ready[2][2];  // [query][metrics on]
+  for (int q = 0; q < 2; ++q) {
+    for (bool on : {false, true}) {
+      SetMetricsEnabled(on);
+      PlanPtr p = PlanExpr(queries[q], store);
+      const uint64_t before = rows->count();
+      auto r = ExecutePlan(*p, store);
+      ASSERT_TRUE(r.ok());
+      ready[q][on] = r->IndexReady(IndexOrder::kSPO);
+      const uint64_t at_exec = rows->count();
+      RecordRootRows(*p, *r);
+      RecordRootRows(*p, *r);  // a second read observes nothing more
+      EXPECT_EQ(at_exec - before, on && ready[q][on] ? 1u : 0u) << q;
+      EXPECT_EQ(rows->count() - before, on ? 1u : 0u) << q;
+    }
+    EXPECT_EQ(ready[q][false], ready[q][true]) << q;
+  }
+  SetMetricsEnabled(was);
+  // Both shapes are covered: the union merged, the join still pending.
+  EXPECT_TRUE(ready[0][false]);
+  EXPECT_FALSE(ready[1][false]);
 }
 
 class RecordingSink : public TraceSink {

@@ -1,13 +1,20 @@
-// Parser, analysis and direct-evaluation tests for TripleDatalog¬ /
-// ReachTripleDatalog¬ (Section 4).
+// Parser, analysis and evaluation tests for TripleDatalog¬ /
+// ReachTripleDatalog¬ (Section 4), on both of EvalProgram's routes: the
+// plan of the TriAL(*) translation and the direct engine.
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "core/eval.h"
 #include "datalog/analysis.h"
 #include "datalog/eval.h"
 #include "datalog/parser.h"
+#include "datalog/to_trial.h"
 #include "graph/generators.h"
 #include "rdf/fixtures.h"
+#include "util/metrics.h"
 
 namespace trial {
 namespace datalog {
@@ -213,6 +220,224 @@ TEST(DatalogEval, UnknownPredicateReported) {
   auto r = EvalProgram(p, store);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
+}
+
+// ---- the plan route against independent oracles ----------------------
+
+// The direct engine's value of `pred` — the oracle independent of the
+// plan route that EvalProgram takes for routable programs.
+Result<TripleSet> DirectAnswer(const Program& p, const TripleStore& store,
+                               const std::string& pred,
+                               const DatalogOptions& opts = {}) {
+  auto all = EvalProgramAll(p, store, opts);
+  if (!all.ok()) return all.status();
+  auto it = all->find(pred);
+  if (it == all->end()) return Status::NotFound("undefined: " + pred);
+  return it->second;
+}
+
+uint64_t Fallbacks() {
+  return MetricsRegistry::Global().GetCounter("datalog.fallbacks")->value();
+}
+
+// Turns the metrics registry on for one test and restores it after.
+class MetricsOn {
+ public:
+  MetricsOn() : was_(MetricsEnabled()) { SetMetricsEnabled(true); }
+  ~MetricsOn() { SetMetricsEnabled(was_); }
+
+ private:
+  bool was_;
+};
+
+// The routable programs of the Datalog batteries (this file,
+// roundtrip_test, datalog_cli's demo, the perfbench reach program),
+// plus shapes that exercise the translator's corners: permuting
+// single-atom heads, single-atom chains, left stars, constants the
+// store lacks.  Every one is nonrecursive TripleDatalog or
+// ReachTripleDatalog without a negated atom; the answer is "ans".
+const char* const kRoutablePrograms[] = {
+    "ans(X, Y, Z) :- E(X, Y, Z).",
+    "ans(X, Q, Z) :- E(X, P, Y), E(Y2, Q, Z), Y = Y2.",
+    "ans(X, Y, Z) :- E(X, Y, Z), X != Z.",
+    "ans(X, P, Z) :- E(X, P, Y), E(Y, Q, Z), P != part_of, Q != part_of.",
+    "ans(X, P, Y) :- E(X, P, Y), P = part_of.\n"
+    "ans(X, P, Y) :- E(X, P, Y), E(P, Q, Z).",
+    "mid(X, P, Y) :- E(X, P, Y), E(P, Q, Z), Q = part_of.\n"
+    "ans(X, P, Z) :- mid(X, P, Y), E(Y, Q, Z).",
+    "ans(X, Y, Z) :- E(X, Y, Z), ~(X, Z).",
+    "ans(Z, Y, X) :- E(X, Y, Z), X != Y.",
+    "a(X, Y, Z) :- E(X, Y, Z), E(Z, Y, W).\n"
+    "b(Y, X, Z) :- a(X, Y, Z).\n"
+    "ans(X, Y, Y) :- b(X, Y, Z).",
+    "ans(X, Y, Z) :- E(X, Y, Z), Y != nosuch, gone != absent.",
+    "ans(X, Y, Z) :- E(X, Y, Z), gone = gone, X = X.",
+    "ans(X, Y, Z) :- E(X, Y, Z), gone != gone.",
+    "ans(X, Y, Z) :- E(X, Y, Z).\n"
+    "ans(X, Y, W) :- ans(X, Y, Z), E(Z, P, W).",
+    "ans(X, Y, Z) :- E(X, Y, Z).\n"
+    "ans(X, Y, W) :- ans(X, Y, Z), E(Z, P, W), Y = P.",
+    "ans(X, Y, Z) :- E(X, Y, Z).\n"
+    "ans(X, Y, W) :- E(X, Y, Z), ans(Z, P, W).",
+    "ans(X, Y, Z) :- E(X, Y, Z).\n"
+    "ans(X, Y, W) :- ans(X, Y, Z), E(Z, P, W), ~(X, Z).",
+    "ans(X, Y, Z) :- E(X, Y, Z).\n"
+    "ans(X, Y, W) :- ans(X, Y, Z), E(Z, P, W), P = part_of.",
+    "hopo(X, C, Y) :- E(X, S, Y), E(S, P, C), P = part_of.\n"
+    "hopo(X, P, Y) :- E(X, P, Y), P = part_of.\n"
+    "opr(X, C, Y) :- hopo(X, C, Y).\n"
+    "opr(X, C2, Y) :- opr(X, C, Y), hopo(C, P, C2), P = part_of.\n"
+    "ans(X, C, Z) :- opr(X, C, Z), C != part_of.",
+};
+
+std::vector<TripleStore> BatteryStores() {
+  std::vector<TripleStore> stores;
+  stores.push_back(TransportStore());
+  for (uint64_t seed : {3u, 17u}) {
+    RandomStoreOptions o;
+    o.num_objects = 12;
+    o.num_triples = 60;
+    o.num_data_values = 3;
+    o.zipf_p = 1.2;
+    o.zipf_o = 0.8;
+    o.seed = seed;
+    stores.push_back(RandomTripleStore(o));
+  }
+  return stores;
+}
+
+// Every routable program takes the plan route (no fallback), and its
+// answer is byte-identical to the direct engine's and to the naive
+// engine on the translation, at 1, 2 and 4 threads.
+TEST(DatalogPlanRoute, MatchesDirectEngineAndNaiveEvaluator) {
+  MetricsOn metrics;
+  auto naive = MakeNaiveEvaluator();
+  for (const TripleStore& store : BatteryStores()) {
+    for (const char* text : kRoutablePrograms) {
+      Program p = MustParse(text);
+      ASSERT_TRUE(PlanProgram(p, store).ok())
+          << PlanProgram(p, store).status().ToString() << "\n" << text;
+      auto expr = ProgramToTriAL(p, store);
+      ASSERT_TRUE(expr.ok()) << expr.status().ToString();
+      auto oracle = naive->Eval(*expr, store);
+      ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+      auto direct = DirectAnswer(p, store, "ans");
+      ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+      EXPECT_EQ(*direct, *oracle) << text;
+      for (size_t threads : {1u, 2u, 4u}) {
+        DatalogOptions opts;
+        opts.exec.num_threads = threads;
+        opts.exec.min_parallel_items = 1;
+        const uint64_t before = Fallbacks();
+        auto planned = EvalProgram(p, store, "ans", opts);
+        ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+        EXPECT_EQ(Fallbacks(), before) << text;
+        EXPECT_EQ(planned->triples(), direct->triples())
+            << text << " @ " << threads << " threads";
+      }
+    }
+  }
+}
+
+// The adaptive flag routes through ExecuteAdaptive; the answer is the
+// same, on a cold and on a feedback-warmed plan.
+TEST(DatalogPlanRoute, AdaptiveExecutionAgrees) {
+  TripleStore store = TransportStore();
+  DatalogOptions opts;
+  opts.adaptive = true;
+  for (const char* text : kRoutablePrograms) {
+    Program p = MustParse(text);
+    auto direct = DirectAnswer(p, store, "ans");
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    for (int pass = 0; pass < 2; ++pass) {
+      auto planned = EvalProgram(p, store, "ans", opts);
+      ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+      EXPECT_EQ(*planned, *direct) << text << " pass " << pass;
+    }
+  }
+}
+
+// Programs without a complement-free TriAL(*) translation fall back to
+// the direct engine, say why, count the fallback, and return the
+// direct engine's answer.
+TEST(DatalogPlanRoute, FallbacksRunTheDirectEngine) {
+  MetricsOn metrics;
+  TripleStore store = TransportStore();
+  struct Case {
+    const char* text;
+    StatusCode why;
+  } cases[] = {
+      // A negated atom: its translation is the complement U - E.
+      {"ans(X, Y, Z) :- E(X, Y, Z), not E(Z, Y, X).",
+       StatusCode::kUnimplemented},
+      // General recursion: three rules for the recursive predicate.
+      {"ans(X, Y, Z) :- E(X, Y, Z).\n"
+       "ans(X, Y, W) :- ans(X, Y, Z), E(Z, P, W).\n"
+       "ans(X, Y, W) :- ans(X, Y, Z), E(W, P, Z).",
+       StatusCode::kUnimplemented},
+      // A ~ literal on an object the store lacks: the translator rejects.
+      {"ans(X, Y, Z) :- E(X, Y, Z), ~(X, nosuch).",
+       StatusCode::kInvalidArgument},
+  };
+  for (const Case& c : cases) {
+    Program p = MustParse(c.text);
+    auto pl = PlanProgram(p, store);
+    ASSERT_FALSE(pl.ok()) << c.text;
+    EXPECT_EQ(pl.status().code(), c.why) << pl.status().ToString();
+    EXPECT_FALSE(pl.status().message().empty());
+    auto direct = DirectAnswer(p, store, "ans");
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    const uint64_t before = Fallbacks();
+    auto r = EvalProgram(p, store);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(Fallbacks(), before + 1) << c.text;
+    EXPECT_EQ(*r, *direct) << c.text;
+  }
+}
+
+// The result-size guard holds on both routes: the plan route (a join,
+// and a Procedure 4 star whose kernel has no guard of its own) and the
+// direct engine.
+TEST(DatalogPlanRoute, TinyResultCapIsExhaustedOnBothRoutes) {
+  TripleStore store = TransportStore();
+  DatalogOptions opts;
+  opts.max_result_triples = 2;
+  for (const char* text : {
+           "ans(X, Q, Z) :- E(X, P, Y), E(Y, Q, Z).",
+           "ans(X, Y, Z) :- E(X, Y, Z).\n"
+           "ans(X, Y, W) :- ans(X, Y, Z), E(Z, P, W), Y = P.",
+           "ans(X, Y, Z) :- E(X, Y, Z), not E(Z, Y, X).",
+       }) {
+    Program p = MustParse(text);
+    auto routed = EvalProgram(p, store, "ans", opts);
+    ASSERT_FALSE(routed.ok()) << text;
+    EXPECT_EQ(routed.status().code(), StatusCode::kResourceExhausted)
+        << routed.status().ToString();
+    auto direct = DirectAnswer(p, store, "ans", opts);
+    ASSERT_FALSE(direct.ok()) << text;
+    EXPECT_EQ(direct.status().code(), StatusCode::kResourceExhausted)
+        << direct.status().ToString();
+  }
+}
+
+// On the plan route, the Datalog metrics describe the answer.
+TEST(DatalogPlanRoute, RecordsProgramMetrics) {
+  MetricsOn metrics;
+  TripleStore store = TransportStore();
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  Histogram* rows = reg.GetHistogram("datalog.derived_rows");
+  Histogram* ns = reg.GetHistogram("datalog.program_ns");
+  const uint64_t programs = reg.GetCounter("datalog.programs")->value();
+  const uint64_t rows_count = rows->count();
+  const uint64_t rows_sum = rows->sum();
+  const uint64_t ns_count = ns->count();
+  Program p = MustParse(kRoutablePrograms[4]);
+  auto r = EvalProgram(p, store);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(reg.GetCounter("datalog.programs")->value(), programs + 1);
+  EXPECT_EQ(rows->count(), rows_count + 1);
+  EXPECT_EQ(rows->sum(), rows_sum + r->size());
+  EXPECT_EQ(ns->count(), ns_count + 1);
 }
 
 }  // namespace

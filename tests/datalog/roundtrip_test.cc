@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/eval.h"
 #include "core/builder.h"
 #include "datalog/eval.h"
@@ -20,10 +22,23 @@
 namespace trial {
 namespace {
 
-using datalog::EvalProgram;
 using datalog::ParseProgram;
 using datalog::ProgramToTriAL;
 using datalog::TriALToDatalog;
+
+// The direct engine's value of `pred`.  datalog::EvalProgram runs these
+// programs as the plan of their TriAL(*) translation, so comparing it
+// with the smart engine would check the plan route against itself; the
+// direct engine is the independent side.
+Result<TripleSet> DirectAnswer(const datalog::Program& program,
+                               const TripleStore& store,
+                               const std::string& pred = "ans") {
+  auto all = datalog::EvalProgramAll(program, store);
+  if (!all.ok()) return all.status();
+  auto it = all->find(pred);
+  if (it == all->end()) return Status::NotFound("undefined: " + pred);
+  return it->second;
+}
 
 // Random TriAL(*) expression generator over relation "E".
 ExprPtr RandomExpr(Rng* rng, int depth, bool allow_star) {
@@ -95,7 +110,7 @@ TEST_P(RoundTripTest, ExprToDatalogAgrees) {
     ASSERT_TRUE(translated.ok())
         << translated.status().ToString() << "\nexpr: " << e->ToString();
     auto via_datalog =
-        EvalProgram(translated->program, store, translated->answer_pred);
+        DirectAnswer(translated->program, store, translated->answer_pred);
     ASSERT_TRUE(via_datalog.ok()) << via_datalog.status().ToString()
                                   << "\nexpr: " << e->ToString()
                                   << "\nprogram:\n"
@@ -126,7 +141,7 @@ TEST(DatalogToTriAL, NonRecursiveAgrees) {
   for (const char* text : programs) {
     auto prog = ParseProgram(text);
     ASSERT_TRUE(prog.ok()) << prog.status().ToString() << "\n" << text;
-    auto direct = EvalProgram(*prog, store);
+    auto direct = DirectAnswer(*prog, store);
     ASSERT_TRUE(direct.ok()) << direct.status().ToString() << "\n" << text;
     auto expr = ProgramToTriAL(*prog, store);
     ASSERT_TRUE(expr.ok()) << expr.status().ToString() << "\n" << text;
@@ -157,7 +172,7 @@ TEST(DatalogToTriAL, ReachProgramsAgree) {
   for (const char* text : programs) {
     auto prog = ParseProgram(text);
     ASSERT_TRUE(prog.ok()) << prog.status().ToString();
-    auto direct = EvalProgram(*prog, store);
+    auto direct = DirectAnswer(*prog, store);
     ASSERT_TRUE(direct.ok()) << direct.status().ToString() << "\n" << text;
     auto expr = ProgramToTriAL(*prog, store);
     ASSERT_TRUE(expr.ok()) << expr.status().ToString() << "\n" << text;
