@@ -26,6 +26,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/plan/plan.h"
@@ -79,9 +80,18 @@ int RunProgram(const TripleStore& store, const std::string& text,
                     plan::Explain(root).c_str());
       }
     } else {
+      // The reason is the one EvalProgram would fall back for; run the
+      // direct engine here without translating the program again.
       std::printf("no plan, direct engine: %s\n",
                   pl.status().ToString().c_str());
-      result = datalog::EvalProgram(*prog, store, answer);
+      auto all = datalog::EvalProgramAll(*prog, store);
+      if (!all.ok()) {
+        result = all.status();
+      } else if (auto it = all->find(answer); it != all->end()) {
+        result = std::move(it->second);
+      } else {
+        result = Status::NotFound("program does not define " + answer);
+      }
     }
   } else {
     result = datalog::EvalProgram(*prog, store, answer);

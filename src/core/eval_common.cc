@@ -1,12 +1,19 @@
 #include <algorithm>
+#include <unordered_set>
 #include <vector>
 
 #include "core/eval.h"
 
 namespace trial {
 
-Status ValidateExpr(const ExprPtr& e) {
+namespace {
+
+// Validates each node once: an expression may share subexpressions, and
+// a tree walk over a DAG is exponential in its depth.
+Status ValidateNode(const ExprPtr& e,
+                    std::unordered_set<const Expr*>* seen) {
   if (e == nullptr) return Status::InvalidArgument("null expression");
+  if (!seen->insert(e.get()).second) return Status::OK();
   switch (e->kind()) {
     case ExprKind::kRel:
       if (e->rel_name().empty()) {
@@ -22,18 +29,25 @@ Status ValidateExpr(const ExprPtr& e) {
             "selection condition uses primed positions: " +
             e->select_cond().ToString());
       }
-      return ValidateExpr(e->left());
+      return ValidateNode(e->left(), seen);
     case ExprKind::kUnion:
     case ExprKind::kDiff:
     case ExprKind::kJoin: {
-      TRIAL_RETURN_IF_ERROR(ValidateExpr(e->left()));
-      return ValidateExpr(e->right());
+      TRIAL_RETURN_IF_ERROR(ValidateNode(e->left(), seen));
+      return ValidateNode(e->right(), seen);
     }
     case ExprKind::kStarRight:
     case ExprKind::kStarLeft:
-      return ValidateExpr(e->left());
+      return ValidateNode(e->left(), seen);
   }
   return Status::Internal("unknown expression kind");
+}
+
+}  // namespace
+
+Status ValidateExpr(const ExprPtr& e) {
+  std::unordered_set<const Expr*> seen;
+  return ValidateNode(e, &seen);
 }
 
 Result<TripleSet> MaterializeUniverse(const TripleStore& store,

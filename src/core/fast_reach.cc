@@ -1,7 +1,9 @@
 #include "core/fast_reach.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/reach/graph.h"
@@ -28,6 +30,42 @@ namespace {
 // workers read are materialized before the parallel sections.
 
 constexpr uint32_t kUnset = UINT32_MAX;
+
+// Output chunks flush their running row counts into the shared guard
+// every this many rows, so a runaway star stops near the cap without an
+// atomic operation per triple.
+constexpr size_t kGuardStride = 4096;
+
+// The result-size guard of one kernel call, shared by its output chunks.
+class OutputGuard {
+ public:
+  explicit OutputGuard(size_t cap) : cap_(cap) {}
+
+  // Called with a chunk's running output size and the part of it already
+  // flushed; false once all chunks together have emitted past the cap.
+  bool Admit(size_t produced, size_t* flushed) {
+    if (overflow_.load(std::memory_order_relaxed)) return false;
+    if (produced - *flushed < kGuardStride && produced <= cap_) return true;
+    const size_t total =
+        emitted_.fetch_add(produced - *flushed, std::memory_order_relaxed) +
+        (produced - *flushed);
+    *flushed = produced;
+    if (total <= cap_) return true;
+    overflow_.store(true, std::memory_order_relaxed);
+    return false;
+  }
+
+  bool overflowed() const { return overflow_.load(); }
+
+ private:
+  const size_t cap_;
+  std::atomic<size_t> emitted_{0};
+  std::atomic<bool> overflow_{false};
+};
+
+Status StarTooLarge() {
+  return Status::ResourceExhausted("star result too large");
+}
 
 // The node universe of the projected graph lives in core/reach/graph.h,
 // shared with the interval reachability index and Dijkstra.
@@ -57,6 +95,17 @@ struct GroupScratch : MarkScratch {
 }  // namespace
 
 TripleSet StarReachAnyPath(const TripleSet& base, const ExecOptions& exec) {
+  return *StarReachAnyPath(base, exec, std::numeric_limits<size_t>::max());
+}
+
+TripleSet StarReachSameMiddle(const TripleSet& base, const ExecOptions& exec) {
+  return *StarReachSameMiddle(base, exec,
+                              std::numeric_limits<size_t>::max());
+}
+
+Result<TripleSet> StarReachAnyPath(const TripleSet& base,
+                                   const ExecOptions& exec,
+                                   size_t max_result_triples) {
   const std::vector<Triple>& spo = base.triples();
   if (spo.empty()) return TripleSet();
   NodeMap ids(base);
@@ -123,29 +172,34 @@ TripleSet StarReachAnyPath(const TripleSet& base, const ExecOptions& exec) {
 
   // Emission: (s, p, l) for every base triple and every l reachable
   // from its object.
-  if (exec.ShouldParallelize(spo.size())) {
-    std::vector<Triple> merged = ParallelChunkedCollect<Triple>(
-        spo.size(), threads,
-        [&](size_t, size_t begin, size_t end, std::vector<Triple>* out) {
-          for (size_t i = begin; i < end; ++i) {
-            const Triple& t = spo[i];
-            for (ObjId l : reach[slot_of[ids.Dense(t.o)]]) {
-              out->push_back(Triple{t.s, t.p, l});
-            }
-          }
-        });
-    return TripleSet(std::move(merged));
-  }
-  TripleSet out;
-  for (const Triple& t : spo) {
-    for (ObjId l : reach[slot_of[ids.Dense(t.o)]]) {
-      out.Insert(t.s, t.p, l);
+  OutputGuard guard(max_result_triples);
+  auto emit = [&](size_t begin, size_t end, std::vector<Triple>* out) {
+    size_t flushed = 0;
+    for (size_t i = begin; i < end; ++i) {
+      const Triple& t = spo[i];
+      for (ObjId l : reach[slot_of[ids.Dense(t.o)]]) {
+        out->push_back(Triple{t.s, t.p, l});
+      }
+      if (!guard.Admit(out->size(), &flushed)) return;
     }
+  };
+  std::vector<Triple> out;
+  if (exec.ShouldParallelize(spo.size())) {
+    out = ParallelChunkedCollect<Triple>(
+        spo.size(), threads,
+        [&](size_t, size_t begin, size_t end, std::vector<Triple>* chunk) {
+          emit(begin, end, chunk);
+        });
+  } else {
+    emit(0, spo.size(), &out);
   }
-  return out;
+  if (guard.overflowed()) return StarTooLarge();
+  return TripleSet(std::move(out));
 }
 
-TripleSet StarReachSameMiddle(const TripleSet& base, const ExecOptions& exec) {
+Result<TripleSet> StarReachSameMiddle(const TripleSet& base,
+                                      const ExecOptions& exec,
+                                      size_t max_result_triples) {
   TripleRange pos = base.Scan(IndexOrder::kPOS);  // sorted (p, o, s)
   if (pos.empty()) return TripleSet();
   base.triples();  // the group DFS probes SPO prefixes: materialize
@@ -162,11 +216,14 @@ TripleSet StarReachSameMiddle(const TripleSet& base, const ExecOptions& exec) {
   }
 
   // Processes groups [gbegin, gend), appending output triples in group
-  // order.  Chunk-local scratch: `si` stamps stay distinct across the
-  // chunk's groups, so slot entries from earlier groups are ignored via
-  // the generation guard instead of a per-group clear.
+  // order; stops early once the guard trips.  Chunk-local scratch: `si`
+  // stamps stay distinct across the chunk's groups, so slot entries from
+  // earlier groups are ignored via the generation guard instead of a
+  // per-group clear.
+  OutputGuard guard(max_result_triples);
   auto process_groups = [&](size_t gbegin, size_t gend,
                             std::vector<Triple>* out) {
+    size_t flushed = 0;
     GroupScratch scratch(ids.size());
     uint32_t next_si = 0;
     std::vector<std::vector<ObjId>> reach;
@@ -207,20 +264,22 @@ TripleSet StarReachSameMiddle(const TripleSet& base, const ExecOptions& exec) {
         for (ObjId l : reach[scratch.slot[ids.Dense(t->o)]]) {
           out->push_back(Triple{t->s, mid, l});
         }
+        if (!guard.Admit(out->size(), &flushed)) return;
       }
     }
   };
 
-  if (exec.ShouldParallelize(pos.size()) && groups.size() > 1) {
-    std::vector<Triple> merged = ParallelChunkedCollect<Triple>(
-        groups.size(), exec.EffectiveThreads(),
-        [&](size_t, size_t begin, size_t end, std::vector<Triple>* out) {
-          process_groups(begin, end, out);
-        });
-    return TripleSet(std::move(merged));
-  }
   std::vector<Triple> out;
-  process_groups(0, groups.size(), &out);
+  if (exec.ShouldParallelize(pos.size()) && groups.size() > 1) {
+    out = ParallelChunkedCollect<Triple>(
+        groups.size(), exec.EffectiveThreads(),
+        [&](size_t, size_t begin, size_t end, std::vector<Triple>* chunk) {
+          process_groups(begin, end, chunk);
+        });
+  } else {
+    process_groups(0, groups.size(), &out);
+  }
+  if (guard.overflowed()) return StarTooLarge();
   return TripleSet(std::move(out));
 }
 

@@ -8,8 +8,11 @@
 #ifndef TRIAL_CORE_FAST_REACH_H_
 #define TRIAL_CORE_FAST_REACH_H_
 
+#include <cstddef>
+
 #include "storage/triple_set.h"
 #include "util/parallel.h"
+#include "util/status.h"
 
 namespace trial {
 
@@ -29,6 +32,17 @@ TripleSet StarReachAnyPath(const TripleSet& base, const ExecOptions& exec = {});
 /// Parallelism is per middle group (groups are independent).
 TripleSet StarReachSameMiddle(const TripleSet& base,
                               const ExecOptions& exec = {});
+
+/// The two procedures under a result-size guard: kResourceExhausted as
+/// soon as the emitted output passes `max_result_triples`, without
+/// building the rest of it.  Rows are counted as emitted, before
+/// duplicates merge — the executor's join guards count the same way.
+Result<TripleSet> StarReachAnyPath(const TripleSet& base,
+                                   const ExecOptions& exec,
+                                   size_t max_result_triples);
+Result<TripleSet> StarReachSameMiddle(const TripleSet& base,
+                                      const ExecOptions& exec,
+                                      size_t max_result_triples);
 
 }  // namespace trial
 

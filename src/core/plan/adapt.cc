@@ -14,6 +14,18 @@ namespace {
 // cardinalities, not results, so eviction only costs re-learning.
 constexpr size_t kMaxFeedbackEntries = 4096;
 
+// Largest unfolded expression FeedbackKeyable accepts, in nodes.
+constexpr size_t kMaxKeyNodes = 4096;
+
+// Walks `e` as a tree, spending one unit of `budget` per node; false
+// once the budget runs out.
+bool UnfoldsWithin(const Expr& e, size_t* budget) {
+  if (*budget == 0) return false;
+  --*budget;
+  return (e.left() == nullptr || UnfoldsWithin(*e.left(), budget)) &&
+         (e.right() == nullptr || UnfoldsWithin(*e.right(), budget));
+}
+
 // Records the counted rows of every executed node of one DP join region
 // under its subset key.  A single-bit mask is a region leaf: its subtree
 // belongs to the leaf (possibly with a region of its own, keyed by a
@@ -86,6 +98,11 @@ std::string RegionSubsetKey(const std::string& region_sig, uint32_t mask) {
   return region_sig + "|m=" + std::to_string(mask);
 }
 
+bool FeedbackKeyable(const Expr& e) {
+  size_t budget = kMaxKeyNodes;
+  return UnfoldsWithin(e, &budget);
+}
+
 // ---- ExecuteAdaptive ---------------------------------------------------
 
 Result<TripleSet> ExecuteAdaptive(const ExprPtr& e, const TripleStore& store,
@@ -100,9 +117,11 @@ Result<TripleSet> ExecuteAdaptive(const ExprPtr& e, const TripleStore& store,
     // Counting the root normalizes the result, which every caller is
     // about to read anyway.
     RecordRootRows(*plan, *result);
-    const std::string sig = e->ToString();
-    fb->Record(store, sig, static_cast<double>(result->size()));
-    RecordRegion(*plan, sig, store, *fb);
+    if (FeedbackKeyable(*e)) {
+      const std::string sig = e->ToString();
+      fb->Record(store, sig, static_cast<double>(result->size()));
+      RecordRegion(*plan, sig, store, *fb);
+    }
   }
   if (out != nullptr) out->plan = std::move(plan);
   return result;

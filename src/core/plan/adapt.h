@@ -79,6 +79,13 @@ class FeedbackCache {
 /// the region — so the mask alone qualifies the subexpression.
 std::string RegionSubsetKey(const std::string& region_sig, uint32_t mask);
 
+/// True when `e` is small enough to key the cache by its text: at most
+/// a few thousand nodes once shared subexpressions are unfolded.  An
+/// expression that reuses subexpressions (ProgramToTriAL's translation
+/// of a predicate used twice) can unfold exponentially; such an
+/// expression is planned, run and recorded without its own key.
+bool FeedbackKeyable(const Expr& e);
+
 // ---- execution with feedback -------------------------------------------
 
 /// What ExecuteAdaptive did, for EXPLAIN / profiling.

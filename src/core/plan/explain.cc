@@ -96,8 +96,15 @@ void AppendNodeSummary(const PlanNode& n, std::string* out) {
       out->append(" ").append(n.sp_src).append(" -> ");
       out->append(n.sp_dst.empty() ? "*" : n.sp_dst);
       break;
+    case PlanOp::kSharedScan:
+      out->append(" #").append(std::to_string(n.share_id));
+      break;
     default:
       break;
+  }
+  // The sub-plan whose result later SharedScan leaves read.
+  if (n.share_id >= 0 && n.op != PlanOp::kSharedScan) {
+    out->append(" shared=#").append(std::to_string(n.share_id));
   }
   // Predicted access path (probe joins and indexed selections); merge
   // joins render the two sorted-run orders they walk instead.

@@ -181,6 +181,7 @@ const char* PlanOpName(PlanOp op) {
     case PlanOp::kReachFastPath: return "ReachFastPath";
     case PlanOp::kReachIndexScan: return "ReachIndexScan";
     case PlanOp::kDijkstraScan: return "DijkstraScan";
+    case PlanOp::kSharedScan: return "SharedScan";
   }
   return "?";
 }

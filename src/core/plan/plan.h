@@ -14,6 +14,15 @@
 //   UnionOp/MinusOp e ∪ e, e − e
 //   FixpointStar    (e ⋈)*, (⋈ e)*   (semi-naive delta iteration)
 //   ReachFastPath   reachTA= stars   (Procedures 3 / 4)
+//   SharedScan      a shared e       (the result of e's one execution)
+//
+// Expressions may share subexpressions: ProgramToTriAL hands the same
+// Expr to every use of a Datalog predicate, so a predicate built from
+// a predicate used twice is a DAG whose unfolded tree doubles at each
+// level.  The planner lowers every shared non-leaf Expr once.  The
+// first of its uses in execution order holds the sub-plan (share_id
+// set); every later use is a SharedScan leaf with the same share_id,
+// which the executor serves from the result the sub-plan kept.
 //
 // Ordering property: every operator's output, once normalized, is
 // sorted on its own column 0 (the TripleSet representation *is* the SPO
@@ -218,6 +227,7 @@ enum class PlanOp : uint8_t {
   kReachFastPath,   ///< reachTA= star — Procedure 3 or 4
   kReachIndexScan,  ///< reachTA= star via the interval reachability index
   kDijkstraScan,    ///< weighted shortest path / SSSP tree over rho
+  kSharedScan,      ///< a shared sub-plan's kept result (share_id)
 };
 
 const char* PlanOpName(PlanOp op);
@@ -244,8 +254,8 @@ struct PlanRuntime {
   size_t probe_rounds = 0;  ///< rounds whose delta probed the index
   size_t hash_rounds = 0;   ///< rounds that fell back to the hash table
   /// Root only: metrics were on, but the result was not yet normalized
-  /// when ExecutePlan returned, so exec.result_rows is observed by
-  /// RecordRootRows instead.
+  /// when ExecutePlan returned, so exec.result_rows is left to
+  /// RecordRootRows — and stays unobserved when nobody calls it.
   bool result_rows_pending = false;
 
   // ---- kDijkstraScan ---------------------------------------------------
@@ -314,6 +324,12 @@ struct PlanNode {
   /// subset cardinalities on it (RegionSubsetKey).
   uint32_t region_mask = 0;
 
+  /// Shared sub-plans (see the file comment): on a kSharedScan leaf, the
+  /// sub-plan it reads; on any other node, the id under which the
+  /// executor keeps this node's result for those leaves.  -1 = not
+  /// shared.
+  int share_id = -1;
+
   std::vector<PlanPtr> children;
 
   PlanRuntime runtime;
@@ -366,7 +382,10 @@ Result<TripleSet> ExecutePlan(PlanNode& root, const TripleStore& store,
 /// Records `result`'s cardinality on the root node for Explain, and the
 /// exec.result_rows observation ExecutePlan left pending.  This
 /// normalizes (sorts) the result if nothing has read it yet — call it
-/// only when you are about to consume the result anyway.
+/// only when you are about to consume the result anyway.  With metrics
+/// on, exec.result_rows therefore counts only the results that came
+/// back normalized or went through RecordRootRows: smart Eval without
+/// `adaptive`, for one, returns its result unread and leaves it out.
 void RecordRootRows(PlanNode& root, const TripleSet& result);
 
 /// Renders the tree, one operator per line, children indented, with

@@ -67,7 +67,10 @@ class Executor {
     // regressed the unprofiled microsecond-scale queries (inliner and
     // layout effects in the recursive hot path), not the branch itself.
     Result<TripleSet> result = ExecNode(n);
-    if (result.ok()) n.runtime.executed = true;
+    if (result.ok()) {
+      n.runtime.executed = true;
+      if (n.share_id >= 0) KeepShared(n, *result);
+    }
     return result;
   }
 
@@ -97,8 +100,18 @@ class Executor {
       if (n.runtime.peak_rows < n.runtime.actual_rows) {
         n.runtime.peak_rows = n.runtime.actual_rows;
       }
+      if (n.share_id >= 0) KeepShared(n, *result);
     }
     return result;
+  }
+  // A shared sub-plan's result, kept for the SharedScan leaves that run
+  // after it (the planner places the sub-plan at its first use in
+  // execution order).  Normalized once here rather than in every copy:
+  // each reader was about to sort it anyway.
+  void KeepShared(const PlanNode& n, const TripleSet& result) {
+    if (n.op == PlanOp::kSharedScan) return;
+    result.size();
+    shared_.insert_or_assign(n.share_id, result);
   }
   // Notes a child's actual cardinality right before its parent consumes
   // the set.  size() normalizes, but the parent was about to do exactly
@@ -127,6 +140,13 @@ class Executor {
       }
       case PlanOp::kEmptyRel:
         return TripleSet();
+      case PlanOp::kSharedScan: {
+        auto it = shared_.find(n.share_id);
+        if (it == shared_.end()) {
+          return Status::Internal("shared sub-plan read before it ran");
+        }
+        return it->second;
+      }
       case PlanOp::kUniverseRel:
         return MaterializeUniverse(store_, limits_.max_result_triples);
       case PlanOp::kSelectFilter: {
@@ -140,7 +160,11 @@ class Executor {
         NoteRows(*n.children[0], a);
         NoteRows(*n.children[1], b);
         NotePeakInputs(n, a, b);
-        return TripleSet::Union(a, b);
+        TripleSet u = TripleSet::Union(a, b);
+        if (u.size() > limits_.max_result_triples) {
+          return Status::ResourceExhausted("union result too large");
+        }
+        return u;
       }
       case PlanOp::kMinusOp: {
         TRIAL_ASSIGN_OR_RETURN(TripleSet a, Exec(*n.children[0]));
@@ -173,8 +197,10 @@ class Executor {
         n.runtime.strategy = n.reach_same_middle ? "procedure-4"
                                                  : "procedure-3";
         return n.reach_same_middle
-                   ? StarReachSameMiddle(base, limits_.exec)
-                   : StarReachAnyPath(base, limits_.exec);
+                   ? StarReachSameMiddle(base, limits_.exec,
+                                         limits_.max_result_triples)
+                   : StarReachAnyPath(base, limits_.exec,
+                                      limits_.max_result_triples);
       }
       case PlanOp::kFixpointStar: {
         TRIAL_ASSIGN_OR_RETURN(TripleSet base, Exec(*n.children[0]));
@@ -640,6 +666,7 @@ class Executor {
   const ExecLimits& limits_;
   const bool profile_;
   const uint64_t origin_ns_;  ///< query-start clock origin (profiled only)
+  std::unordered_map<int, TripleSet> shared_;  ///< by PlanNode::share_id
 };
 
 // Walks an executed tree bumping the per-strategy counters; called only

@@ -41,6 +41,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <unordered_map>
+#include <vector>
 
 #include "core/fragment.h"
 #include "core/plan/adapt.h"
@@ -137,14 +139,90 @@ class Planner {
   Planner(const TripleStore& store, const PlanningHints& hints)
       : store_(store), hints_(hints) {}
 
+  // Lowers the whole expression, then moves each shared sub-plan to its
+  // first use in execution order.
+  PlanPtr Plan(const Expr& root) {
+    FindShared(root);
+    PlanPtr tree = Lower(root);
+    PlaceShared(tree);
+    return tree;
+  }
+
+ private:
+  // Numbers the non-leaf Exprs reachable along more than one parent
+  // edge, in depth-first order.  A shared leaf is not worth it: a scan
+  // of a stored relation costs no more than reading a kept copy.
+  void FindShared(const Expr& root) {
+    std::unordered_map<const Expr*, int> uses;
+    std::vector<const Expr*> order;
+    std::vector<const Expr*> stack = {&root};
+    while (!stack.empty()) {
+      const Expr* e = stack.back();
+      stack.pop_back();
+      if (++uses[e] > 1) continue;
+      order.push_back(e);
+      if (e->right() != nullptr) stack.push_back(e->right().get());
+      if (e->left() != nullptr) stack.push_back(e->left().get());
+    }
+    for (const Expr* e : order) {
+      if (uses[e] > 1 && e->left() != nullptr) {
+        share_id_.emplace(e, static_cast<int>(share_id_.size()));
+      }
+    }
+    shared_plans_.resize(share_id_.size());
+  }
+
+  // A use of a shared Expr: a SharedScan placeholder carrying the
+  // sub-plan's estimates.  The sub-plan itself is lowered once, on the
+  // first use, and kept aside until PlaceShared.
+  PlanPtr SharedUse(const Expr& e, int id) {
+    if (shared_plans_[id] == nullptr) {
+      PlanPtr sub = LowerUnshared(e);
+      sub->share_id = id;
+      shared_plans_[id] = std::move(sub);
+    }
+    const PlanNode& sub = *shared_plans_[id];
+    auto use = std::make_unique<PlanNode>();
+    use->op = PlanOp::kSharedScan;
+    use->share_id = id;
+    use->est_rows = sub.est_rows;
+    for (int i = 0; i < 3; ++i) use->est_distinct[i] = sub.est_distinct[i];
+    return use;
+  }
+
+  // Children execute left to right, each subtree to completion, so the
+  // first placeholder of an id in pre-order runs before all the others
+  // (it cannot sit inside the sub-plan of its own id).  The sub-plan
+  // takes that position; the later placeholders stay SharedScan leaves.
+  // A join region's leaf mask belongs to the position, not the plan.
+  void PlaceShared(PlanPtr& node) {
+    if (node->op == PlanOp::kSharedScan &&
+        shared_plans_[node->share_id] != nullptr) {
+      PlanPtr sub = std::move(shared_plans_[node->share_id]);
+      sub->region_mask = node->region_mask;
+      node = std::move(sub);
+    }
+    for (PlanPtr& c : node->children) PlaceShared(c);
+  }
+
   PlanPtr Lower(const Expr& e) {
+    auto it = share_id_.find(&e);
+    if (it != share_id_.end()) return SharedUse(e, it->second);
+    return LowerUnshared(e);
+  }
+
+  // True for a join the reorderer must not flatten through: a shared
+  // join is planned once, as a leaf of every region that uses it.
+  bool IsShared(const Expr& e) const { return share_id_.count(&e) > 0; }
+
+  PlanPtr LowerUnshared(const Expr& e) {
     PlanPtr node = LowerImpl(e);
     // Learned cardinalities beat derived estimates: a prior execution
     // of this exact (sub)expression against this store recorded what it
     // really produced.  Exact-by-construction nodes are left alone.
     if (node != nullptr && hints_.feedback != nullptr &&
         node->op != PlanOp::kIndexScan && node->op != PlanOp::kEmptyRel &&
-        node->op != PlanOp::kUniverseRel) {
+        node->op != PlanOp::kUniverseRel && FeedbackKeyable(e)) {
       double obs = hints_.feedback->Lookup(store_, e.ToString());
       if (obs >= 0) {
         node->est_rows = obs;
@@ -157,7 +235,6 @@ class Planner {
     return node;
   }
 
- private:
   PlanPtr LowerImpl(const Expr& e) {
     PlanPtr node = std::make_unique<PlanNode>();
     switch (e.kind()) {
@@ -266,7 +343,7 @@ class Planner {
         // or its shape defeats the flattener (see reorder.cc).
         if (PlanPtr reordered = ReorderJoinRegion(
                 e, store_, [this](const Expr& sub) { return Lower(sub); },
-                hints_)) {
+                [this](const Expr& sub) { return IsShared(sub); }, hints_)) {
           return reordered;
         }
         node->spec = e.join_spec();
@@ -362,22 +439,24 @@ class Planner {
 
   const TripleStore& store_;
   const PlanningHints hints_;  // small, copied: one optional pointer
+  std::unordered_map<const Expr*, int> share_id_;
+  std::vector<PlanPtr> shared_plans_;  // by id, until PlaceShared
 };
 
 }  // namespace
 
 PlanPtr PlanExpr(const ExprPtr& e, const TripleStore& store) {
-  return Planner(store, PlanningHints{}).Lower(*e);
+  return Planner(store, PlanningHints{}).Plan(*e);
 }
 
 PlanPtr PlanExpr(const ExprPtr& e, const TripleStore& store,
                  const PlanningHints& hints) {
-  return Planner(store, hints).Lower(*e);
+  return Planner(store, hints).Plan(*e);
 }
 
 PlanPtr PlanExpr(const Expr& e, const TripleStore& store,
                  const PlanningHints& hints) {
-  return Planner(store, hints).Lower(e);
+  return Planner(store, hints).Plan(e);
 }
 
 PlanPtr PlanShortestPath(const TripleStore& store, const std::string& rel,

@@ -124,11 +124,15 @@ class Reorderer {
  public:
   Reorderer(const TripleStore& store,
             const std::function<PlanPtr(const Expr&)>& lower_leaf,
-            const PlanningHints& hints)
-      : store_(store), lower_leaf_(lower_leaf), hints_(hints) {}
+            const PlanningHints& hints,
+            const std::function<bool(const Expr&)>& opaque)
+      : store_(store), lower_leaf_(lower_leaf), hints_(hints), opaque_(opaque) {}
 
   PlanPtr Run(const Expr& root) {
-    if (hints_.feedback != nullptr) region_sig_ = root.ToString();
+    if (hints_.feedback != nullptr && FeedbackKeyable(root)) {
+      region_sig_ = root.ToString();
+    }
+    root_ = &root;
     std::array<int, 3> out_vars = Flatten(root);
     if (!ok_ || leaves_.size() < 2 ||
         leaves_.size() > static_cast<size_t>(kMaxDpLeaves)) {
@@ -148,7 +152,8 @@ class Reorderer {
   // union-ing variables across object-equality atoms.  Returns the
   // variables of the subtree's three output positions.
   std::array<int, 3> Flatten(const Expr& e) {
-    if (e.kind() != ExprKind::kJoin) {
+    if (e.kind() != ExprKind::kJoin ||
+        (&e != root_ && opaque_(e))) {
       Leaf leaf;
       leaf.plan = lower_leaf_(e);
       std::array<int, 3> vars{};
@@ -160,7 +165,9 @@ class Reorderer {
         }
       }
       if (leaf.plan == nullptr) ok_ = false;
-      if (hints_.feedback != nullptr) leaf.sig = e.ToString();
+      if (hints_.feedback != nullptr && FeedbackKeyable(e)) {
+        leaf.sig = e.ToString();
+      }
       leaf_vars_.push_back(vars);
       leaves_.push_back(std::move(leaf));
       return vars;
@@ -337,8 +344,10 @@ class Reorderer {
     if (hints_.feedback == nullptr) return -1.0;
     auto it = fb_memo_.find(mask);
     if (it != fb_memo_.end()) return it->second;
-    double obs =
-        hints_.feedback->Lookup(store_, RegionSubsetKey(region_sig_, mask));
+    double obs = -1.0;
+    if (!region_sig_.empty()) {
+      obs = hints_.feedback->Lookup(store_, RegionSubsetKey(region_sig_, mask));
+    }
     if (obs < 0 && (mask & (mask - 1)) == 0) {
       const Leaf& leaf = leaves_[FirstLeaf(mask)];
       if (!leaf.sig.empty()) obs = hints_.feedback->Lookup(store_, leaf.sig);
@@ -706,6 +715,8 @@ class Reorderer {
   const TripleStore& store_;
   const std::function<PlanPtr(const Expr&)>& lower_leaf_;
   const PlanningHints& hints_;
+  const std::function<bool(const Expr&)>& opaque_;
+  const Expr* root_ = nullptr;
   std::string region_sig_;  // root.ToString(), when feedback is consulted
   std::unordered_map<uint32_t, double> fb_memo_;
 
@@ -730,9 +741,10 @@ class Reorderer {
 PlanPtr ReorderJoinRegion(
     const Expr& e, const TripleStore& store,
     const std::function<PlanPtr(const Expr&)>& lower_leaf,
+    const std::function<bool(const Expr&)>& opaque,
     const PlanningHints& hints) {
   if (e.kind() != ExprKind::kJoin) return nullptr;
-  return Reorderer(store, lower_leaf, hints).Run(e);
+  return Reorderer(store, lower_leaf, hints, opaque).Run(e);
 }
 
 }  // namespace plan

@@ -22,10 +22,13 @@ namespace plan {
 /// `hints.feedback` substitutes observed cardinalities (keyed by the
 /// region signature + DP leaf mask, see adapt.h) for the statistical
 /// estimates of matching subsets.  Emitted nodes carry their DP leaf
-/// mask in PlanNode::region_mask.
+/// mask in PlanNode::region_mask.  `opaque` names the joins below `e`
+/// that end the region: they become leaves, lowered by `lower_leaf`
+/// like any other (the planner's shared subexpressions).
 PlanPtr ReorderJoinRegion(
     const Expr& e, const TripleStore& store,
     const std::function<PlanPtr(const Expr&)>& lower_leaf,
+    const std::function<bool(const Expr&)>& opaque,
     const PlanningHints& hints = {});
 
 }  // namespace plan

@@ -459,16 +459,11 @@ bool ReadsUniverse(const ExprPtr& e, std::set<const Expr*>* seen) {
 }
 
 // The TriAL(*) expression computing `answer_pred`, or the reason the
-// program must run on the direct route.
+// program must run on the direct route.  The translator rejects general
+// recursion itself.
 Result<ExprPtr> PlanRouteExpr(const Program& program,
                               const TripleStore& store,
                               const std::string& answer_pred) {
-  TRIAL_ASSIGN_OR_RETURN(ProgramInfo info, AnalyzeProgram(program));
-  if (info.cls == ProgramClass::kGeneralRecursive) {
-    return Status::Unimplemented(
-        "general recursion is outside TriAL*; evaluated by the direct "
-        "engine");
-  }
   TRIAL_ASSIGN_OR_RETURN(ExprPtr e,
                          ProgramToTriAL(program, store, answer_pred));
   std::set<const Expr*> seen;
@@ -514,14 +509,20 @@ Result<TripleSet> EvalProgram(const Program& program, const TripleStore& store,
     }
     return EvalDirect(program, store, answer_pred, opts);
   }
-  Result<TripleSet> result =
-      opts.adaptive
-          ? plan::ExecuteAdaptive(*e, store, opts)
-          : plan::ExecutePlan(*plan::PlanExpr(*e, store), store, opts);
+  Result<TripleSet> result = TripleSet();
+  if (opts.adaptive) {
+    result = plan::ExecuteAdaptive(*e, store, opts);
+  } else {
+    plan::PlanPtr pl = plan::PlanExpr(*e, store);
+    result = plan::ExecutePlan(*pl, store, opts);
+    // The answer is returned normalized, as the direct route's always
+    // was, so counting it here is free.
+    if (result.ok()) plan::RecordRootRows(*pl, *result);
+  }
   if (!result.ok()) return result.status();
   // The answer is a derived predicate: the direct route's cap applies to
-  // it too.  size() normalizes the set, as the direct route's answer
-  // always was, so the count below is free.
+  // it too.  The executor caps every operator that builds a result; this
+  // catches an answer that is a stored relation read whole.
   const size_t rows = result->size();
   if (rows > opts.max_result_triples) {
     return Status::ResourceExhausted("predicate " + answer_pred +

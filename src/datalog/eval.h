@@ -6,7 +6,10 @@
 // the TriAL(*) expression ProgramToTriAL builds.  EvalProgram plans that
 // expression (PlanProgram) and runs it on the plan executor like any
 // TriAL query: DP join reordering, the Procedure 3/4 and reach-index
-// stars, EXPLAIN / EXPLAIN ANALYZE and the span trace all apply.
+// stars, EXPLAIN / EXPLAIN ANALYZE and the span trace all apply.  The
+// translation hands one Expr to every use of a predicate; the planner
+// plans and runs such a shared subexpression once (SharedScan), so each
+// predicate is computed once, as on the direct route.
 //
 // The direct route (EvalProgramAll, and EvalProgram's fallback) computes
 // predicates bottom-up in dependency order with a greedy atom order and
@@ -45,9 +48,11 @@ namespace trial {
 namespace datalog {
 
 /// Evaluation limits: the shared ExecLimits.  On the plan route they are
-/// the executor's (max_result_triples caps every intermediate and the
-/// answer, max_rounds caps star rounds, exec parallelizes the kernels,
-/// adaptive plans with the FeedbackCache).  On the direct route
+/// the executor's: max_result_triples caps every operator's output —
+/// joins, unions and all stars stop as soon as they pass it — and the
+/// answer; max_rounds caps FixpointStar rounds (the Procedure 3/4 and
+/// reach-index stars run no rounds); exec parallelizes the kernels;
+/// adaptive plans with the FeedbackCache.  On the direct route
 /// max_result_triples caps every derived predicate, max_rounds caps
 /// fixpoint iteration, and each (fixpoint round's) rule evaluation
 /// chunks the leading positive atom's match range over the thread
@@ -57,9 +62,9 @@ struct DatalogOptions : ExecLimits {};
 
 /// The physical plan of `answer_pred`'s TriAL(*) translation, ready for
 /// plan::ExecutePlan and Explain / ExplainAnalyze.  A non-OK status names
-/// the reason the program must run on the direct route instead: the
-/// analysis or translation error (kInvalidArgument, kNotFound), or
-/// kUnimplemented for general recursion and negated atoms.
+/// the reason the program must run on the direct route instead:
+/// kUnimplemented for general recursion and negated atoms, else the
+/// analysis or translation error (kInvalidArgument, kNotFound).
 Result<plan::PlanPtr> PlanProgram(const Program& program,
                                   const TripleStore& store,
                                   const std::string& answer_pred = "ans");

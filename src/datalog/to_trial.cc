@@ -106,8 +106,9 @@ class Translator {
   Result<ExprPtr> Run(const std::string& answer_pred) {
     TRIAL_ASSIGN_OR_RETURN(info_, AnalyzeProgram(program_));
     if (info_.cls == ProgramClass::kGeneralRecursive) {
-      return Status::InvalidArgument(
-          "recursive predicates must follow the ReachTripleDatalog shape");
+      return Status::Unimplemented(
+          "general recursion is outside TriAL*: recursive predicates must "
+          "follow the ReachTripleDatalog shape");
     }
     for (const std::string& pred : info_.eval_order) {
       TRIAL_RETURN_IF_ERROR(BuildPred(pred));

@@ -9,12 +9,15 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/builder.h"
 #include "core/eval.h"
+#include "core/fast_reach.h"
+#include "core/plan/adapt.h"
 #include "core/plan/plan.h"
 #include "core/plan/profile.h"
 #include "graph/generators.h"
@@ -688,6 +691,151 @@ TEST(SmartEngineMemo, RepeatedAndSwitchedEvalsMatchFreshEngines) {
   ASSERT_TRUE(r4a.ok() && r4b.ok());
   EXPECT_EQ(*r4a, fresh(e, a));
   EXPECT_EQ(*r4a, *r4b);
+}
+
+// ---- shared subexpressions -------------------------------------------
+
+// Pre-order walk: each shared id has one sub-plan, which comes before
+// (and so runs before) every SharedScan of that id.  Returns the number
+// of SharedScan leaves.
+size_t CheckSharedOrder(const PlanNode& n, std::set<int>* placed) {
+  size_t scans = 0;
+  if (n.op == PlanOp::kSharedScan) {
+    EXPECT_EQ(placed->count(n.share_id), 1u) << "#" << n.share_id;
+    ++scans;
+  } else if (n.share_id >= 0) {
+    EXPECT_TRUE(placed->insert(n.share_id).second) << "#" << n.share_id;
+  }
+  for (const PlanPtr& c : n.children) scans += CheckSharedOrder(*c, placed);
+  return scans;
+}
+
+ExprPtr RandomCombine(Rng* rng, ExprPtr a, ExprPtr b) {
+  switch (rng->Below(3)) {
+    case 0:
+      return Expr::Union(std::move(a), std::move(b));
+    case 1:
+      return Expr::Diff(std::move(a), std::move(b));
+    default:
+      return CompositionJoin(std::move(a), std::move(b));
+  }
+}
+
+// Expressions that reuse subexpressions (DAGs) plan each shared node
+// once and match the naive evaluator, which unfolds them, at 1, 2 and
+// 4 threads.
+TEST(SharedSubplans, DagsMatchNaiveAtEveryThreadCount) {
+  auto naive = MakeNaiveEvaluator();
+  size_t shared_plans = 0;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed * 97 + 3);
+    RandomStoreOptions opts;
+    opts.num_objects = 12;
+    opts.num_triples = 60;
+    opts.num_data_values = 3;
+    opts.zipf_p = 1.2;
+    opts.zipf_o = 0.8;
+    opts.seed = seed * 41 + 7;
+    TripleStore store = RandomTripleStore(opts);
+    for (int i = 0; i < 8; ++i) {
+      ExprPtr s = RandomExpr(&rng, 2, /*allow_star=*/true);
+      ExprPtr t = RandomCombine(&rng, s, RandomExpr(&rng, 1, true));
+      ExprPtr e = RandomCombine(&rng, RandomCombine(&rng, s, t),
+                                RandomCombine(&rng, t, s));
+      auto want = naive->Eval(e, store);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+        ExecLimits limits;
+        limits.exec.num_threads = threads;
+        limits.exec.min_parallel_items = 1;
+        PlanPtr p = PlanExpr(e, store);
+        std::set<int> placed;
+        const size_t scans = CheckSharedOrder(*p, &placed);
+        EXPECT_GE(scans, placed.size()) << Explain(*p);
+        if (threads == 1) shared_plans += placed.size();
+        auto r = ExecutePlan(*p, store, limits);
+        ASSERT_TRUE(r.ok()) << r.status().ToString() << "\n" << Explain(*p);
+        EXPECT_EQ(*want, *r) << threads << " threads on " << e->ToString()
+                             << "\n" << Explain(*p);
+      }
+    }
+  }
+  EXPECT_GT(shared_plans, 0u);
+}
+
+// A chain in which each level joins the previous one with itself
+// unfolds to 2^30 leaves; its plan has one node per level, and it runs
+// (plainly, profiled and adaptively) in linear time.
+TEST(SharedSubplans, ChainedReusePlansOneNodePerLevel) {
+  // A 7-cycle with two labels: every level keeps 14 triples.
+  TripleStore store;
+  for (int i = 0; i < 7; ++i) {
+    for (const char* label : {"a", "b"}) {
+      store.Add("E", "n" + std::to_string(i), label,
+                "n" + std::to_string((i + 1) % 7));
+    }
+  }
+  auto naive = MakeNaiveEvaluator();
+  ExprPtr e = Expr::Rel("E");
+  for (int level = 0; level < 30; ++level) {
+    e = CompositionJoin(e, e);
+    if (level == 3) {
+      // Small enough to unfold: the plan agrees with the naive engine.
+      PlanPtr p = PlanExpr(e, store);
+      auto r = ExecutePlan(*p, store);
+      auto want = naive->Eval(e, store);
+      ASSERT_TRUE(r.ok() && want.ok());
+      EXPECT_EQ(*r, *want) << Explain(*p);
+    }
+  }
+  PlanPtr p = PlanExpr(e, store);
+  EXPECT_LT(p->TreeSize(), 3u * 30);
+  std::set<int> placed;
+  EXPECT_EQ(CheckSharedOrder(*p, &placed), 29u);
+  const std::string text = Explain(*p);
+  EXPECT_NE(text.find("shared=#"), std::string::npos) << text;
+  EXPECT_NE(text.find("SharedScan #"), std::string::npos) << text;
+  auto plain = ExecutePlan(*p, store);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  auto profiled = ExecutePlan(*p, store, {}, /*profile=*/true);
+  ASSERT_TRUE(profiled.ok()) << profiled.status().ToString();
+  EXPECT_EQ(*plain, *profiled);
+  FeedbackCache fb;
+  for (int pass = 0; pass < 2; ++pass) {
+    auto adaptive = ExecuteAdaptive(e, store, {}, false, nullptr, &fb);
+    ASSERT_TRUE(adaptive.ok()) << adaptive.status().ToString();
+    EXPECT_EQ(*adaptive, *plain);
+  }
+}
+
+// Both reach kernels stop at the result-size cap themselves, on the
+// serial and the parallel emission path; under a cap they fit in they
+// return the unguarded answer.
+TEST(PlanExecGuards, ReachKernelsStopAtTheCap) {
+  TripleStore store = SkewedStore(512, 3);
+  const TripleSet& base = *store.FindRelation("E");
+  const TripleSet any = StarReachAnyPath(base);
+  const TripleSet same = StarReachSameMiddle(base);
+  ASSERT_GT(same.size(), base.size());
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    ExecOptions exec;
+    exec.num_threads = threads;
+    exec.min_parallel_items = 1;
+    for (size_t cap : {base.size() / 2, same.size() - 1}) {
+      auto a = StarReachAnyPath(base, exec, cap);
+      ASSERT_FALSE(a.ok()) << cap;
+      EXPECT_EQ(a.status().code(), StatusCode::kResourceExhausted);
+      auto m = StarReachSameMiddle(base, exec, cap);
+      ASSERT_FALSE(m.ok()) << cap;
+      EXPECT_EQ(m.status().code(), StatusCode::kResourceExhausted);
+    }
+    auto a = StarReachAnyPath(base, exec, 10 * any.size());
+    ASSERT_TRUE(a.ok());
+    EXPECT_EQ(*a, any);
+    auto m = StarReachSameMiddle(base, exec, 10 * same.size());
+    ASSERT_TRUE(m.ok());
+    EXPECT_EQ(*m, same);
+  }
 }
 
 // The result-size guard fires identically through the plan executor.

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/eval.h"
+#include "core/plan/plan.h"
 #include "datalog/analysis.h"
 #include "datalog/eval.h"
 #include "datalog/parser.h"
@@ -288,6 +289,16 @@ const char* const kRoutablePrograms[] = {
     "opr(X, C, Y) :- hopo(X, C, Y).\n"
     "opr(X, C2, Y) :- opr(X, C, Y), hopo(C, P, C2), P = part_of.\n"
     "ans(X, C, Z) :- opr(X, C, Z), C != part_of.",
+    // Predicates used more than once: their translation is shared.
+    "a(X, Y, Z) :- E(X, Y, W), E(W, Q, Z).\n"
+    "ans(X, Y, Z) :- a(X, Y, W), a(W, Q, Z).",
+    "a(X, Y, Z) :- E(X, Y, Z), X != Z.\n"
+    "ans(X, Y, Z) :- a(X, Y, Z).\n"
+    "ans(Z, Y, X) :- a(X, Y, Z).",
+    "h(X, P, Y) :- E(X, P, Y), P != part_of.\n"
+    "r(X, P, Y) :- h(X, P, Y).\n"
+    "r(X, P, Z) :- r(X, P, Y), h(Y, P, Z).\n"
+    "ans(X, P, Z) :- r(X, P, Z), h(Z, Q, W).",
 };
 
 std::vector<TripleStore> BatteryStores() {
@@ -395,9 +406,41 @@ TEST(DatalogPlanRoute, FallbacksRunTheDirectEngine) {
   }
 }
 
+// Chained reuse: each predicate joins the previous one with itself, so
+// the translation's unfolded tree doubles per level (2^25 leaves here).
+// The plan computes each predicate once, as the direct engine does.
+TEST(DatalogPlanRoute, ChainedReuseRunsEachPredicateOnce) {
+  MetricsOn metrics;
+  TripleStore store = TransportStore();
+  std::string text = "a1(X, Y, Z) :- E(X, Y, W), E(W, Q, Z).\n";
+  for (int k = 1; k < 25; ++k) {
+    const std::string prev = "a" + std::to_string(k);
+    text += "a" + std::to_string(k + 1) + "(X, Y, Z) :- " + prev +
+            "(X, Y, W), " + prev + "(W, Q, Z).\n";
+  }
+  text += "ans(X, Y, Z) :- a25(X, Y, Z), X != Z.\n";
+  Program p = MustParse(text);
+  auto pl = PlanProgram(p, store);
+  ASSERT_TRUE(pl.ok()) << pl.status().ToString();
+  EXPECT_LT((*pl)->TreeSize(), 200u) << plan::Explain(**pl);
+  EXPECT_NE(plan::Explain(**pl).find("SharedScan #"), std::string::npos);
+  auto direct = DirectAnswer(p, store, "ans");
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  for (bool adaptive : {false, true}) {
+    DatalogOptions opts;
+    opts.adaptive = adaptive;
+    opts.exec.num_threads = 2;
+    opts.exec.min_parallel_items = 1;
+    const uint64_t before = Fallbacks();
+    auto r = EvalProgram(p, store, "ans", opts);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(Fallbacks(), before);
+    EXPECT_EQ(*r, *direct) << "adaptive=" << adaptive;
+  }
+}
+
 // The result-size guard holds on both routes: the plan route (a join,
-// and a Procedure 4 star whose kernel has no guard of its own) and the
-// direct engine.
+// and a Procedure 4 star) and the direct engine.
 TEST(DatalogPlanRoute, TinyResultCapIsExhaustedOnBothRoutes) {
   TripleStore store = TransportStore();
   DatalogOptions opts;
@@ -420,6 +463,31 @@ TEST(DatalogPlanRoute, TinyResultCapIsExhaustedOnBothRoutes) {
   }
 }
 
+// The star kernels stop at the cap themselves: the executor checks no
+// star output after the fact, so the plan of the reach program run
+// under a tiny cap fails inside the Procedure 4 kernel.
+TEST(DatalogPlanRoute, ReachKernelStopsAtTheCap) {
+  TripleStore store = TransportStore();
+  Program p = MustParse(
+      "ans(X, Y, Z) :- E(X, Y, Z).\n"
+      "ans(X, Y, W) :- ans(X, Y, Z), E(Z, P, W), Y = P.");
+  auto pl = PlanProgram(p, store);
+  ASSERT_TRUE(pl.ok()) << pl.status().ToString();
+  ASSERT_EQ((*pl)->op, plan::PlanOp::kReachFastPath) << plan::Explain(**pl);
+  auto full = plan::ExecutePlan(**pl, store);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  ASSERT_GT(full->size(), 2u);
+  for (size_t threads : {1u, 4u}) {
+    ExecLimits limits;
+    limits.max_result_triples = 2;
+    limits.exec.num_threads = threads;
+    limits.exec.min_parallel_items = 1;
+    auto r = plan::ExecutePlan(**pl, store, limits);
+    ASSERT_FALSE(r.ok()) << threads << " threads";
+    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+  }
+}
+
 // On the plan route, the Datalog metrics describe the answer.
 TEST(DatalogPlanRoute, RecordsProgramMetrics) {
   MetricsOn metrics;
@@ -431,9 +499,14 @@ TEST(DatalogPlanRoute, RecordsProgramMetrics) {
   const uint64_t rows_count = rows->count();
   const uint64_t rows_sum = rows->sum();
   const uint64_t ns_count = ns->count();
-  Program p = MustParse(kRoutablePrograms[4]);
+  Histogram* result_rows = reg.GetHistogram("exec.result_rows");
+  const uint64_t result_rows_count = result_rows->count();
+  // A join answer comes back from the executor unnormalized; EvalProgram
+  // counts it anyway, so exec.result_rows observes it too.
+  Program p = MustParse(kRoutablePrograms[1]);
   auto r = EvalProgram(p, store);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(result_rows->count(), result_rows_count + 1);
   EXPECT_EQ(reg.GetCounter("datalog.programs")->value(), programs + 1);
   EXPECT_EQ(rows->count(), rows_count + 1);
   EXPECT_EQ(rows->sum(), rows_sum + r->size());
