@@ -1,32 +1,41 @@
 // trial_store: the end-to-end "real dataset in, answers out" tool —
-// bulk-load an N-Triples file into a triplestore, print store stats,
-// and optionally evaluate a TriAL expression against it.
+// bulk-load an N-Triples file (or open a snapshot, or take Figure 1's
+// store), print store stats, and answer one TriAL(*) expression,
+// (Reach)TripleDatalog program or shortest-path query against it.
 //
 //   $ ./examples/trial_store --gen=1000000 --zipf-p=1.2 /tmp/m.nt
 //   $ ./examples/trial_store --threads=4 --by-predicate /tmp/m.nt
 //   $ ./examples/trial_store /tmp/m.nt --query="(E JOIN[1,2,3'; 3=1'] E)"
+//   $ ./examples/trial_store /tmp/m.nt --program=reach.dl --explain
+//   $ ./examples/trial_store --demo --analyze --trace=/tmp/demo.json
+//   $ ./examples/trial_store --demo --sp-src=St_Andrews --sp-dst=Brussels
 //
 // Options:
 //   --gen=N          first write a synthetic ~N-triple document to <file>
-//   --zipf-s/p/o=F   generator skew exponents (with --gen)
-//   --dirty=F        with --gen: fraction F each of literal-object,
-//                    blank-node and comment lines (real-dump shape)
+//   --zipf-s/p/o=F   generator skew exponents (with --gen; F >= 0)
+//   --dirty=F        with --gen: fraction F (0 to 1) each of
+//                    literal-object, blank-node and comment lines
+//                    (real-dump shape)
 //   --threads=N      loader workers (default: hardware concurrency)
 //   --relation=NAME  target relation in single-relation mode (default E)
 //   --by-predicate   one relation per distinct predicate
 //   --strict         hard-error on literals/blank nodes (default: skip+count)
 //   --legacy         load via the legacy ParseNTriplesFile path instead
 //   --verify         load both ways, check name-level store equivalence
+//   --demo           use Figure 1's store instead of <file>; alone, run
+//                    a built-in same-operator reachability program
 //   --query=EXPR     evaluate a TriAL(*) expression, print the result
+//   --program=FILE   evaluate a (Reach)TripleDatalog program, print its
+//                    answer predicate --answer=PRED (default ans)
 //   --sp-src=NAME    weighted shortest paths from object NAME over the
 //                    target relation (DijkstraScan; edge weight =
 //                    integer rho(predicate), else 1).  Without
 //                    --sp-dst: the full shortest-path tree
 //   --sp-dst=NAME    with --sp-src: one shortest path to object NAME,
 //                    printed edge by edge with the total distance
-//   --explain        with --query: evaluate through the physical plan
-//                    layer and print the operator tree with estimated
-//                    vs actual cardinalities
+//   --explain        evaluate through the physical plan layer and print
+//                    the operator tree with estimated vs actual
+//                    cardinalities
 //   --analyze        like --explain, but profile the execution: each
 //                    operator line adds actual rows, estimate q-error,
 //                    strategy taken, self and cumulative wall time and
@@ -37,9 +46,10 @@
 //   --metrics=PATH   enable the process metrics registry and write its
 //                    JSON snapshot (loader/segment/pool/exec
 //                    counters and histograms) on exit
-//   --query-threads=N  also evaluate with N evaluator threads (0 = one
-//                    per hardware thread) and report serial vs parallel
-//                    wall time; results are verified identical
+//   --query-threads=N  with --query: also evaluate with N evaluator
+//                    threads (0 = one per hardware thread) and report
+//                    serial vs parallel wall time; results are verified
+//                    identical
 //   --save=PATH      after loading, persist the store as a binary
 //                    snapshot (segment format; see
 //                    storage/segment/store_snapshot.h).  With --verify
@@ -50,22 +60,35 @@
 //                    open reads metadata only (no triple decode until
 //                    the first query scan)
 //   --json=PATH      write a load-throughput JSON record (includes the
-//                    per-expression query timings when --query ran,
-//                    plan_* fields when --explain was given, and the
-//                    snapshot save_ms / open_ms / store_bytes fields)
+//                    run's timings, plan_* fields under --explain, and
+//                    the snapshot save_ms / open_ms / store_bytes fields)
+//
+// --query, --program and --sp-src are exclusive, so --trace and --json
+// describe one answer.  datalog::EvalProgram runs nonrecursive and reach
+// programs without negated atoms as the plan of their TriAL(*)
+// translation (Proposition 2 / Theorem 2), and every other program on
+// the direct engine, which has no plan to explain or trace.
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <tuple>
+#include <utility>
 
 #include "core/eval.h"
 #include "core/parser.h"
 #include "core/plan/plan.h"
 #include "core/plan/profile.h"
+#include "datalog/analysis.h"
+#include "datalog/eval.h"
+#include "datalog/parser.h"
 #include "loader/bulk_load.h"
 #include "loader/ntriples_writer.h"
+#include "rdf/fixtures.h"
+#include "rdf/ntriples.h"
 #include "storage/segment/store_snapshot.h"
 #include "util/metrics.h"
 #include "util/timer.h"
@@ -85,7 +108,10 @@ struct Args {
   bool strict = false;
   bool legacy = false;
   bool verify = false;
+  bool demo = false;
   std::string query;
+  std::string program;
+  std::string answer;  // empty: "ans"
   std::string sp_src;
   std::string sp_dst;
   bool explain = false;
@@ -96,18 +122,23 @@ struct Args {
   std::string trace;
   std::string metrics;
   bool open = false;
+
+  // --demo with no other question runs the built-in program.
+  bool RunsProgram() const {
+    return !program.empty() || (demo && query.empty() && sp_src.empty());
+  }
 };
 
-// Per-expression evaluation timings for the report and the stats JSON.
-struct QueryStats {
+// The one answered question, for the report and the stats JSON.
+struct RunStats {
   bool ran = false;
-  std::string expr;
+  std::string label;  // the expression, program or shortest-path query
   size_t result_triples = 0;
   double serial_seconds = 0;
   double parallel_seconds = -1;  // < 0: parallel pass not requested
   size_t threads = 1;
-  // Plan fields (--explain): operator count, root estimated vs actual
-  // cardinality, and the rendered tree.
+  // Plan fields (--explain/--analyze): operator count, root estimated
+  // vs actual cardinality, and the rendered tree.
   bool explained = false;
   size_t plan_nodes = 0;
   double plan_est_rows = 0;
@@ -115,73 +146,90 @@ struct QueryStats {
   std::string plan_text;
 };
 
-// Parses a nonnegative integer flag value; returns false (with a
-// message) on junk like --threads=-1 or --gen=1e6.
+// Parses the value `v` of `flag` (spelled with its '=') as a
+// nonnegative integer; returns false (with a message) on junk like
+// --threads=-1 or --gen=1e6.
 bool ParseCount(const char* flag, const char* v, size_t* out) {
   char* end = nullptr;
   errno = 0;
   long long n = std::strtoll(v, &end, 10);
   if (n < 0 || errno == ERANGE || *v == '\0' || end == nullptr ||
       *end != '\0') {
-    std::fprintf(stderr, "%s wants a nonnegative integer, got \"%s\"\n",
-                 flag, v);
+    std::fprintf(stderr, "%s%s: wants a nonnegative integer\n", flag, v);
     return false;
   }
   *out = static_cast<size_t>(n);
   return true;
 }
 
+// Parses `flag`'s value as a finite real in [0, max]; returns false
+// (with a message) on junk like --zipf-p=abc, --zipf-s=-1 or --dirty=2.
+bool ParseReal(const char* flag, const char* v, double max, double* out) {
+  char* end = nullptr;
+  errno = 0;
+  double x = std::strtod(v, &end);
+  if (*v == '\0' || *end != '\0' || errno == ERANGE || !std::isfinite(x) ||
+      !(x >= 0 && x <= max)) {
+    std::fprintf(stderr, "%s%s: wants a finite number in [0, %g]\n", flag, v,
+                 max);
+    return false;
+  }
+  *out = x;
+  return true;
+}
+
 bool ParseArgs(int argc, char** argv, Args* a) {
+  const std::pair<const char*, bool*> switches[] = {
+      {"--by-predicate", &a->by_predicate}, {"--strict", &a->strict},
+      {"--legacy", &a->legacy},   {"--verify", &a->verify},
+      {"--demo", &a->demo},       {"--explain", &a->explain},
+      {"--analyze", &a->analyze}, {"--open", &a->open}};
+  const std::pair<const char*, std::string*> texts[] = {
+      {"--relation=", &a->relation}, {"--query=", &a->query},
+      {"--program=", &a->program},   {"--answer=", &a->answer},
+      {"--sp-src=", &a->sp_src},     {"--sp-dst=", &a->sp_dst},
+      {"--trace=", &a->trace},       {"--metrics=", &a->metrics},
+      {"--json=", &a->json},         {"--save=", &a->save}};
+  const std::pair<const char*, size_t*> counts[] = {
+      {"--gen=", &a->gen},
+      {"--threads=", &a->threads},
+      {"--query-threads=", &a->query_threads}};
+  const std::tuple<const char*, double*, double> reals[] = {
+      {"--zipf-s=", &a->zipf_s, HUGE_VAL},
+      {"--zipf-p=", &a->zipf_p, HUGE_VAL},
+      {"--zipf-o=", &a->zipf_o, HUGE_VAL},
+      {"--dirty=", &a->dirty, 1.0}};
   for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
+    const std::string arg = argv[i];
+    // The text after `flag` when `arg` starts with it, else null.
     auto value = [&arg](const char* flag) -> const char* {
       size_t n = std::strlen(flag);
       return arg.compare(0, n, flag) == 0 ? arg.c_str() + n : nullptr;
     };
-    if (const char* v = value("--gen=")) {
-      if (!ParseCount("--gen", v, &a->gen)) return false;
-    } else if (const char* v = value("--zipf-s=")) {
-      a->zipf_s = std::atof(v);
-    } else if (const char* v = value("--zipf-p=")) {
-      a->zipf_p = std::atof(v);
-    } else if (const char* v = value("--zipf-o=")) {
-      a->zipf_o = std::atof(v);
-    } else if (const char* v = value("--dirty=")) {
-      a->dirty = std::atof(v);
-    } else if (const char* v = value("--threads=")) {
-      if (!ParseCount("--threads", v, &a->threads)) return false;
-    } else if (const char* v = value("--relation=")) {
-      a->relation = v;
-    } else if (arg == "--by-predicate") {
-      a->by_predicate = true;
-    } else if (arg == "--strict") {
-      a->strict = true;
-    } else if (arg == "--legacy") {
-      a->legacy = true;
-    } else if (arg == "--verify") {
-      a->verify = true;
-    } else if (const char* v = value("--query=")) {
-      a->query = v;
-    } else if (const char* v = value("--sp-src=")) {
-      a->sp_src = v;
-    } else if (const char* v = value("--sp-dst=")) {
-      a->sp_dst = v;
-    } else if (arg == "--explain") {
-      a->explain = true;
-    } else if (arg == "--analyze") {
-      a->analyze = true;
-    } else if (const char* v = value("--trace=")) {
-      a->trace = v;
-    } else if (const char* v = value("--metrics=")) {
-      a->metrics = v;
-    } else if (const char* v = value("--query-threads=")) {
-      if (!ParseCount("--query-threads", v, &a->query_threads)) return false;
-    } else if (const char* v = value("--json=")) {
-      a->json = v;
-    } else if (const char* v = value("--save=")) {
-      a->save = v;
-    } else if (arg == "--open") {
-      a->open = true;
+    bool known = false;
+    for (const auto& [flag, out] : switches) {
+      if (arg == flag) known = *out = true;
+    }
+    for (const auto& [flag, out] : texts) {
+      if (const char* v = value(flag)) {
+        *out = v;
+        known = true;
+      }
+    }
+    for (const auto& [flag, out] : counts) {
+      if (const char* v = value(flag)) {
+        if (!ParseCount(flag, v, out)) return false;
+        known = true;
+      }
+    }
+    for (const auto& [flag, out, max] : reals) {
+      if (const char* v = value(flag)) {
+        if (!ParseReal(flag, v, max, out)) return false;
+        known = true;
+      }
+    }
+    if (known) {
+      continue;
     } else if (arg.compare(0, 2, "--") == 0) {
       std::fprintf(stderr, "unknown option %s\n", arg.c_str());
       return false;
@@ -192,15 +240,35 @@ bool ParseArgs(int argc, char** argv, Args* a) {
       return false;
     }
   }
-  if (a->file.empty()) {
+  if (a->file.empty() && !a->demo) {
     std::fprintf(stderr,
-                 "usage: trial_store [options] <file.nt>   (see source "
+                 "usage: trial_store [options] <file.nt>\n"
+                 "       trial_store --demo [options]   (see source "
                  "header for options)\n");
     return false;
   }
-  if ((a->explain || a->analyze) && a->query.empty() && a->sp_src.empty()) {
+  const bool loads_file =
+      a->gen > 0 || a->legacy || a->verify || !a->save.empty();
+  if ((a->demo && (a->open || !a->file.empty() || loads_file)) ||
+      (a->open && loads_file)) {
     std::fprintf(stderr,
-                 "--explain/--analyze require --query or --sp-src\n");
+                 "--demo takes no input file; --demo and --open exclude "
+                 "each other and --gen/--legacy/--verify/--save\n");
+    return false;
+  }
+  if (!a->query.empty() + !a->program.empty() + !a->sp_src.empty() > 1) {
+    std::fprintf(stderr, "--query, --program and --sp-src are exclusive\n");
+    return false;
+  }
+  if ((a->explain || a->analyze) && a->query.empty() && a->sp_src.empty() &&
+      !a->RunsProgram()) {
+    std::fprintf(stderr,
+                 "--explain/--analyze require --query, --program, --sp-src "
+                 "or --demo\n");
+    return false;
+  }
+  if (!a->answer.empty() && !a->RunsProgram()) {
+    std::fprintf(stderr, "--answer requires --program\n");
     return false;
   }
   if (!a->sp_dst.empty() && a->sp_src.empty()) {
@@ -209,13 +277,6 @@ bool ParseArgs(int argc, char** argv, Args* a) {
   }
   if (!a->trace.empty() && !a->analyze) {
     std::fprintf(stderr, "--trace requires --analyze\n");
-    return false;
-  }
-  if (a->open &&
-      (a->gen > 0 || a->legacy || a->verify || !a->save.empty())) {
-    std::fprintf(stderr,
-                 "--open takes a snapshot file and cannot be combined with "
-                 "--gen/--legacy/--verify/--save\n");
     return false;
   }
   return true;
@@ -234,13 +295,23 @@ std::string EscapeJson(const std::string& s) {
   return out;
 }
 
-void WriteJson(const Args& args, const BulkLoadStats& stats,
-               double open_seconds, const QueryStats& query) {
-  std::FILE* f = std::fopen(args.json.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", args.json.c_str());
-    return;
+// Writes `text` to `path` and says so; the error names the path when
+// the file cannot be written.
+Status WriteFile(const std::string& path, const std::string& text) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return Status::Internal("cannot open " + path);
+  bool written = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  if (std::fclose(f) != 0 || !written) {
+    return Status::Internal("cannot write " + path);
   }
+  std::printf("wrote %s\n", path.c_str());
+  return Status::OK();
+}
+
+Status WriteJson(const Args& args, const BulkLoadStats& stats,
+                 double open_seconds, const RunStats& query) {
+  std::FILE* f = std::fopen(args.json.c_str(), "w");
+  if (f == nullptr) return Status::Internal("cannot open " + args.json);
   std::fprintf(f,
                "{\n"
                "  \"tool\": \"trial_store\",\n"
@@ -282,7 +353,7 @@ void WriteJson(const Args& args, const BulkLoadStats& stats,
                  "  \"query\": \"%s\",\n"
                  "  \"query_result_triples\": %zu,\n"
                  "  \"query_serial_seconds\": %.4f,\n",
-                 EscapeJson(query.expr).c_str(), query.result_triples,
+                 EscapeJson(query.label).c_str(), query.result_triples,
                  query.serial_seconds);
     if (query.parallel_seconds < 0) {
       std::fprintf(f, "  \"query_parallel_seconds\": null,\n");
@@ -304,170 +375,192 @@ void WriteJson(const Args& args, const BulkLoadStats& stats,
     }
   }
   std::fprintf(f, "\n}\n");
-  std::fclose(f);
+  if (std::fclose(f) != 0) return Status::Internal("cannot write " + args.json);
   std::printf("wrote %s\n", args.json.c_str());
+  return Status::OK();
 }
 
-int RunQuery(const TripleStore& store, const Args& args, QueryStats* out) {
-  auto expr = ParseTriAL(args.query, &store);
-  if (!expr.ok()) {
-    std::fprintf(stderr, "query parse error: %s\n",
-                 expr.status().ToString().c_str());
-    return 1;
+// The one report path of every planned run — a TriAL query, a
+// program's PlanProgram tree, a DijkstraScan.  Executes `pl` (profiled
+// under --analyze) and records its root rows.  Under --explain or
+// --analyze it prints the plan; under --analyze it also hands the span
+// trace to the installed TraceSink (servers, tests) and writes it to
+// --trace.
+Result<TripleSet> RunPlan(plan::PlanNode& pl, const TripleStore& store,
+                          const Args& args, RunStats* out) {
+  Timer t;
+  Result<TripleSet> result = plan::ExecutePlan(pl, store, {}, args.analyze);
+  out->serial_seconds = t.Seconds();
+  if (!result.ok()) return result;
+  plan::RecordRootRows(pl, *result);  // about to print the result anyway
+  if (!args.explain && !args.analyze) return result;
+  out->explained = true;
+  out->plan_nodes = pl.TreeSize();
+  out->plan_est_rows = pl.est_rows;
+  out->plan_actual_rows = pl.runtime.actual_rows;
+  out->plan_text = args.analyze ? plan::ExplainAnalyze(pl) : plan::Explain(pl);
+  std::printf(args.analyze ? "plan (EXPLAIN ANALYZE):\n%s"
+                           : "plan (estimated vs actual rows):\n%s",
+              out->plan_text.c_str());
+  if (args.analyze) {
+    plan::QueryTrace trace = plan::CollectTrace(pl, out->label, 1);
+    plan::EmitTrace(trace);
+    if (!args.trace.empty()) {
+      TRIAL_RETURN_IF_ERROR(WriteFile(args.trace, plan::TraceToJson(trace)));
+    }
   }
+  return result;
+}
+
+// Prints the answer as `name = { rows }  (N triples)`, at most ten
+// rows of it, and notes its size for the stats JSON.
+void PrintAnswer(const TripleStore& store, const std::string& name,
+                 const TripleSet& rows, RunStats* out) {
+  constexpr size_t kShown = 10;
+  out->ran = true;
+  out->result_triples = rows.size();
+  std::printf("%s = {\n", name.c_str());
+  size_t shown = 0;
+  for (const Triple& triple : rows) {
+    if (++shown > kShown) {
+      std::printf("  ... (%zu more)\n", rows.size() - kShown);
+      break;
+    }
+    std::printf("  %s\n", store.TripleToString(triple).c_str());
+  }
+  std::printf("}  (%zu triples)\n", rows.size());
+}
+
+Status RunQuery(const TripleStore& store, const Args& args, RunStats* out) {
+  TRIAL_ASSIGN_OR_RETURN(ExprPtr expr, ParseTriAL(args.query, &store));
   auto engine = MakeSmartEvaluator();
   // When comparing serial vs parallel, run one untimed warm-up first:
   // the first evaluation pays the store's lazy permutation-index
   // builds (cached on the store's shared cells), which would otherwise
   // bias the comparison toward whichever engine runs second.
   if (args.query_threads != 1) {
-    auto warmup = engine->Eval(*expr, store);
+    auto warmup = engine->Eval(expr, store);
     (void)warmup;
   }
+  out->label = expr->ToString();
+  std::printf("\nquery:    %s\n", out->label.c_str());
   // --explain/--analyze evaluate through the plan API — the same
   // operators the smart engine shim runs, but with the tree kept for
   // rendering (and, under --analyze, per-operator profiling).
-  plan::PlanPtr pl;
-  const bool want_plan = args.explain || args.analyze;
-  if (want_plan) {
-    Status vs = ValidateExpr(*expr);
-    if (!vs.ok()) {
-      std::fprintf(stderr, "query validate error: %s\n",
-                   vs.ToString().c_str());
-      return 1;
-    }
-    // Warm every relation's stats so the plan shows exact distinct
-    // counts: the planner itself never forces the O(n log n) builds,
-    // but an EXPLAIN user explicitly asked for cost diagnostics.
-    for (RelId r = 0; r < store.NumRelations(); ++r) store.RelationStats(r);
-    pl = plan::PlanExpr(*expr, store);
-  }
-  Timer t;
   Result<TripleSet> result = TripleSet();
-  if (pl != nullptr) {
-    result = plan::ExecutePlan(*pl, store, {}, args.analyze);
+  if (args.explain || args.analyze) {
+    TRIAL_RETURN_IF_ERROR(ValidateExpr(expr));
+    plan::PlanPtr pl = plan::PlanExpr(expr, store);
+    result = RunPlan(*pl, store, args, out);
   } else {
-    result = engine->Eval(*expr, store);
+    Timer t;
+    result = engine->Eval(expr, store);
+    out->serial_seconds = t.Seconds();
   }
-  double secs = t.Seconds();
-  if (!result.ok()) {
-    std::fprintf(stderr, "evaluation error: %s\n",
-                 result.status().ToString().c_str());
-    return 1;
-  }
-  if (pl != nullptr) {
-    plan::RecordRootRows(*pl, *result);  // about to print the result anyway
-    out->explained = true;
-    out->plan_nodes = pl->TreeSize();
-    out->plan_est_rows = pl->est_rows;
-    out->plan_actual_rows = pl->runtime.actual_rows;
-    out->plan_text =
-        args.analyze ? plan::ExplainAnalyze(*pl) : plan::Explain(*pl);
-  }
-  out->ran = true;
-  out->expr = (*expr)->ToString();
-  out->result_triples = result->size();
-  out->serial_seconds = secs;
-  std::printf("\nquery:    %s\n", out->expr.c_str());
-  if (out->explained) {
-    std::printf(args.analyze ? "plan (EXPLAIN ANALYZE):\n%s"
-                             : "plan (estimated vs actual rows):\n%s",
-                out->plan_text.c_str());
-  }
-  if (args.analyze) {
-    plan::QueryTrace trace = plan::CollectTrace(*pl, out->expr, 1);
-    plan::EmitTrace(trace);  // installed sinks (servers, tests) see it
-    if (!args.trace.empty()) {
-      std::string json = plan::TraceToJson(trace);
-      if (std::FILE* f = std::fopen(args.trace.c_str(), "w")) {
-        std::fwrite(json.data(), 1, json.size(), f);
-        std::fclose(f);
-        std::printf("wrote %s\n", args.trace.c_str());
-      } else {
-        std::fprintf(stderr, "cannot open %s\n", args.trace.c_str());
-        return 1;
-      }
-    }
-  }
-  std::printf("serial:   %zu triples in %.3fs\n", result->size(), secs);
+  if (!result.ok()) return result.status();
+  std::printf("serial:   %zu triples in %.3fs\n", result->size(),
+              out->serial_seconds);
   if (args.query_threads != 1) {
     EvalOptions eopts;
     eopts.exec.num_threads = args.query_threads;
-    auto parallel = MakeSmartEvaluator(eopts);
     Timer tp;
-    auto presult = parallel->Eval(*expr, store);
-    double psecs = tp.Seconds();
-    if (!presult.ok()) {
-      std::fprintf(stderr, "parallel evaluation error: %s\n",
-                   presult.status().ToString().c_str());
-      return 1;
-    }
-    if (*presult != *result) {
-      std::fprintf(stderr, "parallel result DIFFERS from serial\n");
-      return 1;
+    TRIAL_ASSIGN_OR_RETURN(TripleSet presult,
+                           MakeSmartEvaluator(eopts)->Eval(expr, store));
+    out->parallel_seconds = tp.Seconds();
+    if (presult != *result) {
+      return Status::Internal("parallel result DIFFERS from serial");
     }
     out->threads = eopts.exec.EffectiveThreads();
-    out->parallel_seconds = psecs;
     std::printf("parallel: %zu triples in %.3fs (%zu threads, result "
                 "identical to serial)\n",
-                presult->size(), psecs, out->threads);
+                presult.size(), out->parallel_seconds, out->threads);
   }
-  size_t shown = 0;
-  for (const Triple& triple : *result) {
-    if (++shown > 10) {
-      std::printf("  ... (%zu more)\n", result->size() - 10);
-      break;
-    }
-    std::printf("  %s\n", store.TripleToString(triple).c_str());
-  }
-  return 0;
+  PrintAnswer(store, "result", *result, out);
+  return Status::OK();
 }
 
-// --sp-src / --sp-dst: plan and run a DijkstraScan over the target
-// relation.  Weights come from integer rho(predicate) values (any other
-// rho defaults to 1), so plain stores answer hop-count shortest paths.
-int RunShortestPath(const TripleStore& store, const Args& args) {
-  if (args.explain || args.analyze) {
-    for (RelId r = 0; r < store.NumRelations(); ++r) store.RelationStats(r);
+const char* kDemoProgram = R"(
+  % Transitive same-operator reachability over Figure 1.  The reach
+  % shape (Theorem 2) needs ONE nonrecursive relation R in both rules,
+  % so R = city hops annotated with operators, plus the part_of edges.
+  hopo(X, C, Y) :- E(X, S, Y), E(S, P, C), P = part_of.
+  hopo(X, P, Y) :- E(X, P, Y), P = part_of.
+  opr(X, C, Y)  :- hopo(X, C, Y).
+  opr(X, C2, Y) :- opr(X, C, Y), hopo(C, P, C2), P = part_of.
+  ans(X, C, Z)  :- opr(X, C, Z), C != part_of.
+)";
+
+// --program (or --demo's built-in program): the plan of its TriAL(*)
+// translation through RunPlan under --explain/--analyze, else
+// datalog::EvalProgram, which picks the same route itself.
+Status RunProgram(const TripleStore& store, const Args& args,
+                  RunStats* out) {
+  std::string text = kDemoProgram;
+  if (args.program.empty()) {
+    std::printf("\nprogram:  built-in same-operator hops\n");
+  } else {
+    std::printf("\nprogram:  %s\n", args.program.c_str());
+    TRIAL_ASSIGN_OR_RETURN(text, ReadFileToString(args.program));
   }
+  TRIAL_ASSIGN_OR_RETURN(datalog::Program prog, datalog::ParseProgram(text));
+  TRIAL_ASSIGN_OR_RETURN(datalog::ProgramInfo info,
+                         datalog::AnalyzeProgram(prog));
+  std::printf("program class: %s\n",
+              info.cls == datalog::ProgramClass::kNonRecursiveTripleDatalog
+                  ? "TripleDatalog (nonrecursive)"
+                  : info.cls == datalog::ProgramClass::kReachTripleDatalog
+                        ? "ReachTripleDatalog"
+                        : "general recursive");
+  const std::string answer = args.answer.empty() ? "ans" : args.answer;
+  out->label = prog.ToString();
+  plan::PlanPtr pl;
+  if (args.explain || args.analyze) {
+    Result<plan::PlanPtr> planned = datalog::PlanProgram(prog, store, answer);
+    if (planned.ok()) {
+      pl = std::move(*planned);
+    } else {
+      std::printf("no plan, direct engine: %s\n",
+                  planned.status().ToString().c_str());
+    }
+  }
+  Result<TripleSet> result = TripleSet();
+  if (pl != nullptr) {
+    result = RunPlan(*pl, store, args, out);
+  } else {
+    Timer t;
+    result = datalog::EvalProgram(prog, store, answer);
+    out->serial_seconds = t.Seconds();
+  }
+  if (!result.ok()) return result.status();
+  PrintAnswer(store, answer, *result, out);
+  if (pl == nullptr && !args.trace.empty()) {
+    return Status::Unimplemented("no trace: the direct engine runs no plan");
+  }
+  return Status::OK();
+}
+
+// --sp-src / --sp-dst: a DijkstraScan over the target relation.
+// Weights come from integer rho(predicate) values (any other rho
+// defaults to 1), so plain stores answer hop-count shortest paths.
+Status RunShortestPath(const TripleStore& store, const Args& args,
+                       RunStats* out) {
+  out->label = "shortest path " + args.sp_src + " -> " +
+               (args.sp_dst.empty() ? "* (full tree)" : args.sp_dst) +
+               " over " + args.relation;
+  std::printf("\n%s\n", out->label.c_str());
   plan::PlanPtr pl =
       plan::PlanShortestPath(store, args.relation, args.sp_src, args.sp_dst);
-  Timer t;
-  auto result = plan::ExecutePlan(*pl, store, {}, args.analyze);
-  double secs = t.Seconds();
-  if (!result.ok()) {
-    std::fprintf(stderr, "shortest path error: %s\n",
-                 result.status().ToString().c_str());
-    return 1;
-  }
-  plan::RecordRootRows(*pl, *result);
-  std::printf("\nshortest path: %s -> %s over %s\n", args.sp_src.c_str(),
-              args.sp_dst.empty() ? "* (full tree)" : args.sp_dst.c_str(),
-              args.relation.c_str());
-  if (args.explain || args.analyze) {
-    std::printf(args.analyze ? "plan (EXPLAIN ANALYZE):\n%s"
-                             : "plan (estimated vs actual rows):\n%s",
-                (args.analyze ? plan::ExplainAnalyze(*pl)
-                              : plan::Explain(*pl))
-                    .c_str());
-  }
+  TRIAL_ASSIGN_OR_RETURN(TripleSet result, RunPlan(*pl, store, args, out));
   if (pl->runtime.sp_reached) {
     std::printf("distance %lld, %zu edge(s), %zu node(s) settled, %.3fs\n",
                 static_cast<long long>(pl->runtime.sp_distance),
-                result->size(), pl->runtime.sp_settled, secs);
+                result.size(), pl->runtime.sp_settled, out->serial_seconds);
   } else {
     std::printf("unreachable (%zu node(s) settled, %.3fs)\n",
-                pl->runtime.sp_settled, secs);
+                pl->runtime.sp_settled, out->serial_seconds);
   }
-  size_t shown = 0;
-  for (const Triple& triple : *result) {
-    if (++shown > 10) {
-      std::printf("  ... (%zu more)\n", result->size() - 10);
-      break;
-    }
-    std::printf("  %s\n", store.TripleToString(triple).c_str());
-  }
-  return 0;
+  PrintAnswer(store, "edges", result, out);
+  return Status::OK();
 }
 
 }  // namespace
@@ -507,13 +600,11 @@ int main(int argc, char** argv) {
   BulkLoadStats stats;
   double open_seconds = 0;
   Result<TripleStore> loaded = Status::Internal("unset");
-  if (args.open) {
+  if (args.demo) {
+    loaded = TransportStore();
+  } else if (args.open) {
     OpenSnapshotStats ostats;
     loaded = OpenStoreSnapshot(args.file, {}, &ostats);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "open: %s\n", loaded.status().ToString().c_str());
-      return 1;
-    }
     open_seconds = ostats.seconds;
     stats.bytes = ostats.bytes;
     stats.snapshot_bytes = ostats.bytes;
@@ -551,20 +642,32 @@ int main(int argc, char** argv) {
     loaded = BulkLoadNTriplesFile(args.file, opts, &stats);
   }
   if (!loaded.ok()) {
-    std::fprintf(stderr, "load: %s\n", loaded.status().ToString().c_str());
+    std::fprintf(stderr, "%s: %s\n", args.open ? "open" : "load",
+                 loaded.status().ToString().c_str());
     return 1;
   }
   TripleStore& store = *loaded;
+  if (args.demo) {
+    stats.triples_loaded = store.TotalTriples();
+    stats.objects = store.NumObjects();
+    stats.relations = store.NumRelations();
+  }
 
-  if (args.open) {
-    std::printf("opened snapshot %s\n", args.file.c_str());
+  if (args.demo || args.open) {
+    if (args.demo) {
+      std::printf("demo: Figure 1 store\n");
+    } else {
+      std::printf("opened snapshot %s\n", args.file.c_str());
+    }
     std::printf("  objects    %zu\n", stats.objects);
     std::printf("  relations  %zu\n", stats.relations);
     std::printf("  triples    %zu\n", stats.triples_loaded);
-    std::printf("  file       %zu bytes\n", stats.snapshot_bytes);
-    std::printf("  open       %.2f ms (metadata only; triple data decodes "
-                "lazily on first scan)\n",
-                open_seconds * 1e3);
+    if (args.open) {
+      std::printf("  file       %zu bytes\n", stats.snapshot_bytes);
+      std::printf("  open       %.2f ms (metadata only; triple data "
+                  "decodes lazily on first scan)\n",
+                  open_seconds * 1e3);
+    }
   } else {
     std::printf("loaded %s (%s path)\n", args.file.c_str(),
                 args.legacy ? "legacy" : "bulk");
@@ -635,23 +738,31 @@ int main(int argc, char** argv) {
     }
   }
 
-  QueryStats query;
-  int query_rc = 0;
-  if (!args.query.empty()) query_rc = RunQuery(store, args, &query);
-  if (query_rc == 0 && !args.sp_src.empty()) {
-    query_rc = RunShortestPath(store, args);
+  // Warm every relation's stats so the plan shows exact distinct
+  // counts: the planner itself never forces the O(n log n) builds, but
+  // an EXPLAIN user explicitly asked for cost diagnostics.
+  if (args.explain || args.analyze) {
+    for (RelId r = 0; r < store.NumRelations(); ++r) store.RelationStats(r);
   }
-  if (!args.json.empty()) WriteJson(args, stats, open_seconds, query);
-  if (!args.metrics.empty()) {
-    std::string json = MetricsRegistry::Global().RenderJson();
-    if (std::FILE* f = std::fopen(args.metrics.c_str(), "w")) {
-      std::fwrite(json.data(), 1, json.size(), f);
-      std::fclose(f);
-      std::printf("wrote %s\n", args.metrics.c_str());
-    } else {
-      std::fprintf(stderr, "cannot open %s\n", args.metrics.c_str());
-      return 1;
-    }
+  RunStats run;
+  Status st = Status::OK();
+  if (!args.query.empty()) {
+    st = RunQuery(store, args, &run);
+  } else if (args.RunsProgram()) {
+    st = RunProgram(store, args, &run);
+  } else if (!args.sp_src.empty()) {
+    st = RunShortestPath(store, args, &run);
   }
-  return query_rc;
+  if (!st.ok()) std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
+  Status wrote = Status::OK();
+  if (!args.json.empty()) {
+    wrote = WriteJson(args, stats, open_seconds, run);
+  }
+  if (wrote.ok() && !args.metrics.empty()) {
+    wrote = WriteFile(args.metrics, MetricsRegistry::Global().RenderJson());
+  }
+  if (!wrote.ok()) {
+    std::fprintf(stderr, "error: %s\n", wrote.ToString().c_str());
+  }
+  return st.ok() && wrote.ok() ? 0 : 1;
 }

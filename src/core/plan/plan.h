@@ -14,6 +14,8 @@
 //   UnionOp/MinusOp e ∪ e, e − e
 //   FixpointStar    (e ⋈)*, (⋈ e)*   (semi-naive delta iteration)
 //   ReachFastPath   reachTA= stars   (Procedures 3 / 4)
+//   ReachIndexScan  reachTA= stars   (interval reachability index)
+//   DijkstraScan    shortest paths   (weights from rho; PlanShortestPath)
 //   SharedScan      a shared e       (the result of e's one execution)
 //
 // Expressions may share subexpressions: ProgramToTriAL hands the same

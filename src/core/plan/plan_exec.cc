@@ -580,20 +580,9 @@ class Executor {
     // and merge order are untouched, so results stay byte-identical.
     size_t threads = limits_.exec.EffectiveThreads();
     size_t reserve_hint = 0;
-    double est_out = n.est_rows;
-    // A warm reachability index bounds the any-path star's output
-    // exactly (up to overlapping per-group closures) — better than the
-    // planner's heuristic for sizing the chunk buffers.  Reserve only:
-    // contents and merge order are untouched.
-    if (n.star_right && IsReachSpecA(n.spec)) {
-      if (std::shared_ptr<const reach::ReachIndex> idx =
-              reach::ReachIndex::Cached(base)) {
-        est_out = static_cast<double>(idx->star_output_rows());
-      }
-    }
-    if (est_out > 0) {
-      double per_chunk = est_out / static_cast<double>(
-                                       threads * kChunksPerThread);
+    if (n.est_rows > 0) {
+      double per_chunk = n.est_rows / static_cast<double>(
+                                          threads * kChunksPerThread);
       // Clamp in double before the cast: estimates compound without
       // bound through key-less joins, and casting an out-of-range
       // double to size_t is UB.

@@ -303,11 +303,10 @@ TEST(ReachIndexPlan, ExecutionWarmsTheStoreRelation) {
   EXPECT_NE(ReachIndex::Cached(*store.FindRelation("E")), nullptr);
 }
 
-TEST(ReachIndexPlan, FixpointReserveUsesIndexCardinality) {
-  // Satellite: a FixpointStar over a reach-A spec sizes its per-chunk
-  // segment reserve from the warm index's output bound.  Force the
-  // generic fixpoint (the planner would route to the index) and pin
-  // byte-identity with the reserve hint active.
+TEST(ReachIndexPlan, FixpointStarOnReachSpecMatchesAnyPathKernel) {
+  // The generic semi-naive fixpoint over a reach-A spec is
+  // byte-identical to Procedure 3.  With the index warm the planner
+  // routes such a star to ReachIndexScan, so force the fixpoint.
   TripleStore store = CyclicStore(17);
   auto idx = ReachIndex::GetOrBuild(*store.FindRelation("E"), Threads(1));
   ASSERT_NE(idx, nullptr);

@@ -252,7 +252,7 @@ class MetricsOn {
 };
 
 // The routable programs of the Datalog batteries (this file,
-// roundtrip_test, datalog_cli's demo, the perfbench reach program),
+// roundtrip_test, trial_store's demo, the perfbench reach program),
 // plus shapes that exercise the translator's corners: permuting
 // single-atom heads, single-atom chains, left stars, constants the
 // store lacks.  Every one is nonrecursive TripleDatalog or
