@@ -37,6 +37,10 @@ bool PreferIndexProbe(double probe_count, double build_size) {
   return probe_count * lg < 4.0 * build_size;
 }
 
+bool PreferAntiProbe(double left_rows, double base_size, double right_est) {
+  return left_rows * std::log2(base_size + 2.0) < right_est;
+}
+
 double EstimateBoundMatches(const TripleSetStats& stats, const bool bound[3]) {
   double est = static_cast<double>(stats.num_triples);
   for (int c = 0; c < 3; ++c) {

@@ -40,7 +40,8 @@
 // the strategy it really ran, so Explain() (explain.cc) can render
 // estimated-vs-actual side by side.  The per-join and per-fixpoint-round
 // probe-vs-hash cost rule that used to live inline in smart_eval.cc is
-// exported here (JoinPlan / ProbePlan / PreferIndexProbe), making the
+// exported here (JoinPlan / ProbePlan / PreferIndexProbe), next to the
+// difference's anti-probe-vs-merge rule (PreferAntiProbe), making the
 // decisions unit-testable and shared with the Datalog engine's
 // leading-atom matcher (BoundProbe / EstimateBoundMatches).
 //
@@ -91,6 +92,15 @@ struct PlanningHints {
 /// exceed SIZE_MAX for U-subtrees) feed in without a narrowing cast;
 /// integral sizes convert exactly up to 2^53.
 bool PreferIndexProbe(double probe_count, double build_size);
+
+/// Difference costing: e − σ*(R), with R a stored relation under zero
+/// or more selections, either materializes the right side (~est(R)
+/// rows copied, sorted and merged) or anti-probes it — one membership
+/// search of R's SPO base per left triple, ~log2(|R|) comparisons each,
+/// the right subtree never run.  Anti-probing wins when
+/// |L|·log2(|R| + 2) < est(R).  Takes only sizes and the planner's
+/// estimate, so deciding forces no stats and no permutation build.
+bool PreferAntiProbe(double left_rows, double base_size, double right_est);
 
 /// Expected rows of a probe that pins the columns flagged in `bound`:
 /// the relation size shrunk by each bound column's distinct count (the
@@ -224,7 +234,7 @@ enum class PlanOp : uint8_t {
   kHashJoin,        ///< child ⋈ child, per-call hash table on the keys
   kMergeJoin,       ///< child ⋈ child, both sides walked as sorted runs
   kUnionOp,         ///< child ∪ child
-  kMinusOp,         ///< child − child
+  kMinusOp,         ///< child − child — merge, or anti-probe a stored right
   kFixpointStar,    ///< (child ⋈)* / (⋈ child)* — semi-naive iteration
   kReachFastPath,   ///< reachTA= star — Procedure 3 or 4
   kReachIndexScan,  ///< reachTA= star via the interval reachability index
@@ -249,8 +259,9 @@ struct PlanRuntime {
   bool executed = false;
   bool rows_known = false;  ///< actual_rows is valid
   size_t actual_rows = 0;
-  /// The join/select path really taken ("probe", "hash", "index",
-  /// "scan"); null when the operator has no strategy choice.
+  /// The join/select/difference path really taken ("probe", "hash",
+  /// "index", "scan", "anti-probe", "merge", ...); null when the
+  /// operator has no strategy choice.
   const char* strategy = nullptr;
   size_t rounds = 0;        ///< fixpoint rounds until saturation
   size_t probe_rounds = 0;  ///< rounds whose delta probed the index

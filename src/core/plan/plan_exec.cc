@@ -168,10 +168,19 @@ class Executor {
       }
       case PlanOp::kMinusOp: {
         TRIAL_ASSIGN_OR_RETURN(TripleSet a, Exec(*n.children[0]));
-        TRIAL_ASSIGN_OR_RETURN(TripleSet b, Exec(*n.children[1]));
         NoteRows(*n.children[0], a);
+        const PlanNode& right = *n.children[1];
+        const TripleSet* base = AntiProbeBase(right);
+        if (base != nullptr &&
+            PreferAntiProbe(static_cast<double>(a.size()),
+                            static_cast<double>(base->size()),
+                            right.est_rows)) {
+          return AntiProbe(n, a, *base);
+        }
+        TRIAL_ASSIGN_OR_RETURN(TripleSet b, Exec(*n.children[1]));
         NoteRows(*n.children[1], b);
         NotePeakInputs(n, a, b);
+        n.runtime.strategy = "merge";
         return TripleSet::Difference(a, b);
       }
       case PlanOp::kIndexProbeJoin:
@@ -247,6 +256,55 @@ class Executor {
       }
     }
     return Status::Internal("unknown plan operator");
+  }
+
+  // The stored relation under a difference's right side when it can be
+  // anti-probed: an IndexScan, alone or under a chain of SelectFilters.
+  // Null for any other shape, for an unknown relation (the merge path
+  // reports kNotFound), and when any node of the chain holds a shared
+  // sub-plan — a later SharedScan reads its kept result, so it must run.
+  const TripleSet* AntiProbeBase(const PlanNode& right) const {
+    const PlanNode* r = &right;
+    for (; r->op == PlanOp::kSelectFilter; r = r->children[0].get()) {
+      if (r->share_id >= 0) return nullptr;
+    }
+    if (r->op != PlanOp::kIndexScan || r->share_id >= 0) return nullptr;
+    return store_.FindRelation(r->rel_name);
+  }
+
+  // Anti-probe difference: a left triple leaves the result only when
+  // the right side would have produced it — every selection on the
+  // chain holds on it (HoldsUnary re-checks θ and η exactly as
+  // SelectIndexed verifies its matches) and `base` contains it.  The
+  // right subtree never runs; its nodes stay unexecuted, so EXPLAIN
+  // renders them actual=- and traces omit them.  The cost rule keeps
+  // the left side small, so the loop is serial, and it walks the left
+  // in SPO order, so the output is adopted as already sorted.
+  Result<TripleSet> AntiProbe(PlanNode& n, const TripleSet& l,
+                              const TripleSet& base) {
+    n.runtime.strategy = "anti-probe";
+    ClearRuntime(*n.children[1]);
+    auto in_right = [&](const Triple& t) {
+      for (const PlanNode* r = n.children[1].get();
+           r->op == PlanOp::kSelectFilter; r = r->children[0].get()) {
+        if (!r->spec.cond.HoldsUnary(t, store_)) return false;
+      }
+      return base.Contains(t);
+    };
+    std::vector<Triple> out;
+    out.reserve(l.size());
+    for (const Triple& t : l) {
+      if (!in_right(t)) out.push_back(t);
+    }
+    if (profile_) n.runtime.peak_rows = l.size();
+    return TripleSet::FromSortedUnique(std::move(out));
+  }
+
+  // Forgets an earlier execution's runtime on a subtree this execution
+  // skips, so a re-executed tree never reports stale rows or spans.
+  static void ClearRuntime(PlanNode& n) {
+    n.runtime = PlanRuntime{};
+    for (PlanPtr& c : n.children) ClearRuntime(*c);
   }
 
   // Join: filter both sides by their one-sided atoms, locate candidate

@@ -215,6 +215,91 @@ TEST(ParallelInvariance, PlanExecutorResultsAreThreadCountInvariant) {
   }
 }
 
+// MinusOp's two strategies against the naive engine at 1, 2 and 4
+// threads.  The anti-probe never runs the right side: it keeps a left
+// triple unless every selection on the right chain holds on it and the
+// stored relation contains it, so the conditions are picked to hit
+// triples of the small left relation F both ways.  Every case pins
+// the strategy the executor's cost rule takes from the actual sizes.
+TEST(DifferenceStrategies, AntiProbeAndMergeMatchNaive) {
+  RandomStoreOptions opts;
+  opts.num_objects = 24;
+  opts.num_triples = 8000;
+  opts.num_data_values = 3;
+  opts.seed = 23;
+  TripleStore store = RandomTripleStore(opts);
+  // F: a sparse sample of E, the first E triples whose predicate is
+  // their object (the 2=3 case), and two triples E lacks.
+  const ObjId o0 = store.FindObject("o0"), o1 = store.FindObject("o1");
+  std::vector<Triple> f_rows;
+  size_t i = 0, loops = 0;
+  for (const Triple& t : *store.FindRelation("E")) {
+    if (i++ % 1000 == 0 || (t.p == t.o && loops++ < 4)) f_rows.push_back(t);
+  }
+  for (const Triple& t : {Triple{o0, o1, o0}, Triple{o1, o0, o1}}) {
+    if (!store.FindRelation("E")->Contains(t)) f_rows.push_back(t);
+  }
+  RelId f = store.AddRelation("F");
+  for (const Triple& t : f_rows) store.Add(f, t.s, t.p, t.o);
+  for (RelId r = 0; r < store.NumRelations(); ++r) store.RelationStats(r);
+
+  const ExprPtr E = Expr::Rel("E"), F = Expr::Rel("F");
+  const CondSet thetas = Where({Neq(Pos::P2, Pos::P1), Eq(Pos::P2, Pos::P3),
+                                NeqConst(Pos::P1, o1)});
+  const CondSet eta = Where({}, {DataEq(Pos::P1, Pos::P3)});
+  const CondSet outer = Where({NeqConst(Pos::P1, o1), Neq(Pos::P1, Pos::P2)});
+  const CondSet none = Where({EqConst(Pos::P1, o0), EqConst(Pos::P1, o1)});
+  struct Case {
+    const char* name;
+    ExprPtr expr;
+    const char* strategy;
+    bool shrinks_f;  ///< F on the left, and the right side hits it
+  };
+  const Case cases[] = {
+      {"bare scan of a second relation", Expr::Diff(F, E), "anti-probe",
+       true},
+      {"theta atoms", Expr::Diff(F, Expr::Select(E, thetas)), "anti-probe",
+       true},
+      {"eta atom", Expr::Diff(F, Expr::Select(E, eta)), "anti-probe", true},
+      {"nested selections",
+       Expr::Diff(F, Expr::Select(Expr::Select(E, eta), outer)),
+       "anti-probe", true},
+      {"empty left", Expr::Diff(Expr::Select(F, none), E), "anti-probe",
+       false},
+      {"large left",
+       Expr::Diff(E, Expr::Select(E, Where({EqConst(Pos::P2, o0)}))),
+       "merge", false},
+      {"join on the right",
+       Expr::Diff(F, Expr::Join(E, E, Spec(Pos::P1, Pos::P2, Pos::P3p,
+                                           {Eq(Pos::P3, Pos::P1p)}))),
+       "merge", false},
+  };
+  const size_t f_size = store.FindRelation("F")->size();
+  auto naive = MakeNaiveEvaluator();
+  for (const Case& c : cases) {
+    auto want = naive->Eval(c.expr, store);
+    ASSERT_TRUE(want.ok()) << c.name << ": " << want.status().ToString();
+    if (c.shrinks_f) {
+      EXPECT_LT(want->size(), f_size) << c.name;
+      EXPECT_GT(want->size(), 0u) << c.name;
+    }
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+      ExecLimits limits;
+      limits.exec.num_threads = threads;
+      limits.exec.min_parallel_items = 1;
+      plan::PlanPtr p = plan::PlanExpr(c.expr, store);
+      auto got = plan::ExecutePlan(*p, store, limits);
+      ASSERT_TRUE(got.ok()) << c.name << ": " << got.status().ToString();
+      EXPECT_EQ(*want, *got) << c.name << ", " << threads << " threads\n"
+                             << plan::Explain(*p);
+      ASSERT_EQ(p->op, plan::PlanOp::kMinusOp) << c.name;
+      ASSERT_NE(p->runtime.strategy, nullptr) << c.name;
+      EXPECT_STREQ(p->runtime.strategy, c.strategy)
+          << c.name << "\n" << plan::Explain(*p);
+    }
+  }
+}
+
 // The reachTA= fast paths under explicit thread counts, on a store big
 // enough that the parallel source-expansion branch does real chunking.
 TEST(ParallelInvariance, ReachFastPathsAreThreadCountInvariant) {

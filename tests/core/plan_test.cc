@@ -808,6 +808,44 @@ TEST(SharedSubplans, ChainedReusePlansOneNodePerLevel) {
   }
 }
 
+// A difference never skips a right side that holds a shared sub-plan:
+// here the first use of σ[2=0](E) in execution order is the right side
+// of a difference whose tiny left would otherwise anti-probe it, and
+// the union's SharedScan reads the kept result afterwards.  Built from
+// two separate copies of the selection, the same query anti-probes.
+TEST(SharedSubplans, DifferenceRunsAShareHeldOnItsRight) {
+  TripleStore store = SkewedStore(4096);
+  const ExprPtr left =
+      Expr::Select(Expr::Rel("E"), Where({EqConst(Pos::P1, 3)}));
+  auto hot = [] {
+    return Expr::Select(Expr::Rel("E"), Where({EqConst(Pos::P2, 0)}));
+  };
+  const ExprPtr s = hot();
+  const ExprPtr shared = Expr::Union(Expr::Diff(left, s), s);
+  const ExprPtr copies = Expr::Union(Expr::Diff(left, hot()), hot());
+  auto want = MakeNaiveEvaluator()->Eval(shared, store);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  for (const ExprPtr& e : {shared, copies}) {
+    const bool is_shared = e == shared;
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+      ExecLimits limits;
+      limits.exec.num_threads = threads;
+      limits.exec.min_parallel_items = 1;
+      PlanPtr p = PlanExpr(e, store);
+      ASSERT_EQ(p->op, PlanOp::kUnionOp);
+      const PlanNode& diff = *p->children[0];
+      ASSERT_EQ(diff.op, PlanOp::kMinusOp) << Explain(*p);
+      EXPECT_EQ(diff.children[1]->share_id >= 0, is_shared) << Explain(*p);
+      EXPECT_EQ(p->children[1]->op == PlanOp::kSharedScan, is_shared);
+      auto r = ExecutePlan(*p, store, limits);
+      ASSERT_TRUE(r.ok()) << r.status().ToString() << "\n" << Explain(*p);
+      EXPECT_EQ(*want, *r) << threads << " threads\n" << Explain(*p);
+      EXPECT_STREQ(diff.runtime.strategy, is_shared ? "merge" : "anti-probe")
+          << Explain(*p);
+    }
+  }
+}
+
 // Both reach kernels stop at the result-size cap themselves, on the
 // serial and the parallel emission path; under a cap they fit in they
 // return the unguarded answer.

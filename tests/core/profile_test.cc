@@ -94,6 +94,16 @@ void CheckSpanInvariants(const QueryTrace& trace) {
   }
 }
 
+// How many times `needle` occurs in `text`.
+size_t Occurrences(const std::string& text, const char* needle) {
+  size_t n = 0;
+  for (size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
 TEST(QErrorFn, ClampsAndIsSymmetricRatio) {
   EXPECT_DOUBLE_EQ(QError(100, 100), 1.0);
   EXPECT_DOUBLE_EQ(QError(100, 25), 4.0);
@@ -222,18 +232,10 @@ TEST(ExplainAnalyzeRender, AnnotatesEveryLineWithRuntimeFields) {
   size_t lines = static_cast<size_t>(
       std::count(text.begin(), text.end(), '\n'));
   EXPECT_EQ(lines, p->TreeSize());
-  auto occurrences = [&text](const char* needle) {
-    size_t n = 0;
-    for (size_t at = text.find(needle); at != std::string::npos;
-         at = text.find(needle, at + 1)) {
-      ++n;
-    }
-    return n;
-  };
-  EXPECT_EQ(occurrences(" self="), lines) << text;
-  EXPECT_EQ(occurrences(" cum="), lines) << text;
-  EXPECT_EQ(occurrences(" peak="), lines) << text;
-  EXPECT_EQ(occurrences(" q="), lines) << text;
+  EXPECT_EQ(Occurrences(text, " self="), lines) << text;
+  EXPECT_EQ(Occurrences(text, " cum="), lines) << text;
+  EXPECT_EQ(Occurrences(text, " peak="), lines) << text;
+  EXPECT_EQ(Occurrences(text, " q="), lines) << text;
   // This self-join picks the merge join; the strategy renders inline.
   EXPECT_NE(text.find("(merge)"), std::string::npos) << text;
   EXPECT_NE(text.find("MergeJoin"), std::string::npos) << text;
@@ -435,6 +437,86 @@ TEST(ProfiledFixpoint, RecordsRoundsAndPeakAccumulator) {
   EXPECT_GE(star->runtime.peak_rows, star->runtime.actual_rows);
   std::string text = ExplainAnalyze(*p);
   EXPECT_NE(text.find(" rounds="), std::string::npos) << text;
+}
+
+// The anti-probe difference on every reporting surface.  EXPLAIN
+// ANALYZE names the strategy and renders the right subtree, which never
+// runs, as actual=-.  The span trace leaves that subtree out, still
+// nests, and charges the probes to MinusOp's self time.  The metrics
+// registry counts both difference strategies and nothing for the
+// skipped side.  A tree re-executed with the other strategy reports no
+// stale runtime from the earlier run.
+TEST(AntiProbeDifference, ReportsOnEverySurface) {
+  TripleStore store = SkewedStore(4096);
+  const ExprPtr hot =
+      Expr::Select(Expr::Rel("E"), Where({EqConst(Pos::P2, 0)}));
+  const ExprPtr probed = Expr::Diff(
+      Expr::Select(Expr::Rel("E"), Where({EqConst(Pos::P1, 3)})), hot);
+  const ExprPtr merged = Expr::Diff(Expr::Rel("E"), hot);
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  Counter* anti = reg.GetCounter("exec.strategy.anti-probe");
+  Counter* merge = reg.GetCounter("exec.strategy.merge");
+  Counter* index = reg.GetCounter("exec.strategy.index");
+  const uint64_t anti0 = anti->value(), merge0 = merge->value(),
+                 index0 = index->value();
+  const bool was = MetricsEnabled();
+  SetMetricsEnabled(true);
+  PlanPtr p = PlanExpr(probed, store);
+  auto r = ExecutePlan(*p, store, {}, /*profile=*/true);
+  PlanPtr m = PlanExpr(merged, store);
+  auto rm = ExecutePlan(*m, store);
+  SetMetricsEnabled(was);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_TRUE(rm.ok()) << rm.status().ToString();
+  auto want = MakeNaiveEvaluator()->Eval(probed, store);
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(*r, *want);
+
+  ASSERT_EQ(p->op, PlanOp::kMinusOp);
+  ASSERT_STREQ(p->runtime.strategy, "anti-probe") << Explain(*p);
+  EXPECT_STREQ(m->runtime.strategy, "merge") << Explain(*m);
+  // One anti-probe, one merge, and two indexed selections: the
+  // anti-probed query's left and the merged query's right.
+  EXPECT_EQ(anti->value() - anti0, 1u);
+  EXPECT_EQ(merge->value() - merge0, 1u);
+  EXPECT_EQ(index->value() - index0, 2u);
+
+  const std::string text = ExplainAnalyze(*p);
+  const std::string head = text.substr(0, text.find('\n'));
+  EXPECT_NE(head.find("MinusOp"), std::string::npos) << text;
+  EXPECT_NE(head.find("(anti-probe)"), std::string::npos) << text;
+  // The right side: a SelectFilter over an IndexScan, neither run.
+  EXPECT_EQ(Occurrences(text, " actual=-"), 2u) << text;
+  EXPECT_EQ(Occurrences(text, " self="), 3u) << text;
+
+  QueryTrace trace = CollectTrace(*p, "anti-probe", 1);
+  EXPECT_EQ(trace.spans.size(), p->TreeSize() - 2);
+  CheckSpanInvariants(trace);
+  const TraceSpan& root = trace.spans[0];
+  EXPECT_EQ(root.strategy, "anti-probe");
+  EXPECT_GT(root.self_ns, 0u);
+  const std::string json = TraceToJson(trace);
+  EXPECT_NE(json.find("\"strategy\": \"anti-probe\""), std::string::npos);
+
+  // Force the merge on the same tree, then let the rule pick the
+  // anti-probe again: the right subtree must read as not run.
+  PlanNode& right = *p->children[1];
+  const double est = right.est_rows;
+  right.est_rows = 0;
+  ASSERT_TRUE(ExecutePlan(*p, store, {}, /*profile=*/true).ok());
+  EXPECT_STREQ(p->runtime.strategy, "merge");
+  EXPECT_TRUE(right.runtime.executed);
+  right.est_rows = est;
+  auto again = ExecutePlan(*p, store, {}, /*profile=*/true);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, *want);
+  EXPECT_STREQ(p->runtime.strategy, "anti-probe");
+  EXPECT_FALSE(right.runtime.executed);
+  EXPECT_FALSE(right.children[0]->runtime.executed);
+  const std::string rerun = ExplainAnalyze(*p);
+  EXPECT_EQ(Occurrences(rerun, " actual=-"), 2u) << rerun;
+  EXPECT_EQ(Occurrences(rerun, " self="), 3u) << rerun;
+  CheckSpanInvariants(CollectTrace(*p));
 }
 
 }  // namespace

@@ -593,6 +593,36 @@ TEST(SnapshotCorruption, TripleSegmentFlipFailsTheQueryNotTheOpen) {
   ASSERT_FALSE(strict.ok());
 }
 
+// The anti-probe difference reads the right relation only through
+// Contains, which decodes its SPO segment lazily.  A corrupt segment
+// decodes as empty, so every left triple would survive; the query must
+// fail with the snapshot's diagnostic instead of returning the left.
+TEST(SnapshotCorruption, AntiProbeDifferenceReportsTheCorruption) {
+  std::string path = TempPath("seg_antiprobe.trial");
+  ASSERT_TRUE(SaveStoreSnapshot(SmallStore(), path).ok());
+  std::vector<uint8_t> bytes = ReadFileBytes(path);
+  auto reader = SegmentReader::Open(path);
+  ASSERT_TRUE(reader.ok());
+  size_t i = reader.value().Find(kSegTriples, 0,
+                                 static_cast<uint32_t>(IndexOrder::kSPO));
+  ASSERT_NE(i, SegmentReader::kNotFound);
+  bytes[reader.value().Section(i).offset] ^= 0x40;
+  WriteFileBytes(path, bytes);
+
+  auto opened = OpenStoreSnapshot(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  // F (one triple, intact) minus E (three triples, corrupt SPO).
+  ExprPtr e = Expr::Diff(Expr::Rel("F"), Expr::Rel("E"));
+  plan::PlanPtr p = plan::PlanExpr(e, *opened);
+  auto r = plan::ExecutePlan(*p, *opened);
+  ASSERT_STREQ(p->runtime.strategy, "anti-probe") << plan::Explain(*p);
+  ASSERT_FALSE(r.ok()) << r->size() << " rows";
+  EXPECT_NE(r.status().ToString().find("checksum mismatch"),
+            std::string::npos)
+      << r.status().ToString();
+  EXPECT_FALSE(opened->SnapshotStatus().ok());
+}
+
 TEST(SnapshotCorruption, DictionaryBytesFlipFailsStrictOpen) {
   std::string path = TempPath("seg_dict.trial");
   ASSERT_TRUE(SaveStoreSnapshot(SmallStore(), path).ok());
