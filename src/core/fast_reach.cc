@@ -68,7 +68,7 @@ Status StarTooLarge() {
 }
 
 // The node universe of the projected graph lives in core/reach/graph.h,
-// shared with the interval reachability index and Dijkstra.
+// shared with the interval reachability index.
 using NodeMap = reach::NodeMap;
 
 // DFS scratch sized by the dense node count; one per worker chunk,

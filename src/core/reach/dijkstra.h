@@ -6,10 +6,21 @@
 // edge labeled p, any other value (null, string, tuple) defaults to 1,
 // so an unweighted store still answers hop-count shortest paths.
 // Negative integer weights are rejected (InvalidArgument) — Dijkstra's
-// invariant needs non-negative edges.
+// invariant needs non-negative edges — when rho(p) < 0 for any
+// predicate p of the relation, however far the search would get.  A
+// distance that overflows int64 is rejected too, never wrapped.
+//
+// Cost: the search expands a node by walking its SPO range
+// (TripleSet::Lookup on the subject column, free on the SPO base) and
+// keeps its state in a hash table over the nodes it touches, so a
+// query costs O(S log |E| + D log D) for S settled nodes and their D
+// out-edges, with no pass over E.  The negative-weight check is free while the store holds no
+// negative integer rho (TripleStore::NumNegativeIntValues); otherwise
+// it scans rho for those objects and probes the relation's predicate
+// column once per object found.
 //
 // Deterministic by construction: the priority queue breaks distance
-// ties on the smaller node, relaxation requires a strictly smaller
+// ties on the smaller node id, relaxation requires a strictly smaller
 // distance and scans edges in SPO order, so the parent tree — and with
 // it the emitted edge set — is identical on every run.
 

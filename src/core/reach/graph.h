@@ -5,11 +5,12 @@
 // distinct subjects and objects and whose edges are s -> o per triple.
 // The arbitrary-path star (R JOIN[1,2,3'; 3=1'])* is exactly
 // reflexive-transitive reachability over that graph, and weighted
-// shortest paths read edge weights off rho(p).  Both the DFS fast
-// paths (core/fast_reach.cc), the interval reachability index
-// (reach_index.h) and Dijkstra (dijkstra.h) work in this dense node
-// space so scratch arrays scale with the *set's* node count, not the
-// store-wide intern id space.
+// shortest paths read edge weights off rho(p).  The DFS fast paths
+// (core/fast_reach.cc) and the interval reachability index
+// (reach_index.h) work in this dense node space so scratch arrays
+// scale with the *set's* node count, not the store-wide intern id
+// space.  Dijkstra (dijkstra.h) uses neither NodeMap nor Csr: it walks
+// SPO ranges.
 
 #ifndef TRIAL_CORE_REACH_GRAPH_H_
 #define TRIAL_CORE_REACH_GRAPH_H_

@@ -1,6 +1,11 @@
 #include "storage/triple_store.h"
 
 namespace trial {
+namespace {
+
+bool IsNegativeInt(const DataValue& v) { return v.is_int() && v.AsInt() < 0; }
+
+}  // namespace
 
 ObjId TripleStore::InternObject(std::string_view name) {
   ++epoch_;
@@ -19,6 +24,8 @@ std::vector<ObjId> TripleStore::MergeDictionary(const StringInterner& shard) {
 void TripleStore::SetValue(ObjId id, DataValue v) {
   ++epoch_;
   if (id >= rho_.size()) rho_.resize(id + 1);
+  negative_ints_ -= IsNegativeInt(rho_[id]);
+  negative_ints_ += IsNegativeInt(v);
   rho_[id] = std::move(v);
 }
 

@@ -62,6 +62,11 @@ class TripleStore {
   /// Whether rho(a) = rho(b) (the "~" relation of the encoding I_T).
   bool SameValue(ObjId a, ObjId b) const { return Value(a) == Value(b); }
 
+  /// How many objects have a negative integer rho.  Kept by SetValue
+  /// (the only writer of rho), so weighted shortest paths validate
+  /// their edge weights for free when it is zero.
+  size_t NumNegativeIntValues() const { return negative_ints_; }
+
   // ---- relations ------------------------------------------------------
 
   /// Creates (or finds) a named relation; returns its id.
@@ -150,6 +155,7 @@ class TripleStore {
  private:
   StringInterner objects_;
   std::vector<DataValue> rho_;
+  size_t negative_ints_ = 0;  // objects whose rho is an integer < 0
   std::vector<std::string> rel_names_;
   std::unordered_map<std::string, RelId> rel_index_;
   std::vector<TripleSet> relations_;

@@ -9,6 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <limits>
+#include <queue>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/builder.h"
@@ -16,8 +22,10 @@
 #include "core/fast_reach.h"
 #include "core/plan/plan.h"
 #include "core/reach/dijkstra.h"
+#include "core/reach/graph.h"
 #include "core/reach/reach_index.h"
 #include "graph/generators.h"
+#include "storage/segment/store_snapshot.h"
 #include "storage/triple_store.h"
 #include "util/rng.h"
 
@@ -413,6 +421,249 @@ TEST(Dijkstra, PlanShortestPathEndToEnd) {
   auto br = ExecutePlan(*bad, store, Limits(1));
   ASSERT_FALSE(br.ok());
   EXPECT_EQ(br.status().code(), StatusCode::kNotFound);
+}
+
+TEST(Dijkstra, NegativeWeightCountTracksSetValue) {
+  TripleStore store = WeightedDiamond();
+  const ObjId c0 = store.FindObject("city0"), c2 = store.FindObject("city2");
+  const ObjId s2 = store.FindObject("s2");
+  EXPECT_EQ(store.NumNegativeIntValues(), 0u);
+
+  // A negative rho on an object that labels no edge of the relation
+  // does not concern the search.
+  const ObjId unused = store.InternObject("unused");
+  store.SetValue(unused, DataValue::Int(-7));
+  EXPECT_EQ(store.NumNegativeIntValues(), 1u);
+  auto ok = DijkstraShortestPath(*store.FindRelation("E"), store, c0, c2);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->distance, 2);
+
+  // Overwriting a negative weight with a non-negative or null one
+  // clears it from the count.
+  store.SetValue(s2, DataValue::Int(-3));
+  EXPECT_EQ(store.NumNegativeIntValues(), 2u);
+  EXPECT_FALSE(
+      DijkstraShortestPath(*store.FindRelation("E"), store, c0, c2).ok());
+  store.SetValue(s2, DataValue::Int(2));
+  EXPECT_EQ(store.NumNegativeIntValues(), 1u);
+  EXPECT_TRUE(
+      DijkstraShortestPath(*store.FindRelation("E"), store, c0, c2).ok());
+  store.SetValue(s2, DataValue::Int(-3));
+  store.SetValue(s2, DataValue::Null());
+  store.SetValue(unused, DataValue::Str("-7"));
+  EXPECT_EQ(store.NumNegativeIntValues(), 0u);
+  EXPECT_TRUE(
+      DijkstraShortestPath(*store.FindRelation("E"), store, c0, c2).ok());
+}
+
+TEST(Dijkstra, NegativeWeightSurvivesCopyAndSnapshot) {
+  TripleStore store = WeightedDiamond();
+  store.SetValue(store.FindObject("s2"), DataValue::Int(-3));
+  const ObjId c0 = store.FindObject("city0"), c2 = store.FindObject("city2");
+
+  TripleStore copy = store;
+  EXPECT_EQ(copy.NumNegativeIntValues(), 1u);
+  auto bad = DijkstraShortestPath(*copy.FindRelation("E"), copy, c0, c2);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bad.status().ToString().find("negative edge weight rho(s2) = -3"),
+            std::string::npos)
+      << bad.status().ToString();
+
+  const std::string path = testing::TempDir() + "/dijkstra_negative.trial";
+  ASSERT_TRUE(SaveStoreSnapshot(store, path).ok());
+  auto opened = OpenStoreSnapshot(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(opened->NumNegativeIntValues(), 1u);
+  auto reopened_bad =
+      DijkstraShortestPath(*opened->FindRelation("E"), *opened, c0, c2);
+  ASSERT_FALSE(reopened_bad.ok());
+  EXPECT_EQ(reopened_bad.status().code(), StatusCode::kInvalidArgument);
+}
+
+// a -p-> b -p-> c with one chain predicate weighted `w`.
+TripleStore Chain(int64_t w) {
+  TripleStore store;
+  RelId rel = store.AddRelation("E");
+  ObjId a = store.InternObject("a"), b = store.InternObject("b");
+  ObjId c = store.InternObject("c"), p = store.InternObject("p");
+  store.SetValue(p, DataValue::Int(w));
+  store.Add(rel, a, p, b);
+  store.Add(rel, b, p, c);
+  return store;
+}
+
+TEST(Dijkstra, DistanceOverflowIsAnErrorNotAWrap) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  TripleStore store = Chain(kMax - 1);
+  const TripleSet& base = *store.FindRelation("E");
+  const ObjId a = store.FindObject("a"), b = store.FindObject("b");
+  const ObjId c = store.FindObject("c");
+  for (ObjId dst : {c, kInvalidIntern}) {
+    auto r = DijkstraShortestPath(base, store, a, dst);
+    ASSERT_FALSE(r.ok()) << "reached=" << r->reached
+                         << " distance=" << r->distance;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().ToString().find("overflow"), std::string::npos)
+        << r.status().ToString();
+  }
+  // One hop of the same weight fits.
+  auto one = DijkstraShortestPath(base, store, a, b);
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  EXPECT_TRUE(one->reached);
+  EXPECT_EQ(one->distance, kMax - 1);
+
+  // A single edge of weight INT64_MAX is an ordinary, reachable edge.
+  TripleStore top = Chain(kMax);
+  auto edge = DijkstraShortestPath(*top.FindRelation("E"), top,
+                                   top.FindObject("a"), top.FindObject("b"));
+  ASSERT_TRUE(edge.ok()) << edge.status().ToString();
+  EXPECT_TRUE(edge->reached);
+  EXPECT_EQ(edge->distance, kMax);
+  EXPECT_EQ(edge->edges.size(), 1u);
+}
+
+// Reference: Dijkstra over the dense CSR of the whole relation (NodeMap
+// + Csr, a dense distance array with an "infinity" sentinel), with the
+// same tie-breaks.  Non-negative, non-overflowing weights only.
+ShortestPathResult DenseDijkstra(const TripleSet& base,
+                                 const TripleStore& store, ObjId src,
+                                 ObjId dst) {
+  const std::vector<Triple>& spo = base.triples();
+  ShortestPathResult r;
+  const bool have_dst = dst != kInvalidIntern;
+  if (have_dst && dst == src) {
+    r.reached = true;
+    return r;
+  }
+  reach::NodeMap ids(base);
+  const uint32_t dsrc = ids.DenseOrNoNode(src);
+  if (dsrc == reach::kNoNode) return r;
+  const uint32_t ddst = have_dst ? ids.DenseOrNoNode(dst) : reach::kNoNode;
+  if (have_dst && ddst == reach::kNoNode) return r;
+  reach::Csr g = reach::Csr::FromSpo(spo, ids);
+  auto weight = [&](ObjId p) {
+    const DataValue& v = store.Value(p);
+    return v.is_int() ? v.AsInt() : int64_t{1};
+  };
+  const size_t n = ids.size();
+  std::vector<int64_t> dist(n, std::numeric_limits<int64_t>::max());
+  std::vector<uint32_t> parent(n, UINT32_MAX);
+  std::vector<uint8_t> settled(n, 0);
+  using Entry = std::pair<int64_t, uint32_t>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> pq;
+  dist[dsrc] = 0;
+  pq.push({0, dsrc});
+  while (!pq.empty()) {
+    const auto [d, u] = pq.top();
+    pq.pop();
+    if (settled[u]) continue;
+    settled[u] = 1;
+    ++r.settled;
+    r.distance = std::max(r.distance, d);
+    if (have_dst && u == ddst) break;
+    for (uint32_t e = g.off[u]; e < g.off[u + 1]; ++e) {
+      const uint32_t v = g.to[e];
+      if (settled[v]) continue;
+      const int64_t nd = dist[u] + weight(spo[e].p);
+      if (nd < dist[v]) {
+        dist[v] = nd;
+        parent[v] = e;
+        pq.push({nd, v});
+      }
+    }
+  }
+  std::vector<Triple> edges;
+  if (have_dst) {
+    if (!settled[ddst]) return r;
+    r.reached = true;
+    r.distance = dist[ddst];
+    for (uint32_t v = ddst; v != dsrc; v = ids.Dense(spo[parent[v]].s)) {
+      edges.push_back(spo[parent[v]]);
+    }
+  } else {
+    r.reached = true;
+    for (uint32_t v = 0; v < n; ++v) {
+      if (settled[v] && parent[v] != UINT32_MAX) edges.push_back(spo[parent[v]]);
+    }
+  }
+  r.edges = TripleSet(std::move(edges));
+  return r;
+}
+
+// A random weighted graph in relation "E": nodes n0..n{N-1} (the last
+// few only ever targets, i.e. sinks), predicates weighted by ints in
+// [0, 4] (zeros force distance ties), null or a string (both cost 1),
+// plus objects that are no node of E — labels of another relation's
+// edges or plain interned names.
+TripleStore RandomWeightedStore(uint64_t seed) {
+  Rng rng(seed);
+  TripleStore store;
+  const RelId e = store.AddRelation("E");
+  const RelId f = store.AddRelation("F");
+  const size_t n = 12 + rng.Below(20), sinks = 1 + rng.Below(4);
+  std::vector<ObjId> nodes, preds;
+  for (size_t i = 0; i < n; ++i) {
+    nodes.push_back(store.InternObject("n" + std::to_string(i)));
+  }
+  for (size_t i = 0; i < 6; ++i) {
+    const ObjId p = store.InternObject("p" + std::to_string(i));
+    switch (rng.Below(4)) {
+      case 0:
+        break;  // null rho
+      case 1:
+        store.SetValue(p, DataValue::Str("far"));
+        break;
+      default:
+        store.SetValue(p, DataValue::Int(rng.Range(0, 4)));
+    }
+    preds.push_back(p);
+  }
+  const size_t m = n + rng.Below(3 * n);
+  for (size_t i = 0; i < m; ++i) {
+    store.Add(e, nodes[rng.Below(n - sinks)], preds[rng.Below(preds.size())],
+              nodes[rng.Below(n)]);
+  }
+  const ObjId x = store.InternObject("x"), y = store.InternObject("y");
+  store.Add(f, x, preds[0], y);
+  store.InternObject("loner");
+  return store;
+}
+
+void ExpectMatchesDenseReference(const TripleStore& store, uint64_t seed) {
+  const TripleSet& base = *store.FindRelation("E");
+  for (ObjId src = 0; src < store.NumObjects(); ++src) {
+    std::vector<ObjId> dsts{kInvalidIntern, src};
+    for (ObjId dst = 0; dst < store.NumObjects(); ++dst) dsts.push_back(dst);
+    for (ObjId dst : dsts) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " " +
+                   std::string(store.ObjectName(src)) + " -> " +
+                   (dst == kInvalidIntern
+                        ? std::string("(tree)")
+                        : std::string(store.ObjectName(dst))));
+      auto got = DijkstraShortestPath(base, store, src, dst);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      const ShortestPathResult want = DenseDijkstra(base, store, src, dst);
+      EXPECT_EQ(got->reached, want.reached);
+      EXPECT_EQ(got->distance, want.distance);
+      EXPECT_EQ(got->settled, want.settled);
+      EXPECT_EQ(got->edges, want.edges);
+    }
+  }
+}
+
+TEST(Dijkstra, MatchesDenseReference) {
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    TripleStore store = RandomWeightedStore(seed);
+    ExpectMatchesDenseReference(store, seed);
+
+    const std::string path = testing::TempDir() + "/dijkstra_diff_" +
+                             std::to_string(seed) + ".trial";
+    ASSERT_TRUE(SaveStoreSnapshot(store, path).ok());
+    auto opened = OpenStoreSnapshot(path);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    ExpectMatchesDenseReference(*opened, seed);
+  }
 }
 
 }  // namespace
