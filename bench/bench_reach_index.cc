@@ -3,7 +3,7 @@
 // anything when both columns come from the same host and build, which
 // the JSON notes explicitly.
 //
-// Three sections:
+// Four sections:
 //   * build:     one-time index construction cost (SCC contraction +
 //                interval labeling), reported separately so the star
 //                comparison is warm-index vs Procedure 3;
@@ -11,6 +11,15 @@
 //                the warm index (closure expansion) against Procedure
 //                3's per-source DFS, at 1/2/4 threads, outputs verified
 //                byte-identical;
+//   * walks:     the other walk stars on stores of perfbench's graph_nav
+//                shape (30-city regions, ending at its ~50k triples):
+//                the lift (E JOIN[1,3',3; 2=1'])* through the warm s→o
+//                index against the semi-naive FixpointStar, and the
+//                same-middle star through the warm label-product index
+//                against Procedure 4.  Derived-base rows run the any-path
+//                and same-middle stars over the lift's output, a fresh
+//                set with no cached index: cold build + walk against
+//                Procedures 3 / 4;
 //   * dijkstra:  one weighted shortest-path query (integer rho on the
 //                service predicates) across the city line — the
 //                DijkstraScan operator's kernel, benchmarked end to end.
@@ -31,7 +40,9 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "core/builder.h"
 #include "core/fast_reach.h"
+#include "core/plan/plan.h"
 #include "core/reach/dijkstra.h"
 #include "core/reach/reach_index.h"
 #include "graph/generators.h"
@@ -62,7 +73,21 @@ struct DijkstraRow {
   size_t settled = 0;
 };
 
+// One walk star at one store size: the route it takes today against
+// the route it replaced, outputs verified identical.
+struct WalkRow {
+  size_t num_triples = 0;
+  const char* walk = "";      // lift / same-middle / any-path
+  const char* base = "";      // stored / derived
+  const char* baseline = "";  // the replaced route
+  double baseline_ms = 0;
+  double build_ms = 0;    // index construction alone
+  double indexed_ms = 0;  // warm-index walk (stored) or build + walk
+  size_t output_triples = 0;
+};
+
 std::vector<StarRow> g_star;
+std::vector<WalkRow> g_walk;
 std::vector<DijkstraRow> g_dijkstra;
 
 TripleStore MakeStore(size_t n) {
@@ -142,6 +167,124 @@ void RunStar() {
   bench::ReportFit("warm interval index (1t)", sizes, t_idx);
 }
 
+// `regions` copies of a 30-city Figure 1 network in one relation E, as
+// perfbench's graph_nav builds it: the companies and part_of are
+// shared, every other name is per region.
+TripleStore MakeRegions(size_t regions) {
+  TripleStore all;
+  const RelId e = all.AddRelation("E");
+  for (size_t k = 0; k < regions; ++k) {
+    TransportOptions t;
+    t.num_cities = 30;
+    t.num_services = 6;
+    t.seed = 100 + k;
+    TripleStore region = TransportNetwork(t);
+    auto name = [&](ObjId id) {
+      std::string n(region.ObjectName(id));
+      if (n.rfind("co", 0) == 0 || n == "part_of") return n;
+      return "r" + std::to_string(k) + "/" + n;
+    };
+    for (const Triple& tr : region.Relation(0)) {
+      all.Add(e, all.InternObject(name(tr.s)), all.InternObject(name(tr.p)),
+              all.InternObject(name(tr.o)));
+    }
+  }
+  return all;
+}
+
+void CheckSame(const TripleSet& got, const TripleSet& want, const char* what) {
+  if (got != want) {
+    std::fprintf(stderr, "FATAL: %s differs from its replaced route\n", what);
+    std::exit(1);
+  }
+}
+
+void RunWalks() {
+  std::printf("\n--- walks: lift and same-middle stars, stored and derived ---\n");
+  TablePrinter table({"|T|", "walk", "base", "baseline", "base_ms", "build_ms",
+                      "idx_ms", "speedup", "out"});
+  const ExecOptions one = Exec(1);
+  ExecLimits limits;
+  limits.exec = one;
+  auto add = [&](const WalkRow& r) {
+    g_walk.push_back(r);
+    table.AddRow({TablePrinter::Fmt(r.num_triples), r.walk, r.base,
+                  r.baseline, TablePrinter::Fmt(r.baseline_ms),
+                  TablePrinter::Fmt(r.build_ms), TablePrinter::Fmt(r.indexed_ms),
+                  TablePrinter::Fmt(r.baseline_ms / r.indexed_ms),
+                  TablePrinter::Fmt(r.output_triples)});
+  };
+  reach::ReachIndexOptions label;
+  label.graph = reach::ReachGraph::kLabelProduct;
+  for (size_t regions : bench::Sweep({50, 200, 1000})) {
+    TripleStore store = MakeRegions(regions);
+    const TripleSet& e = *store.FindRelation("E");
+    e.Materialize(IndexOrder::kSPO);
+    const size_t n = store.TotalTriples();
+
+    // Lift: warm s→o index vs the semi-naive fixpoint it replaced.
+    ExprPtr lift_expr = Expr::StarRight(
+        Expr::Rel("E"),
+        Spec(Pos::P1, Pos::P3p, Pos::P3, {Eq(Pos::P2, Pos::P1p)}));
+    plan::PlanPtr fix = plan::PlanExpr(lift_expr, store);
+    fix->op = plan::PlanOp::kFixpointStar;
+    TripleSet lift = *plan::ExecutePlan(*fix, store, limits);
+    WalkRow r{n, "lift", "stored", "FixpointStar"};
+    r.baseline_ms =
+        TimeBest([&] { (void)plan::ExecutePlan(*fix, store, limits); }) * 1e3;
+    r.build_ms = TimeBest([&] { reach::ReachIndex::Build(e, one); }) * 1e3;
+    auto so = reach::ReachIndex::Build(e, one);
+    CheckSame(*so->EmitWalk(e, 1, one, SIZE_MAX), lift, "lift walk");
+    r.indexed_ms =
+        TimeBest([&] { (void)so->EmitWalk(e, 1, one, SIZE_MAX); }) * 1e3;
+    r.output_triples = lift.size();
+    add(r);
+
+    // Same-middle: warm label-product index vs Procedure 4.
+    TripleSet same = StarReachSameMiddle(e, one);
+    r = WalkRow{n, "same-middle", "stored", "Procedure 4"};
+    r.baseline_ms = TimeBest([&] { StarReachSameMiddle(e, one); }) * 1e3;
+    r.build_ms = TimeBest([&] { reach::ReachIndex::Build(e, one, label); }) * 1e3;
+    auto lp = reach::ReachIndex::Build(e, one, label);
+    CheckSame(*lp->EmitStar(e, one, SIZE_MAX), same, "same-middle walk");
+    r.indexed_ms =
+        TimeBest([&] { (void)lp->EmitStar(e, one, SIZE_MAX); }) * 1e3;
+    r.output_triples = same.size();
+    add(r);
+
+    // Derived base (the lift's output, as in the paper's query Q): every
+    // run pays a cold build, since a derived set's cache dies with it.
+    const TripleSet& d = lift;
+    TripleSet any_d = StarReachAnyPath(d, one);
+    TripleSet same_d = StarReachSameMiddle(d, one);
+    r = WalkRow{d.size(), "any-path", "derived", "Procedure 3"};
+    r.baseline_ms = TimeBest([&] { StarReachAnyPath(d, one); }) * 1e3;
+    r.build_ms = TimeBest([&] { reach::ReachIndex::Build(d, one); }) * 1e3;
+    CheckSame(*reach::ReachIndex::Build(d, one)->EmitStar(d, one, SIZE_MAX),
+              any_d, "derived any-path walk");
+    r.indexed_ms = TimeBest([&] {
+                     (void)reach::ReachIndex::Build(d, one)->EmitStar(
+                         d, one, SIZE_MAX);
+                   }) * 1e3;
+    r.output_triples = any_d.size();
+    add(r);
+    r = WalkRow{d.size(), "same-middle", "derived", "Procedure 4"};
+    r.baseline_ms = TimeBest([&] { StarReachSameMiddle(d, one); }) * 1e3;
+    r.build_ms =
+        TimeBest([&] { reach::ReachIndex::Build(d, one, label); }) * 1e3;
+    CheckSame(
+        *reach::ReachIndex::Build(d, one, label)->EmitStar(d, one, SIZE_MAX),
+        same_d, "derived same-middle walk");
+    r.indexed_ms = TimeBest([&] {
+                     (void)reach::ReachIndex::Build(d, one, label)
+                         ->EmitStar(d, one, SIZE_MAX);
+                   }) * 1e3;
+    r.output_triples = same_d.size();
+    add(r);
+  }
+  table.Print();
+}
+
 void RunDijkstra() {
   std::printf("\n--- dijkstra: weighted shortest path over the city line ---\n");
   TablePrinter table({"|T|", "src->dst", "query_ms", "dist", "edges",
@@ -200,7 +343,10 @@ void WriteJson(const char* path) {
       "  \"description\": \"interval reachability index baseline: warm-index "
       "star emission vs Procedure 3 (same host, same build, same run — the "
       "A/B is meaningless across hosts), index build cost reported "
-      "separately, plus weighted Dijkstra path queries\",\n"
+      "separately; walk stars on graph_nav-shaped stores (lift vs "
+      "FixpointStar, same-middle vs Procedure 4, warm index on the stored "
+      "relation; cold build + walk on the lift's derived output vs "
+      "Procedures 3/4), 1 thread; plus weighted Dijkstra path queries\",\n"
       "  \"host_cores\": %zu,\n"
       "  \"core_bound_note\": \"%s\",\n"
       "  \"star\": [\n",
@@ -226,6 +372,26 @@ void WriteJson(const char* path) {
                  m.procedure_ms, m.indexed_ms,
                  m.indexed_ms > 0 ? m.procedure_ms / m.indexed_ms : 0,
                  m.output_triples, i + 1 == g_star.size() ? "" : ",");
+  }
+  std::fprintf(f, "  ],\n  \"walks\": [\n");
+  for (size_t i = 0; i < g_walk.size(); ++i) {
+    const WalkRow& m = g_walk[i];
+    std::fprintf(f,
+                 "    {\n"
+                 "      \"num_triples\": %zu,\n"
+                 "      \"walk\": \"%s\",\n"
+                 "      \"base\": \"%s\",\n"
+                 "      \"baseline\": \"%s\",\n"
+                 "      \"baseline_ms\": %.3f,\n"
+                 "      \"build_ms\": %.3f,\n"
+                 "      \"indexed_ms\": %.3f,\n"
+                 "      \"speedup\": %.1f,\n"
+                 "      \"output_triples\": %zu\n"
+                 "    }%s\n",
+                 m.num_triples, m.walk, m.base, m.baseline, m.baseline_ms,
+                 m.build_ms, m.indexed_ms,
+                 m.indexed_ms > 0 ? m.baseline_ms / m.indexed_ms : 0,
+                 m.output_triples, i + 1 == g_walk.size() ? "" : ",");
   }
   std::fprintf(f, "  ],\n  \"dijkstra\": [\n");
   for (size_t i = 0; i < g_dijkstra.size(); ++i) {
@@ -255,6 +421,7 @@ void Run() {
                 "Procedure 3, build cost separate, Dijkstra over rho "
                 "weights");
   RunStar();
+  RunWalks();
   RunDijkstra();
   std::printf(
       "\nexpected: warm-index emission is a closure copy (output-bound),\n"

@@ -17,7 +17,7 @@ namespace {
 //
 //  * Procedure 3 (any path): out-neighbors of u are the objects of the
 //    contiguous SPO run with subject u; sources (every object position)
-//    are the distinct leading values of the OSP permutation.
+//    are the distinct object values, in ascending order.
 //  * Procedure 4 (same middle): within the POS group of one middle m,
 //    out-neighbors of u are base.LookupPair(s=u, p=m) — an SPO prefix
 //    probe; sources are the group's distinct (m, o) runs.
@@ -121,15 +121,16 @@ Result<TripleSet> StarReachAnyPath(const TripleSet& base,
     i = j;
   }
 
-  // Sources: the distinct object values, off the OSP permutation; the
-  // dense node -> reach-set slot map drives output emission.
+  // Sources: the distinct object values, ascending — marked in dense
+  // space and swept in dense (== raw) order, so no OSP permutation is
+  // built; the dense node -> reach-set slot map drives output emission.
   std::vector<ObjId> sources;
   std::vector<uint32_t> slot_of(ids.size(), kUnset);
-  for (const Triple& t : base.Scan(IndexOrder::kOSP)) {
-    uint32_t d = ids.Dense(t.o);
-    if (slot_of[d] != kUnset) continue;
+  for (const Triple& t : spo) slot_of[ids.Dense(t.o)] = 0;
+  for (uint32_t d = 0; d < ids.size(); ++d) {
+    if (slot_of[d] == kUnset) continue;
     slot_of[d] = static_cast<uint32_t>(sources.size());
-    sources.push_back(t.o);
+    sources.push_back(ids.Raw(d));
   }
 
   // Per-source reflexive-transitive closure.  Each source writes only

@@ -37,6 +37,30 @@ bool IsReachSpecB(const JoinSpec& spec) {
          ThetaEquals(spec, {Eq(Pos::P3, Pos::P1p), Eq(Pos::P2, Pos::P2p)});
 }
 
+bool IsWalkSpec(const JoinSpec& spec, bool star_right, WalkShape* shape) {
+  // Accumulator and base positions: a right star joins the accumulator
+  // on the left, a left star on the right.
+  auto acc = [&](int k) { return static_cast<Pos>(star_right ? k : k + 3); };
+  auto base = [&](int k) { return static_cast<Pos>(star_right ? k + 3 : k); };
+  for (int i = 0; i < 3; ++i) {
+    bool keeps = true;
+    for (int k = 0; k < 3; ++k) {
+      keeps = keeps && spec.out[k] == (k == i ? base(2) : acc(k));
+    }
+    if (!keeps) continue;
+    if (ThetaEquals(spec, {Eq(acc(i), base(0))})) {
+      *shape = WalkShape{i, false};
+      return true;
+    }
+    if (i == 2 &&
+        ThetaEquals(spec, {Eq(acc(2), base(0)), Eq(acc(1), base(1))})) {
+      *shape = WalkShape{2, true};
+      return true;
+    }
+  }
+  return false;
+}
+
 Fragment FragmentInfo::Classify() const {
   if (!has_inequality) {
     if (!recursive) return Fragment::kTriALEq;

@@ -44,6 +44,22 @@ bool IsReachSpecA(const JoinSpec& spec);
 /// ⋈^{1,2,3'}_{3=1',2=2'}.
 bool IsReachSpecB(const JoinSpec& spec);
 
+/// A walk star's shape: the star moves column `col` (0..2) of every
+/// base triple along the base's s→o graph, within each label when
+/// `same_middle` (see core/reach/reach_index.h).
+struct WalkShape {
+  int col = 2;
+  bool same_middle = false;
+};
+
+/// Whether a star with `spec` is a walk: a right star whose θ is the
+/// single equality i = 1' and whose output keeps the two other left
+/// positions and takes 3' in position i — or the left mirror of that
+/// (θ = {1 = i'}, output 3 in position i, i'-free positions kept) —
+/// plus the same-middle star ⋈^{1,2,3'}_{3=1',2=2'} and its mirror, the
+/// i = 3 walk partitioned by label.  Fills `shape` on a match.
+bool IsWalkSpec(const JoinSpec& spec, bool star_right, WalkShape* shape);
+
 /// Analyzes the whole expression tree.
 FragmentInfo AnalyzeFragment(const ExprPtr& e);
 

@@ -90,7 +90,8 @@ void AppendNodeSummary(const PlanNode& n, std::string* out) {
       out->append(n.reach_same_middle ? " same-middle" : " any-path");
       break;
     case PlanOp::kReachIndexScan:
-      out->append(" any-path");
+      out->append(" walk pos=").append(std::to_string(n.walk_col + 1));
+      if (n.reach_same_middle) out->append(" same-middle");
       break;
     case PlanOp::kDijkstraScan:
       out->append(" ").append(n.sp_src).append(" -> ");

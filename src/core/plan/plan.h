@@ -14,7 +14,7 @@
 //   UnionOp/MinusOp e ∪ e, e − e
 //   FixpointStar    (e ⋈)*, (⋈ e)*   (semi-naive delta iteration)
 //   ReachFastPath   reachTA= stars   (Procedures 3 / 4)
-//   ReachIndexScan  reachTA= stars   (interval reachability index)
+//   ReachIndexScan  walk stars       (interval reachability indexes)
 //   DijkstraScan    shortest paths   (weights from rho; PlanShortestPath)
 //   SharedScan      a shared e       (the result of e's one execution)
 //
@@ -237,7 +237,7 @@ enum class PlanOp : uint8_t {
   kMinusOp,         ///< child − child — merge, or anti-probe a stored right
   kFixpointStar,    ///< (child ⋈)* / (⋈ child)* — semi-naive iteration
   kReachFastPath,   ///< reachTA= star — Procedure 3 or 4
-  kReachIndexScan,  ///< reachTA= star via the interval reachability index
+  kReachIndexScan,  ///< walk star via an interval reachability index
   kDijkstraScan,    ///< weighted shortest path / SSSP tree over rho
   kSharedScan,      ///< a shared sub-plan's kept result (share_id)
 };
@@ -305,7 +305,11 @@ struct PlanNode {
   std::string rel_name;     ///< kIndexScan: the relation
   JoinSpec spec;            ///< joins + stars; selections use spec.cond
   bool star_right = true;   ///< kFixpointStar: (e ⋈)* vs (⋈ e)*
-  bool reach_same_middle = false;  ///< kReachFastPath: Procedure 4 vs 3
+  /// kReachFastPath: Procedure 4 vs 3.  kReachIndexScan: the walk is
+  /// partitioned by label (served by the label-product index).
+  bool reach_same_middle = false;
+  /// kReachIndexScan: the column (0..2) the walk moves.
+  int walk_col = 2;
 
   /// kDijkstraScan: source / destination object *names*, resolved
   /// against the store at execution time (NotFound then — planning

@@ -219,17 +219,24 @@ class Executor {
       case PlanOp::kReachIndexScan: {
         TRIAL_ASSIGN_OR_RETURN(TripleSet base, Exec(*n.children[0]));
         NoteRows(*n.children[0], base);
-        n.runtime.strategy = "interval-index";
+        reach::ReachIndexOptions opts;
+        if (n.reach_same_middle) {
+          opts.graph = reach::ReachGraph::kLabelProduct;
+          n.runtime.strategy = "label-index";
+        } else {
+          n.runtime.strategy = "interval-index";
+        }
         // GetOrBuild attaches through `base`'s shared cache cell, so a
         // cold build on an IndexScan child warms the store's relation
         // for every later query.
         std::shared_ptr<const reach::ReachIndex> idx =
-            reach::ReachIndex::GetOrBuild(base, limits_.exec);
+            reach::ReachIndex::GetOrBuild(base, limits_.exec, opts);
         if (MetricsEnabled()) {
           MetricsRegistry::Global().GetCounter("reach.index_hits")
               ->Increment();
         }
-        return idx->EmitStar(base, limits_.exec, limits_.max_result_triples);
+        return idx->EmitWalk(base, n.walk_col, limits_.exec,
+                             limits_.max_result_triples);
       }
       case PlanOp::kDijkstraScan: {
         TRIAL_ASSIGN_OR_RETURN(TripleSet base, Exec(*n.children[0]));

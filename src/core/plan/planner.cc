@@ -18,12 +18,16 @@
 //   join key column       rows = |L|·|R| / max(d_L, d_R) per exact key
 //   union / minus         a + b  /  a
 //   (e ⋈)* fixpoint       rows = 4·|e|                   (crude growth)
-//   reach fast path       rows = |e|·sqrt(d_o)  — the geometric middle
-//                         between no growth (|e|) and the complete
-//                         closure (|e|·|O|); the arbitrary-path star is
-//                         output-bound superlinear (see ROADMAP), so
-//                         this estimate is deliberately surfaced in
-//                         Explain() to make the blowup visible.
+//   walk star, cold       rows = |e|·sqrt(d_i)  — i the walked column;
+//                         the geometric middle between no growth (|e|)
+//                         and the complete closure (|e|·|O|); the
+//                         arbitrary-path star is output-bound
+//                         superlinear (see ROADMAP), so this estimate
+//                         is deliberately surfaced in Explain() to make
+//                         the blowup visible
+//   walk star, warm index rows = the index's Σ closure size of column i
+//                         (exact up to closures overlapping in one
+//                         output group)
 //
 // Distinct counts of derived results default to rows^(2/3) per column (a
 // uniform-cube assumption); selections pin their constant columns to 1
@@ -391,31 +395,46 @@ class Planner {
         node->star_right = e.kind() == ExprKind::kStarRight;
         PlanPtr base = Lower(*e.left());
         Card cb = CardOf(*base), c;
-        bool reach_a = node->star_right && IsReachSpecA(node->spec);
-        bool reach_b = node->star_right && IsReachSpecB(node->spec);
-        if (reach_a || reach_b) {
+        WalkShape walk;
+        const bool is_walk =
+            IsWalkSpec(node->spec, node->star_right, &walk);
+        // Reach stars' heuristic output: the geometric middle between no
+        // growth and the complete closure of the walked column.
+        const double reach_rows =
+            cb.rows * std::sqrt(std::max(cb.distinct[walk.col], 1.0));
+        // Walks over a stored relation route through the interval
+        // reachability index — the s→o index, or the label-product
+        // index for a same-middle walk — when it is warm (then its exact
+        // output count replaces the heuristic), or cold when the
+        // estimated output is large enough to amortize the build.  Cold
+        // builds are gated to store-backed bases: the index caches on
+        // the relation's shared cell and pays off across queries, where
+        // a derived base's cell dies with the query.  Elsewhere the
+        // right-star reach specs keep Procedures 3 / 4.
+        const TripleSet* stored =
+            is_walk && base->op == PlanOp::kIndexScan
+                ? store_.FindRelation(base->rel_name)
+                : nullptr;
+        std::shared_ptr<const reach::ReachIndex> warm;
+        if (stored != nullptr) {
+          warm = reach::ReachIndex::Cached(
+              *stored, walk.same_middle ? reach::ReachGraph::kLabelProduct
+                                        : reach::ReachGraph::kSubjectObject);
+        }
+        const bool reach_a = node->star_right && IsReachSpecA(node->spec);
+        const bool reach_b = node->star_right && IsReachSpecB(node->spec);
+        if (stored != nullptr &&
+            (warm != nullptr || reach_rows >= kReachIndexMinRows)) {
+          node->op = PlanOp::kReachIndexScan;
+          node->walk_col = walk.col;
+          node->reach_same_middle = walk.same_middle;
+          c.rows = warm != nullptr
+                       ? static_cast<double>(warm->walk_output_rows(walk.col))
+                       : reach_rows;
+        } else if (reach_a || reach_b) {
           node->op = PlanOp::kReachFastPath;
           node->reach_same_middle = reach_b;
-          c.rows = cb.rows * std::sqrt(std::max(cb.distinct[2], 1.0));
-          // Any-path stars route through the interval reachability
-          // index when it is warm on the base relation (then its exact
-          // output bound replaces the heuristic estimate), or cold when
-          // the estimated output is large enough to amortize the build.
-          // Cold builds are gated to store-backed bases: the index
-          // caches on the relation's shared cell and pays off across
-          // queries, where a derived base's cell dies with the query.
-          if (reach_a && base->op == PlanOp::kIndexScan) {
-            std::shared_ptr<const reach::ReachIndex> warm;
-            if (const TripleSet* rel = store_.FindRelation(base->rel_name)) {
-              warm = reach::ReachIndex::Cached(*rel);
-            }
-            if (warm != nullptr) {
-              node->op = PlanOp::kReachIndexScan;
-              c.rows = static_cast<double>(warm->star_output_rows());
-            } else if (c.rows >= kReachIndexMinRows) {
-              node->op = PlanOp::kReachIndexScan;
-            }
-          }
+          c.rows = reach_rows;
         } else {
           node->op = PlanOp::kFixpointStar;
           // Probed permutation of the fixed side for small deltas.

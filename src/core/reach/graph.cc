@@ -6,23 +6,38 @@ namespace trial {
 namespace reach {
 
 NodeMap::NodeMap(const TripleSet& base) {
-  // Distinct subjects and objects are the leading runs of the SPO and
-  // OSP orders; the node list is their sorted union.
-  std::vector<ObjId> subjects, objects;
-  for (const Triple& t : base.Scan(IndexOrder::kSPO)) {
-    if (subjects.empty() || subjects.back() != t.s) subjects.push_back(t.s);
-  }
-  for (const Triple& t : base.Scan(IndexOrder::kOSP)) {
-    if (objects.empty() || objects.back() != t.o) objects.push_back(t.o);
-  }
-  nodes_.reserve(subjects.size() + objects.size());
-  std::set_union(subjects.begin(), subjects.end(), objects.begin(),
-                 objects.end(), std::back_inserter(nodes_));
-  size_t bound = nodes_.empty() ? 0 : nodes_.back() + 1;
-  if (bound <= 4 * nodes_.size() + 1024) {
+  const std::vector<Triple>& spo = base.triples();
+  if (spo.empty()) return;
+  // Every node is a subject or an object, so |nodes| <= 2|T|.  When the
+  // id range is small enough that it could still pass the direct-index
+  // test below, one pass over SPO marks subjects and objects in an
+  // id-indexed array, and an ascending sweep of the marks lists the
+  // nodes in order: no sort, and no OSP permutation build.
+  ObjId max_id = spo.back().s;
+  for (const Triple& t : spo) max_id = std::max(max_id, t.o);
+  const size_t bound = static_cast<size_t>(max_id) + 1;
+  if (bound <= 8 * spo.size() + 1024) {
     direct_.assign(bound, kNoNode);
-    for (uint32_t i = 0; i < nodes_.size(); ++i) direct_[nodes_[i]] = i;
+    for (const Triple& t : spo) direct_[t.s] = direct_[t.o] = 0;
+    for (size_t id = 0; id < bound; ++id) {
+      if (direct_[id] == kNoNode) continue;
+      direct_[id] = static_cast<uint32_t>(nodes_.size());
+      nodes_.push_back(static_cast<ObjId>(id));
+    }
+    if (bound > 4 * nodes_.size() + 1024) {
+      direct_.clear();
+      direct_.shrink_to_fit();
+    }
+    return;
   }
+  // Sparse ids: sort the two columns' values.
+  nodes_.reserve(2 * spo.size());
+  for (const Triple& t : spo) {
+    nodes_.push_back(t.s);
+    nodes_.push_back(t.o);
+  }
+  std::sort(nodes_.begin(), nodes_.end());
+  nodes_.erase(std::unique(nodes_.begin(), nodes_.end()), nodes_.end());
 }
 
 Csr Csr::FromSpo(const std::vector<Triple>& spo, const NodeMap& ids) {

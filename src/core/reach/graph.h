@@ -28,12 +28,13 @@ namespace reach {
 inline constexpr uint32_t kNoNode = UINT32_MAX;
 
 /// The node universe of the projected graph: distinct subjects ∪
-/// distinct objects, read off the SPO and OSP orders as a sorted id
-/// list.  Dense ids are positions in that list — so dense order equals
-/// raw ObjId order, which downstream code exploits (a dense-ascending
-/// walk visits raw ids ascending).  The id→dense map is a
-/// direct-indexed vector when the raw id range is comparably small
-/// (O(1) lookups), a binary search otherwise.
+/// distinct objects as a sorted id list.  Dense ids are positions in
+/// that list — so dense order equals raw ObjId order, which downstream
+/// code exploits (a dense-ascending walk visits raw ids ascending).
+/// The id→dense map is a direct-indexed vector when the raw id range
+/// is comparably small (O(1) lookups), a binary search otherwise; the
+/// node list and the dense ids are the same either way.  Construction
+/// reads only the SPO order, so it never forces a permutation build.
 class NodeMap {
  public:
   NodeMap() = default;  // empty graph
@@ -60,6 +61,10 @@ class NodeMap {
 
   ObjId Raw(uint32_t dense) const { return nodes_[dense]; }
   size_t size() const { return nodes_.size(); }
+  /// The sorted node list: Raw for every dense id.
+  const std::vector<ObjId>& nodes() const { return nodes_; }
+  /// True when Dense is a direct-indexed lookup (dense raw id range).
+  bool direct() const { return !direct_.empty(); }
 
  private:
   std::vector<ObjId> nodes_;      // sorted distinct subject/object ids

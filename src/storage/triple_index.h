@@ -139,13 +139,15 @@ struct TripleIndexCache {
   bool base_built = false;
   TripleSetStats stats;
   bool stats_built = false;
-  // Derived reachability index over the set's projected graph,
+  // Derived reachability indexes over the set's projected graphs, one
+  // slot per graph kind (core/reach/reach_index.h numbers them),
   // type-erased so the storage layer stays ignorant of the concrete
-  // type (core/reach/reach_index.h owns it).  Living on the cache cell
-  // gives it the permutation indexes' exact lifecycle: shared between
-  // copies of the same normalized contents, dropped when a mutation
-  // detaches the mutated set onto a fresh cell.
-  std::shared_ptr<const void> reach;
+  // type.  Living on the cache cell gives them the permutation
+  // indexes' exact lifecycle: shared between copies of the same
+  // normalized contents, dropped when a mutation detaches the mutated
+  // set onto a fresh cell.
+  static constexpr size_t kReachSlots = 2;
+  std::shared_ptr<const void> reach[kReachSlots];
 
   /// The permutation of `spo` for `order`, building it on first use
   /// (`order` must be kPOS or kOSP; kSPO is the base vector itself).

@@ -164,24 +164,27 @@ class TripleSet {
                : nullptr;
   }
 
-  /// The reachability index attached to this set's cache cell, or
-  /// nullptr when none is attached (or staged inserts are pending).
+  /// The reachability index attached to this set's cache cell in
+  /// `slot` (< TripleIndexCache::kReachSlots, one per projected graph),
+  /// or nullptr when none is attached (or staged inserts are pending).
   /// Type-erased: core/reach/reach_index.h owns the concrete type and
-  /// does the casting.  Never forces a build.
-  std::shared_ptr<const void> CachedReachIndex() const {
-    return staged_.empty() && cache_ != nullptr ? cache_->reach : nullptr;
+  /// the slot numbering, and does the casting.  Never forces a build.
+  std::shared_ptr<const void> CachedReachIndex(size_t slot = 0) const {
+    return staged_.empty() && cache_ != nullptr ? cache_->reach[slot]
+                                                : nullptr;
   }
 
-  /// Attaches a reachability index to the cache cell (normalizing
-  /// first, so a later Normalize with no staged inserts cannot detach
-  /// it).  Copies sharing the cell — including the store's relation
-  /// when this set was copied out of a store — see it immediately; the
-  /// next mutation of any sharer detaches that sharer onto a fresh
-  /// cell, invalidating its view of the index.
-  void AttachReachIndex(std::shared_ptr<const void> index) const {
+  /// Attaches a reachability index to the cache cell's `slot`
+  /// (normalizing first, so a later Normalize with no staged inserts
+  /// cannot detach it).  Copies sharing the cell — including the
+  /// store's relation when this set was copied out of a store — see it
+  /// immediately; the next mutation of any sharer detaches that sharer
+  /// onto a fresh cell, invalidating its view of the index.
+  void AttachReachIndex(std::shared_ptr<const void> index,
+                        size_t slot = 0) const {
     Normalize();
     if (cache_ == nullptr) cache_ = std::make_shared<TripleIndexCache>();
-    cache_->reach = std::move(index);
+    cache_->reach[slot] = std::move(index);
   }
 
   /// Adopts an already sorted, duplicate-free vector as the set's SPO

@@ -153,9 +153,15 @@ TEST(PlannerGolden, ReachStarsLowerToFastPath) {
   ASSERT_EQ(a2->op, PlanOp::kReachFastPath);
   EXPECT_FALSE(a2->reach_same_middle);
 
+  // The same-middle star is a walk partitioned by label: large and
+  // store-backed, it builds the label-product index; small, it stays on
+  // Procedure 4.
   PlanPtr b = PlanExpr(ReachSameMiddle(Expr::Rel("E")), store);
-  ASSERT_EQ(b->op, PlanOp::kReachFastPath);
+  ASSERT_EQ(b->op, PlanOp::kReachIndexScan);
   EXPECT_TRUE(b->reach_same_middle);
+  PlanPtr b2 = PlanExpr(ReachSameMiddle(Expr::Rel("E")), tiny);
+  ASSERT_EQ(b2->op, PlanOp::kReachFastPath);
+  EXPECT_TRUE(b2->reach_same_middle);
 
   // A non-reach spec stays a generic fixpoint with a probe order for
   // the fixed side.
@@ -167,6 +173,34 @@ TEST(PlannerGolden, ReachStarsLowerToFastPath) {
   ASSERT_EQ(c->op, PlanOp::kFixpointStar);
   EXPECT_EQ(c->access.order, IndexOrder::kSPO);
   EXPECT_GT(c->est_rows, c->children[0]->est_rows);
+}
+
+TEST(PlannerGolden, WarmWalksArePricedFromTheIndex) {
+  // Figure 1's shape: once a walk's index is warm, the planner prices
+  // the walk from the index's closure count, within 10% of the rows it
+  // produces — the lift, the any-path and the same-middle star alike.
+  TransportOptions opts;
+  opts.num_cities = 1500;
+  opts.num_services = 6;
+  opts.seed = 3;
+  TripleStore store = TransportNetwork(opts);
+  ExprPtr lift = Expr::StarRight(
+      Expr::Rel("E"),
+      Spec(Pos::P1, Pos::P3p, Pos::P3, {Eq(Pos::P2, Pos::P1p)}));
+  for (const ExprPtr& star : {ReachAnyPath(Expr::Rel("E")),
+                              ReachSameMiddle(Expr::Rel("E")), lift}) {
+    // The first execution builds the index cold and attaches it to the
+    // store's relation.
+    PlanPtr cold = PlanExpr(star, store);
+    ASSERT_EQ(cold->op, PlanOp::kReachIndexScan) << Explain(*cold);
+    ASSERT_TRUE(ExecutePlan(*cold, store).ok());
+    PlanPtr warm = PlanExpr(star, store);
+    ASSERT_EQ(warm->op, PlanOp::kReachIndexScan) << Explain(*warm);
+    auto r = ExecutePlan(*warm, store, {}, /*profile=*/true);
+    ASSERT_TRUE(r.ok());
+    EXPECT_LE(QError(warm->est_rows, static_cast<double>(r->size())), 1.1)
+        << ExplainAnalyze(*warm);
+  }
 }
 
 TEST(PlannerGolden, PlanningDoesNotForceIndexBuilds) {

@@ -666,5 +666,248 @@ TEST(Dijkstra, MatchesDenseReference) {
   }
 }
 
+// ---- NodeMap: marked, direct and binary-search modes -----------------
+
+// `nodes` distinct ids spread `stride` apart in the intern space, and
+// `triples` random triples over them: wider strides move NodeMap from
+// direct indexing to binary search.
+TripleStore SpreadStore(size_t nodes, size_t triples, size_t stride,
+                        uint64_t seed) {
+  TripleStore store;
+  RelId rel = store.AddRelation("E");
+  std::vector<ObjId> ids;
+  for (size_t i = 0; i < nodes * stride; ++i) {
+    ObjId id = store.InternObject("x" + std::to_string(i));
+    if (i % stride == 0) ids.push_back(id);
+  }
+  Rng rng(seed);
+  for (size_t t = 0; t < triples; ++t) {
+    store.Add(rel, ids[rng.Below(nodes)], ids[rng.Below(nodes)],
+              ids[rng.Below(nodes)]);
+  }
+  return store;
+}
+
+void ExpectNodeMapIsBruteNodeList(const TripleSet& base, ObjId id_limit) {
+  std::vector<ObjId> want;
+  for (const Triple& t : base) {
+    want.push_back(t.s);
+    want.push_back(t.o);
+  }
+  std::sort(want.begin(), want.end());
+  want.erase(std::unique(want.begin(), want.end()), want.end());
+  reach::NodeMap ids(base);
+  ASSERT_EQ(ids.nodes(), want);
+  for (uint32_t d = 0; d < ids.size(); ++d) {
+    EXPECT_EQ(ids.Raw(d), want[d]);
+    EXPECT_EQ(ids.Dense(want[d]), d);
+    EXPECT_EQ(ids.DenseOrNoNode(want[d]), d);
+  }
+  for (ObjId v = 0; v < id_limit; ++v) {
+    if (!std::binary_search(want.begin(), want.end(), v)) {
+      EXPECT_EQ(ids.DenseOrNoNode(v), reach::kNoNode) << v;
+    }
+  }
+}
+
+TEST(NodeMapModes, EveryModeListsTheSameNodesAndDenseIds) {
+  struct Case {
+    size_t nodes, triples, stride;
+    bool direct;
+  };
+  // Dense ids index directly; few nodes over a wide range are marked
+  // but searched; a range far wider than the relation is sorted and
+  // searched.  No mode builds OSP, and a built OSP changes nothing.
+  for (const Case& c : {Case{60, 300, 1, true}, Case{20, 2000, 200, false},
+                        Case{50, 100, 1000, false}}) {
+    SCOPED_TRACE("stride " + std::to_string(c.stride));
+    TripleStore store = SpreadStore(c.nodes, c.triples, c.stride, 7);
+    const TripleSet& base = *store.FindRelation("E");
+    ASSERT_FALSE(base.IndexReady(IndexOrder::kOSP));
+    EXPECT_EQ(reach::NodeMap(base).direct(), c.direct);
+    const ObjId limit = static_cast<ObjId>(store.NumObjects() + 10);
+    ExpectNodeMapIsBruteNodeList(base, limit);
+    EXPECT_FALSE(base.IndexReady(IndexOrder::kOSP));  // never forced
+    base.Materialize(IndexOrder::kOSP);
+    ExpectNodeMapIsBruteNodeList(base, limit);
+  }
+}
+
+// ---- walk stars: every shape against the naive fixpoint ---------------
+
+// A walk star moving column `col` (0..2): the right star
+// (e JOIN[..; col=1'])* with 3' in position col, or its left mirror
+// (JOIN[..; 1=col'] e)* with 3 in position col.
+ExprPtr Walk(ExprPtr e, int col, bool right) {
+  JoinSpec spec;
+  for (int k = 0; k < 3; ++k) {
+    spec.out[k] = static_cast<Pos>(k == col ? (right ? 5 : 2)
+                                            : (right ? k : k + 3));
+  }
+  spec.cond.theta = {right ? Eq(static_cast<Pos>(col), Pos::P1p)
+                           : Eq(Pos::P1, static_cast<Pos>(col + 3))};
+  return right ? Expr::StarRight(std::move(e), spec)
+               : Expr::StarLeft(std::move(e), spec);
+}
+
+// The same-middle star and its left mirror.
+ExprPtr SameMiddle(ExprPtr e, bool right) {
+  if (right) return ReachSameMiddle(std::move(e));
+  return Expr::StarLeft(std::move(e),
+                        Spec(Pos::P1p, Pos::P2p, Pos::P3,
+                             {Eq(Pos::P1, Pos::P3p), Eq(Pos::P2, Pos::P2p)}));
+}
+
+struct WalkShapeCase {
+  std::string name;
+  int col;
+  bool same_middle;
+  bool right;
+  ExprPtr Star(ExprPtr e) const {
+    return same_middle ? SameMiddle(std::move(e), right)
+                       : Walk(std::move(e), col, right);
+  }
+};
+
+std::vector<WalkShapeCase> AllWalkShapes() {
+  std::vector<WalkShapeCase> out;
+  for (bool right : {true, false}) {
+    const std::string side = right ? " right" : " left";
+    for (int col = 0; col < 3; ++col) {
+      out.push_back({"pos=" + std::to_string(col + 1) + side, col, false,
+                     right});
+    }
+    out.push_back({"same-middle" + side, 2, true, right});
+  }
+  return out;
+}
+
+ReachIndexOptions GraphFor(const WalkShapeCase& w) {
+  ReachIndexOptions opts;
+  if (w.same_middle) opts.graph = reach::ReachGraph::kLabelProduct;
+  return opts;
+}
+
+// Every walk shape over relation E of `store`, stored and derived, at
+// 1/2/4 threads, through the plan and straight off a fresh index, equal
+// to the naive fixpoint; the result guard trips mid-walk.
+void ExpectWalksMatchNaive(const TripleStore& store) {
+  auto naive = MakeNaiveEvaluator();
+  const TripleSet& rel = *store.FindRelation("E");
+  // A derived base: E without its self-loops.
+  ExprPtr derived_expr =
+      Expr::Select(Expr::Rel("E"), Where({Neq(Pos::P1, Pos::P3)}));
+  auto derived = naive->Eval(derived_expr, store);
+  ASSERT_TRUE(derived.ok());
+  for (const WalkShapeCase& w : AllWalkShapes()) {
+    SCOPED_TRACE(w.name);
+    ExprPtr star = w.Star(Expr::Rel("E"));
+    auto want = naive->Eval(star, store);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+
+    // Stored base with a warm index: the planner routes the walk to
+    // ReachIndexScan and prices it from the index.
+    auto warm = ReachIndex::GetOrBuild(rel, Threads(1), GraphFor(w));
+    PlanPtr p = PlanExpr(star, store);
+    ASSERT_EQ(p->op, PlanOp::kReachIndexScan) << Explain(*p);
+    EXPECT_EQ(p->walk_col, w.col);
+    EXPECT_EQ(p->reach_same_middle, w.same_middle);
+    EXPECT_DOUBLE_EQ(p->est_rows,
+                     static_cast<double>(warm->walk_output_rows(w.col)));
+    EXPECT_GE(p->est_rows, static_cast<double>(want->size()));
+    for (size_t threads : {1u, 2u, 4u}) {
+      auto got = ExecutePlan(*p, store, Limits(threads));
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(*got, *want) << threads << " threads";
+      // A fresh index built and expanded at this thread count.
+      auto fresh = ReachIndex::Build(rel, Threads(threads), GraphFor(w));
+      auto direct = fresh->EmitWalk(rel, w.col, Threads(threads),
+                                    50'000'000);
+      ASSERT_TRUE(direct.ok());
+      EXPECT_EQ(*direct, *want) << threads << " threads, direct";
+
+      // The guard trips mid-walk, through the plan and directly.
+      ExecLimits capped = Limits(threads);
+      capped.max_result_triples = want->size() / 2;
+      auto over = ExecutePlan(*p, store, capped);
+      ASSERT_FALSE(over.ok()) << threads << " threads";
+      EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
+      auto over_direct = fresh->EmitWalk(rel, w.col, Threads(threads),
+                                         want->size() / 2);
+      ASSERT_FALSE(over_direct.ok());
+      EXPECT_EQ(over_direct.status().code(), StatusCode::kResourceExhausted);
+    }
+
+    // Derived base: the plan keeps Procedures 3/4 or the fixpoint, and
+    // an index built over the derived set emits the same walk.
+    ExprPtr dstar = w.Star(derived_expr);
+    auto dwant = naive->Eval(dstar, store);
+    ASSERT_TRUE(dwant.ok());
+    PlanPtr dp = PlanExpr(dstar, store);
+    EXPECT_NE(dp->op, PlanOp::kReachIndexScan) << Explain(*dp);
+    for (size_t threads : {1u, 2u, 4u}) {
+      auto got = ExecutePlan(*dp, store, Limits(threads));
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(*got, *dwant) << threads << " threads, derived";
+      auto idx = ReachIndex::Build(*derived, Threads(threads), GraphFor(w));
+      auto direct = idx->EmitWalk(*derived, w.col, Threads(threads),
+                                  50'000'000);
+      ASSERT_TRUE(direct.ok());
+      EXPECT_EQ(*direct, *dwant) << threads << " threads, derived direct";
+    }
+  }
+}
+
+TEST(WalkStars, EveryShapeMatchesNaiveOnCyclicStores) {
+  // Dense SCCs and cycles; s, p and o share one id pool, so some
+  // middles are graph nodes and some are not.
+  for (uint64_t seed : {2u, 9u, 31u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ExpectWalksMatchNaive(CyclicStore(seed, /*objects=*/30, /*triples=*/120));
+  }
+}
+
+TEST(WalkStars, EveryShapeMatchesNaiveOnTransport) {
+  // Figure 1's shape: service middles are nodes (they head part_of
+  // chains), the part_of middle is not.
+  TransportOptions opts;
+  opts.num_cities = 12;
+  opts.num_services = 4;
+  opts.seed = 5;
+  ExpectWalksMatchNaive(TransportNetwork(opts));
+}
+
+TEST(WalkStars, EveryShapeMatchesNaiveAfterSnapshotReopen) {
+  TripleStore store = CyclicStore(14, /*objects=*/30, /*triples=*/120);
+  const std::string path = testing::TempDir() + "/walk_stars.trial";
+  ASSERT_TRUE(SaveStoreSnapshot(store, path).ok());
+  auto opened = OpenStoreSnapshot(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  ASSERT_TRUE(opened->FindRelation("E")->snapshot_backed());
+  ExpectWalksMatchNaive(*opened);
+}
+
+TEST(WalkStars, LabelIndexCachesBesideTheSubjectObjectIndex) {
+  TripleStore store = CyclicStore(6);
+  const TripleSet& rel = *store.FindRelation("E");
+  ASSERT_GT(rel.size(), 0u);
+  ReachIndexOptions label;
+  label.graph = reach::ReachGraph::kLabelProduct;
+  auto by_label = ReachIndex::GetOrBuild(rel, Threads(1), label);
+  EXPECT_EQ(by_label->graph(), reach::ReachGraph::kLabelProduct);
+  EXPECT_EQ(ReachIndex::Cached(rel), nullptr);
+  auto any = ReachIndex::GetOrBuild(rel, Threads(1));
+  EXPECT_EQ(ReachIndex::Cached(rel), any);
+  EXPECT_EQ(ReachIndex::Cached(rel, reach::ReachGraph::kLabelProduct),
+            by_label);
+  // The label index walks only column 2.
+  EXPECT_EQ(by_label->walk_output_rows(1), 0u);
+  auto wrong = by_label->EmitWalk(rel, 1, Threads(1), 50'000'000);
+  ASSERT_FALSE(wrong.ok());
+  EXPECT_EQ(wrong.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(*by_label->EmitStar(rel, Threads(1), 50'000'000),
+            StarReachSameMiddle(rel));
+}
+
 }  // namespace
 }  // namespace trial
