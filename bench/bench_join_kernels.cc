@@ -224,23 +224,6 @@ BENCHMARK(BM_ParallelSemiNaiveStar)
     ->Unit(benchmark::kMillisecond)
     ->MinTime(0.1);
 
-void BM_ParallelReach(benchmark::State& state) {
-  TripleStore store = MakeStore(static_cast<size_t>(state.range(0)));
-  const TripleSet& base = *store.FindRelation("E");
-  ExecOptions exec;
-  exec.num_threads = static_cast<size_t>(state.range(1));
-  exec.min_parallel_items = 256;
-  for (auto _ : state) {
-    TripleSet r = StarReachAnyPath(base, exec);
-    benchmark::DoNotOptimize(r);
-  }
-  state.counters["threads"] = static_cast<double>(state.range(1));
-}
-BENCHMARK(BM_ParallelReach)
-    ->ArgsProduct({{4096, 16384}, {1, 2, 4}})
-    ->Unit(benchmark::kMillisecond)
-    ->MinTime(0.1);
-
 void BM_TripleSetUnion(benchmark::State& state) {
   TripleStore a = MakeStore(static_cast<size_t>(state.range(0)));
   RandomStoreOptions opts;

@@ -9,8 +9,7 @@
 //                comparison is warm-index vs Procedure 3;
 //   * star:      full (R JOIN[1,2,3'; 3=1'])* materialization through
 //                the warm index (closure expansion) against Procedure
-//                3's per-source DFS, at 1/2/4 threads, outputs verified
-//                byte-identical;
+//                3's per-source DFS, outputs verified byte-identical;
 //   * walks:     the other walk stars on stores of perfbench's graph_nav
 //                shape (30-city regions, ending at its ~50k triples):
 //                the lift (E JOIN[1,3',3; 2=1'])* through the warm s→o
@@ -18,8 +17,9 @@
 //                same-middle star through the warm label-product index
 //                against Procedure 4.  Derived-base rows run the any-path
 //                and same-middle stars over the lift's output, a fresh
-//                set with no cached index: cold build + walk against
-//                Procedures 3 / 4;
+//                set with no cached index: cold build + walk (the
+//                route the planner takes there) against Procedures
+//                3 / 4;
 //   * dijkstra:  one weighted shortest-path query (integer rho on the
 //                service predicates) across the city line — the
 //                DijkstraScan operator's kernel, benchmarked end to end.
@@ -30,7 +30,7 @@
 //
 // When TRIAL_BENCH_JSON names a file, measurements are written in the
 // BENCH_reach_index.json schema (the committed baseline regenerates
-// from the bench itself).
+// from the bench itself).  Every kernel here is serial.
 
 #include <algorithm>
 #include <cstdio>
@@ -52,15 +52,12 @@
 namespace trial {
 namespace {
 
-constexpr size_t kThreadSweep[] = {1, 2, 4};
-
 struct StarRow {
   size_t num_triples = 0;
   size_t num_objects = 0;
-  size_t threads = 1;
-  double build_ms = 0;      // one-time index construction (1t)
-  double procedure_ms = 0;  // Procedure 3 at this thread count
-  double indexed_ms = 0;    // warm-index EmitStar at this thread count
+  double build_ms = 0;      // one-time index construction
+  double procedure_ms = 0;  // Procedure 3
+  double indexed_ms = 0;    // warm-index EmitStar
   size_t output_triples = 0;
 };
 
@@ -100,15 +97,8 @@ TripleStore MakeStore(size_t n) {
   return TransportNetwork(opts);
 }
 
-ExecOptions Exec(size_t threads) {
-  ExecOptions exec;
-  exec.num_threads = threads;
-  exec.min_parallel_items = 256;
-  return exec;
-}
-
 // Best-of-3 TimeStable: the minimum is the noise-robust statistic on a
-// shared (and here single-core) host, where one descheduled run can
+// shared host, where one descheduled run can
 // inflate a cell by 50%.
 double TimeBest(const std::function<void()>& fn) {
   double best = bench::TimeStable(fn);
@@ -120,51 +110,40 @@ double TimeBest(const std::function<void()>& fn) {
 
 void RunStar() {
   std::printf("\n--- star: warm interval index vs Procedure 3 ---\n");
-  TablePrinter table({"|T|", "|O|", "build_ms", "proc_1t_ms", "idx_1t_ms",
-                      "speedup_1t", "out"});
+  TablePrinter table({"|T|", "|O|", "build_ms", "proc_ms", "idx_ms",
+                      "speedup", "out"});
   std::vector<double> sizes, t_proc, t_idx;
   for (size_t n : bench::Sweep({250, 500, 1000, 2000, 4000})) {
     TripleStore store = MakeStore(n);
     const TripleSet& base = *store.FindRelation("E");
     base.Materialize(IndexOrder::kSPO);
 
-    double build_ms =
-        TimeBest([&] { reach::ReachIndex::Build(base, Exec(1)); }) * 1e3;
-    auto idx = reach::ReachIndex::Build(base, Exec(1));
-    TripleSet want = StarReachAnyPath(base, Exec(1));
+    double build_ms = TimeBest([&] { reach::ReachIndex::Build(base); }) * 1e3;
+    auto idx = reach::ReachIndex::Build(base);
+    TripleSet want = StarReachAnyPath(base);
     // Warm the memoized closures once so the timed runs measure steady
     // state (the cached-index regime the planner routes to).
-    auto warm = idx->EmitStar(base, Exec(1), SIZE_MAX);
+    auto warm = idx->EmitStar(base, SIZE_MAX);
     if (!warm.ok() || *warm != want) {
       std::fprintf(stderr, "FATAL: indexed star differs from Procedure 3\n");
       std::exit(1);
     }
-
-    double speedup_1t = 0, idx_1t = 0, proc_1t = 0;
-    for (size_t threads : kThreadSweep) {
-      double tp = TimeBest([&] { StarReachAnyPath(base, Exec(threads)); });
-      double ti =
-          TimeBest([&] { (void)idx->EmitStar(base, Exec(threads), SIZE_MAX); });
-      if (threads == 1) {
-        proc_1t = tp * 1e3;
-        idx_1t = ti * 1e3;
-        speedup_1t = tp / ti;
-        t_proc.push_back(tp);
-        t_idx.push_back(ti);
-      }
-      g_star.push_back({store.TotalTriples(), store.NumObjects(), threads,
-                        build_ms, tp * 1e3, ti * 1e3, want.size()});
-    }
+    double tp = TimeBest([&] { StarReachAnyPath(base); });
+    double ti = TimeBest([&] { (void)idx->EmitStar(base, SIZE_MAX); });
+    t_proc.push_back(tp);
+    t_idx.push_back(ti);
+    g_star.push_back({store.TotalTriples(), store.NumObjects(), build_ms,
+                      tp * 1e3, ti * 1e3, want.size()});
     table.AddRow({TablePrinter::Fmt(store.TotalTriples()),
                   TablePrinter::Fmt(store.NumObjects()),
-                  TablePrinter::Fmt(build_ms), TablePrinter::Fmt(proc_1t),
-                  TablePrinter::Fmt(idx_1t), TablePrinter::Fmt(speedup_1t),
+                  TablePrinter::Fmt(build_ms), TablePrinter::Fmt(tp * 1e3),
+                  TablePrinter::Fmt(ti * 1e3), TablePrinter::Fmt(tp / ti),
                   TablePrinter::Fmt(want.size())});
     sizes.push_back(static_cast<double>(store.TotalTriples()));
   }
   table.Print();
-  bench::ReportFit("Procedure 3 (1t)", sizes, t_proc);
-  bench::ReportFit("warm interval index (1t)", sizes, t_idx);
+  bench::ReportFit("Procedure 3", sizes, t_proc);
+  bench::ReportFit("warm interval index", sizes, t_idx);
 }
 
 // `regions` copies of a 30-city Figure 1 network in one relation E, as
@@ -203,9 +182,7 @@ void RunWalks() {
   std::printf("\n--- walks: lift and same-middle stars, stored and derived ---\n");
   TablePrinter table({"|T|", "walk", "base", "baseline", "base_ms", "build_ms",
                       "idx_ms", "speedup", "out"});
-  const ExecOptions one = Exec(1);
-  ExecLimits limits;
-  limits.exec = one;
+  const ExecLimits limits;
   auto add = [&](const WalkRow& r) {
     g_walk.push_back(r);
     table.AddRow({TablePrinter::Fmt(r.num_triples), r.walk, r.base,
@@ -214,8 +191,7 @@ void RunWalks() {
                   TablePrinter::Fmt(r.baseline_ms / r.indexed_ms),
                   TablePrinter::Fmt(r.output_triples)});
   };
-  reach::ReachIndexOptions label;
-  label.graph = reach::ReachGraph::kLabelProduct;
+  const reach::ReachGraph label = reach::ReachGraph::kLabelProduct;
   for (size_t regions : bench::Sweep({50, 200, 1000})) {
     TripleStore store = MakeRegions(regions);
     const TripleSet& e = *store.FindRelation("E");
@@ -232,52 +208,51 @@ void RunWalks() {
     WalkRow r{n, "lift", "stored", "FixpointStar"};
     r.baseline_ms =
         TimeBest([&] { (void)plan::ExecutePlan(*fix, store, limits); }) * 1e3;
-    r.build_ms = TimeBest([&] { reach::ReachIndex::Build(e, one); }) * 1e3;
-    auto so = reach::ReachIndex::Build(e, one);
-    CheckSame(*so->EmitWalk(e, 1, one, SIZE_MAX), lift, "lift walk");
+    r.build_ms = TimeBest([&] { reach::ReachIndex::Build(e); }) * 1e3;
+    auto so = reach::ReachIndex::Build(e);
+    CheckSame(*so->EmitWalk(e, 1, SIZE_MAX), lift, "lift walk");
     r.indexed_ms =
-        TimeBest([&] { (void)so->EmitWalk(e, 1, one, SIZE_MAX); }) * 1e3;
+        TimeBest([&] { (void)so->EmitWalk(e, 1, SIZE_MAX); }) * 1e3;
     r.output_triples = lift.size();
     add(r);
 
     // Same-middle: warm label-product index vs Procedure 4.
-    TripleSet same = StarReachSameMiddle(e, one);
+    TripleSet same = StarReachSameMiddle(e);
     r = WalkRow{n, "same-middle", "stored", "Procedure 4"};
-    r.baseline_ms = TimeBest([&] { StarReachSameMiddle(e, one); }) * 1e3;
-    r.build_ms = TimeBest([&] { reach::ReachIndex::Build(e, one, label); }) * 1e3;
-    auto lp = reach::ReachIndex::Build(e, one, label);
-    CheckSame(*lp->EmitStar(e, one, SIZE_MAX), same, "same-middle walk");
+    r.baseline_ms = TimeBest([&] { StarReachSameMiddle(e); }) * 1e3;
+    r.build_ms = TimeBest([&] { reach::ReachIndex::Build(e, label); }) * 1e3;
+    auto lp = reach::ReachIndex::Build(e, label);
+    CheckSame(*lp->EmitStar(e, SIZE_MAX), same, "same-middle walk");
     r.indexed_ms =
-        TimeBest([&] { (void)lp->EmitStar(e, one, SIZE_MAX); }) * 1e3;
+        TimeBest([&] { (void)lp->EmitStar(e, SIZE_MAX); }) * 1e3;
     r.output_triples = same.size();
     add(r);
 
     // Derived base (the lift's output, as in the paper's query Q): every
     // run pays a cold build, since a derived set's cache dies with it.
     const TripleSet& d = lift;
-    TripleSet any_d = StarReachAnyPath(d, one);
-    TripleSet same_d = StarReachSameMiddle(d, one);
+    TripleSet any_d = StarReachAnyPath(d);
+    TripleSet same_d = StarReachSameMiddle(d);
     r = WalkRow{d.size(), "any-path", "derived", "Procedure 3"};
-    r.baseline_ms = TimeBest([&] { StarReachAnyPath(d, one); }) * 1e3;
-    r.build_ms = TimeBest([&] { reach::ReachIndex::Build(d, one); }) * 1e3;
-    CheckSame(*reach::ReachIndex::Build(d, one)->EmitStar(d, one, SIZE_MAX),
+    r.baseline_ms = TimeBest([&] { StarReachAnyPath(d); }) * 1e3;
+    r.build_ms = TimeBest([&] { reach::ReachIndex::Build(d); }) * 1e3;
+    CheckSame(*reach::ReachIndex::Build(d)->EmitStar(d, SIZE_MAX),
               any_d, "derived any-path walk");
     r.indexed_ms = TimeBest([&] {
-                     (void)reach::ReachIndex::Build(d, one)->EmitStar(
-                         d, one, SIZE_MAX);
+                     (void)reach::ReachIndex::Build(d)->EmitStar(d, SIZE_MAX);
                    }) * 1e3;
     r.output_triples = any_d.size();
     add(r);
     r = WalkRow{d.size(), "same-middle", "derived", "Procedure 4"};
-    r.baseline_ms = TimeBest([&] { StarReachSameMiddle(d, one); }) * 1e3;
+    r.baseline_ms = TimeBest([&] { StarReachSameMiddle(d); }) * 1e3;
     r.build_ms =
-        TimeBest([&] { reach::ReachIndex::Build(d, one, label); }) * 1e3;
+        TimeBest([&] { reach::ReachIndex::Build(d, label); }) * 1e3;
     CheckSame(
-        *reach::ReachIndex::Build(d, one, label)->EmitStar(d, one, SIZE_MAX),
+        *reach::ReachIndex::Build(d, label)->EmitStar(d, SIZE_MAX),
         same_d, "derived same-middle walk");
     r.indexed_ms = TimeBest([&] {
-                     (void)reach::ReachIndex::Build(d, one, label)
-                         ->EmitStar(d, one, SIZE_MAX);
+                     (void)reach::ReachIndex::Build(d, label)
+                         ->EmitStar(d, SIZE_MAX);
                    }) * 1e3;
     r.output_triples = same_d.size();
     add(r);
@@ -346,29 +321,24 @@ void WriteJson(const char* path) {
       "separately; walk stars on graph_nav-shaped stores (lift vs "
       "FixpointStar, same-middle vs Procedure 4, warm index on the stored "
       "relation; cold build + walk on the lift's derived output vs "
-      "Procedures 3/4), 1 thread; plus weighted Dijkstra path queries\",\n"
+      "Procedures 3/4), serial kernels; plus weighted Dijkstra path "
+      "queries\",\n"
       "  \"host_cores\": %zu,\n"
-      "  \"core_bound_note\": \"%s\",\n"
       "  \"star\": [\n",
-      host_cores,
-      host_cores <= 1
-          ? "single-core host: >1-thread rows are core-bound and measure "
-            "chunking overhead, not speedup; re-record on real cores"
-          : "");
+      host_cores);
   for (size_t i = 0; i < g_star.size(); ++i) {
     const StarRow& m = g_star[i];
     std::fprintf(f,
                  "    {\n"
                  "      \"num_triples\": %zu,\n"
                  "      \"num_objects\": %zu,\n"
-                 "      \"threads\": %zu,\n"
                  "      \"build_ms\": %.3f,\n"
                  "      \"procedure_ms\": %.3f,\n"
                  "      \"indexed_ms\": %.3f,\n"
                  "      \"speedup\": %.1f,\n"
                  "      \"output_triples\": %zu\n"
                  "    }%s\n",
-                 m.num_triples, m.num_objects, m.threads, m.build_ms,
+                 m.num_triples, m.num_objects, m.build_ms,
                  m.procedure_ms, m.indexed_ms,
                  m.indexed_ms > 0 ? m.procedure_ms / m.indexed_ms : 0,
                  m.output_triples, i + 1 == g_star.size() ? "" : ",");

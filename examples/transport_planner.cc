@@ -1,6 +1,7 @@
 // A route-planner-shaped workload on a larger synthetic transport
-// network: the reachTA= fast paths at work (Proposition 5) plus an
-// optimizer pass (selection pushdown / condition normalization).
+// network: the reachTA= stars (Proposition 5) on the interval
+// reachability index, plus an optimizer pass (selection pushdown /
+// condition normalization).
 //
 //   $ ./examples/transport_planner [num_cities]
 
@@ -38,7 +39,7 @@ int main(int argc, char** argv) {
   Timer t1;
   auto all = engine->Eval(reach, store);
   std::printf("full reachability: %zu triples in %.1f ms "
-              "(Procedure 3 fast path)\n",
+              "(interval index)\n",
               all->size(), t1.Millis());
 
   // Restrict to trips out of city0: σ_{1=city0}(reach).  The optimizer
@@ -54,11 +55,11 @@ int main(int argc, char** argv) {
   std::printf("trips from city0:  %zu destinations in %.1f ms\n",
               out->size(), t2.Millis());
 
-  // Same-service trips (Procedure 4): reachability keeping one service.
+  // Same-service trips: reachability keeping one service.
   Timer t3;
   auto same = engine->Eval(ReachSameMiddle(Expr::Rel("E")), store);
   std::printf("same-service trips: %zu triples in %.1f ms "
-              "(Procedure 4 fast path)\n",
+              "(label-product index)\n",
               same->size(), t3.Millis());
 
   // The optimizer collapses contradictory filters to the empty query.

@@ -37,9 +37,8 @@ struct ExecLimits {
   bool adaptive = false;
 
   /// Parallel execution knobs, honored by the plan executor's join and
-  /// fixpoint kernels, the Procedure 3/4 fast paths and the Datalog
-  /// leading-atom matcher; the naive and matrix reference engines stay
-  /// serial.  Results are identical for every thread count (chunked
+  /// fixpoint kernels and the Datalog leading-atom matcher; the naive
+  /// and matrix reference engines stay serial.  Results are identical for every thread count (chunked
   /// execution, in-order merge).
   ExecOptions exec;
 };

@@ -7,8 +7,9 @@
 //      (R ⋈^{1,2,3'}_{3=1',2=2'})*   "…by a path labeled with the same
 //                                     element"
 //
-// The Smart evaluator consults this analysis to route star nodes to the
-// O(|e|·|O|·|T|) algorithms (Procedures 3 and 4).
+// Both are walk stars (IsWalkSpec below), which the planner runs on the
+// interval reachability index; Procedures 3 and 4 (core/fast_reach.h)
+// are the O(|e|·|O|·|T|) algorithms the paper gives for them.
 
 #ifndef TRIAL_CORE_FRAGMENT_H_
 #define TRIAL_CORE_FRAGMENT_H_

@@ -86,9 +86,6 @@ void AppendNodeSummary(const PlanNode& n, std::string* out) {
       out->append(n.star_right ? " right" : " left");
       out->append(" [").append(n.spec.ToString()).append("]");
       break;
-    case PlanOp::kReachFastPath:
-      out->append(n.reach_same_middle ? " same-middle" : " any-path");
-      break;
     case PlanOp::kReachIndexScan:
       out->append(" walk pos=").append(std::to_string(n.walk_col + 1));
       if (n.reach_same_middle) out->append(" same-middle");

@@ -13,8 +13,8 @@
 //   MergeJoin       e ⋈ e            (walk two key-sorted runs in step)
 //   UnionOp/MinusOp e ∪ e, e − e
 //   FixpointStar    (e ⋈)*, (⋈ e)*   (semi-naive delta iteration)
-//   ReachFastPath   reachTA= stars   (Procedures 3 / 4)
-//   ReachIndexScan  walk stars       (interval reachability indexes)
+//   ReachIndexScan  walk stars       (interval reachability indexes;
+//                                     reachTA= stars included)
 //   DijkstraScan    shortest paths   (weights from rho; PlanShortestPath)
 //   SharedScan      a shared e       (the result of e's one execution)
 //
@@ -236,7 +236,10 @@ enum class PlanOp : uint8_t {
   kUnionOp,         ///< child ∪ child
   kMinusOp,         ///< child − child — merge, or anti-probe a stored right
   kFixpointStar,    ///< (child ⋈)* / (⋈ child)* — semi-naive iteration
-  kReachFastPath,   ///< reachTA= star — Procedure 3 or 4
+  /// Never planned (walk stars, reachTA= ones included, lower to
+  /// kReachIndexScan); kept only as a name perfbench's per-operator
+  /// metrics enumerate.  The executor rejects it with kInternal.
+  kReachFastPath,
   kReachIndexScan,  ///< walk star via an interval reachability index
   kDijkstraScan,    ///< weighted shortest path / SSSP tree over rho
   kSharedScan,      ///< a shared sub-plan's kept result (share_id)
@@ -305,8 +308,8 @@ struct PlanNode {
   std::string rel_name;     ///< kIndexScan: the relation
   JoinSpec spec;            ///< joins + stars; selections use spec.cond
   bool star_right = true;   ///< kFixpointStar: (e ⋈)* vs (⋈ e)*
-  /// kReachFastPath: Procedure 4 vs 3.  kReachIndexScan: the walk is
-  /// partitioned by label (served by the label-product index).
+  /// kReachIndexScan: the walk is partitioned by label (served by the
+  /// label-product index).
   bool reach_same_middle = false;
   /// kReachIndexScan: the column (0..2) the walk moves.
   int walk_col = 2;

@@ -2,7 +2,7 @@
 // store, dispatching every parallel kernel from one place.
 //
 // This is the former SmartEvaluator execution logic (hash/probe joins,
-// semi-naive fixpoints, Procedure 3/4 dispatch), lifted out of
+// semi-naive fixpoints, reach-index walks), lifted out of
 // smart_eval.cc so that every consumer — the smart engine shim, the
 // CLIs' EXPLAIN paths and the tests — runs the same code.  Results are
 // byte-identical to the pre-plan evaluator at every thread count: the
@@ -21,7 +21,6 @@
 #include <unordered_set>
 
 #include "core/eval.h"
-#include "core/fast_reach.h"
 #include "core/fragment.h"
 #include "core/plan/plan.h"
 #include "core/reach/dijkstra.h"
@@ -200,17 +199,9 @@ class Executor {
         NotePeakInputs(n, a, b);
         return MergeOrFallback(n, a, b);
       }
-      case PlanOp::kReachFastPath: {
-        TRIAL_ASSIGN_OR_RETURN(TripleSet base, Exec(*n.children[0]));
-        NoteRows(*n.children[0], base);
-        n.runtime.strategy = n.reach_same_middle ? "procedure-4"
-                                                 : "procedure-3";
-        return n.reach_same_middle
-                   ? StarReachSameMiddle(base, limits_.exec,
-                                         limits_.max_result_triples)
-                   : StarReachAnyPath(base, limits_.exec,
-                                      limits_.max_result_triples);
-      }
+      case PlanOp::kReachFastPath:
+        return Status::Internal("no plan runs ReachFastPath: walk stars "
+                                "lower to ReachIndexScan");
       case PlanOp::kFixpointStar: {
         TRIAL_ASSIGN_OR_RETURN(TripleSet base, Exec(*n.children[0]));
         NoteRows(*n.children[0], base);
@@ -219,24 +210,20 @@ class Executor {
       case PlanOp::kReachIndexScan: {
         TRIAL_ASSIGN_OR_RETURN(TripleSet base, Exec(*n.children[0]));
         NoteRows(*n.children[0], base);
-        reach::ReachIndexOptions opts;
-        if (n.reach_same_middle) {
-          opts.graph = reach::ReachGraph::kLabelProduct;
-          n.runtime.strategy = "label-index";
-        } else {
-          n.runtime.strategy = "interval-index";
-        }
+        n.runtime.strategy =
+            n.reach_same_middle ? "label-index" : "interval-index";
         // GetOrBuild attaches through `base`'s shared cache cell, so a
         // cold build on an IndexScan child warms the store's relation
         // for every later query.
         std::shared_ptr<const reach::ReachIndex> idx =
-            reach::ReachIndex::GetOrBuild(base, limits_.exec, opts);
+            reach::ReachIndex::GetOrBuild(
+                base, n.reach_same_middle ? reach::ReachGraph::kLabelProduct
+                                          : reach::ReachGraph::kSubjectObject);
         if (MetricsEnabled()) {
           MetricsRegistry::Global().GetCounter("reach.index_hits")
               ->Increment();
         }
-        return idx->EmitWalk(base, n.walk_col, limits_.exec,
-                             limits_.max_result_triples);
+        return idx->EmitWalk(base, n.walk_col, limits_.max_result_triples);
       }
       case PlanOp::kDijkstraScan: {
         TRIAL_ASSIGN_OR_RETURN(TripleSet base, Exec(*n.children[0]));

@@ -58,12 +58,6 @@ namespace trial {
 namespace plan {
 namespace {
 
-// Estimated-output floor for building the interval reachability index
-// cold (no warm index on the base relation): below this, one Procedure 3
-// DFS pass is cheaper than SCC contraction + labeling, and the build
-// would not amortize within the query.  A warm index is always used.
-constexpr double kReachIndexMinRows = 4096;
-
 // Running cardinality info during lowering.
 struct Card {
   double rows = 0;
@@ -396,45 +390,29 @@ class Planner {
         PlanPtr base = Lower(*e.left());
         Card cb = CardOf(*base), c;
         WalkShape walk;
-        const bool is_walk =
-            IsWalkSpec(node->spec, node->star_right, &walk);
-        // Reach stars' heuristic output: the geometric middle between no
-        // growth and the complete closure of the walked column.
-        const double reach_rows =
-            cb.rows * std::sqrt(std::max(cb.distinct[walk.col], 1.0));
-        // Walks over a stored relation route through the interval
-        // reachability index — the s→o index, or the label-product
-        // index for a same-middle walk — when it is warm (then its exact
-        // output count replaces the heuristic), or cold when the
-        // estimated output is large enough to amortize the build.  Cold
-        // builds are gated to store-backed bases: the index caches on
-        // the relation's shared cell and pays off across queries, where
-        // a derived base's cell dies with the query.  Elsewhere the
-        // right-star reach specs keep Procedures 3 / 4.
-        const TripleSet* stored =
-            is_walk && base->op == PlanOp::kIndexScan
-                ? store_.FindRelation(base->rel_name)
-                : nullptr;
-        std::shared_ptr<const reach::ReachIndex> warm;
-        if (stored != nullptr) {
-          warm = reach::ReachIndex::Cached(
-              *stored, walk.same_middle ? reach::ReachGraph::kLabelProduct
-                                        : reach::ReachGraph::kSubjectObject);
-        }
-        const bool reach_a = node->star_right && IsReachSpecA(node->spec);
-        const bool reach_b = node->star_right && IsReachSpecB(node->spec);
-        if (stored != nullptr &&
-            (warm != nullptr || reach_rows >= kReachIndexMinRows)) {
+        if (IsWalkSpec(node->spec, node->star_right, &walk)) {
+          // Every walk runs on the interval reachability index — the
+          // s→o index, or the label-product index for a same-middle
+          // walk — built cold on any base, stored or derived.  A warm
+          // index on a stored relation prices the walk exactly; else
+          // the heuristic is the geometric middle between no growth and
+          // the complete closure of the walked column.
           node->op = PlanOp::kReachIndexScan;
           node->walk_col = walk.col;
           node->reach_same_middle = walk.same_middle;
+          const TripleSet* stored = base->op == PlanOp::kIndexScan
+                                        ? store_.FindRelation(base->rel_name)
+                                        : nullptr;
+          const reach::ReachGraph graph =
+              walk.same_middle ? reach::ReachGraph::kLabelProduct
+                               : reach::ReachGraph::kSubjectObject;
+          std::shared_ptr<const reach::ReachIndex> warm =
+              stored != nullptr ? reach::ReachIndex::Cached(*stored, graph)
+                                : nullptr;
           c.rows = warm != nullptr
                        ? static_cast<double>(warm->walk_output_rows(walk.col))
-                       : reach_rows;
-        } else if (reach_a || reach_b) {
-          node->op = PlanOp::kReachFastPath;
-          node->reach_same_middle = reach_b;
-          c.rows = reach_rows;
+                       : cb.rows * std::sqrt(std::max(
+                                       cb.distinct[walk.col], 1.0));
         } else {
           node->op = PlanOp::kFixpointStar;
           // Probed permutation of the fixed side for small deltas.

@@ -1,6 +1,7 @@
 #include "core/reach/reach_index.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "util/metrics.h"
@@ -8,56 +9,6 @@
 namespace trial {
 namespace reach {
 namespace {
-
-// A build-time interval over pid space.  `exact` means every pid in
-// [lo, hi] is truly reachable; an inexact interval over-approximates.
-struct Iv {
-  uint32_t lo, hi;
-  uint8_t exact;
-};
-
-// Coalesces `scratch` (any order) into `out`: sorted by lo, disjoint,
-// non-adjacent.  Overlapping or adjacent inputs merge; the union of
-// exact sets over a contiguous range is exact, anything touched by an
-// approximate input (other than one fully contained in the running
-// interval, which adds nothing) turns approximate.
-void Coalesce(std::vector<Iv>& scratch, std::vector<Iv>* out) {
-  std::sort(scratch.begin(), scratch.end(), [](const Iv& a, const Iv& b) {
-    return a.lo != b.lo ? a.lo < b.lo : a.hi < b.hi;
-  });
-  out->clear();
-  for (const Iv& iv : scratch) {
-    if (out->empty() || (iv.lo > out->back().hi && iv.lo - out->back().hi > 1)) {
-      out->push_back(iv);
-      continue;
-    }
-    Iv& back = out->back();
-    if (iv.hi <= back.hi) continue;  // contained: no new pids
-    back.exact = back.exact && iv.exact;
-    back.hi = iv.hi;
-  }
-}
-
-// FERRARI budget reduction: while over budget, merge the adjacent pair
-// with the smallest gap.  Any gap merge admits unreachable pids, so the
-// merged interval is approximate.
-void ApplyBudget(std::vector<Iv>* ivs, size_t budget) {
-  if (budget == 0) return;
-  while (ivs->size() > budget) {
-    size_t best = 0;
-    uint32_t best_gap = UINT32_MAX;
-    for (size_t i = 0; i + 1 < ivs->size(); ++i) {
-      uint32_t gap = (*ivs)[i + 1].lo - (*ivs)[i].hi;
-      if (gap < best_gap) {
-        best_gap = gap;
-        best = i;
-      }
-    }
-    (*ivs)[best].hi = (*ivs)[best + 1].hi;
-    (*ivs)[best].exact = 0;
-    ivs->erase(ivs->begin() + best + 1);
-  }
-}
 
 // Cap on the emission reserve derived from the (near-exact)
 // closure-size bound: 16Mi triples ≈ 192 MiB.  The bound over-counts
@@ -124,27 +75,24 @@ std::shared_ptr<const ReachIndex> ReachIndex::Cached(const TripleSet& base,
       base.CachedReachIndex(static_cast<size_t>(graph)));
 }
 
-std::shared_ptr<const ReachIndex> ReachIndex::GetOrBuild(
-    const TripleSet& base, const ExecOptions& exec,
-    const ReachIndexOptions& opts) {
-  std::shared_ptr<const ReachIndex> cached = Cached(base, opts.graph);
+std::shared_ptr<const ReachIndex> ReachIndex::GetOrBuild(const TripleSet& base,
+                                                         ReachGraph graph) {
+  std::shared_ptr<const ReachIndex> cached = Cached(base, graph);
   if (cached != nullptr) return cached;
-  std::shared_ptr<const ReachIndex> built = Build(base, exec, opts);
-  base.AttachReachIndex(built, static_cast<size_t>(opts.graph));
+  std::shared_ptr<const ReachIndex> built = Build(base, graph);
+  base.AttachReachIndex(built, static_cast<size_t>(graph));
   return built;
 }
 
-std::shared_ptr<const ReachIndex> ReachIndex::Build(
-    const TripleSet& base, const ExecOptions& exec,
-    const ReachIndexOptions& opts) {
+std::shared_ptr<const ReachIndex> ReachIndex::Build(const TripleSet& base,
+                                                    ReachGraph graph) {
   const uint64_t t0 = MonotonicNanos();
   std::shared_ptr<ReachIndex> idx(new ReachIndex());
-  idx->graph_ = opts.graph;
+  idx->graph_ = graph;
   const std::vector<Triple>& spo = base.triples();
-  if (opts.graph == ReachGraph::kSubjectObject) {
+  if (graph == ReachGraph::kSubjectObject) {
     idx->ids_ = NodeMap(base);
-    idx->IndexGraph(Csr::FromSpo(spo, idx->ids_), idx->ids_.nodes(), exec,
-                    opts);
+    idx->IndexGraph(Csr::FromSpo(spo, idx->ids_), idx->ids_.nodes());
     const NodeMap& ids = idx->ids_;
     auto size_of = [&](uint32_t d) -> uint64_t {
       return d == kNoNode ? 1 : idx->closure_size_[idx->comp_[d]];
@@ -157,7 +105,7 @@ std::shared_ptr<const ReachIndex> ReachIndex::Build(
   } else {
     std::vector<ObjId> raw;
     Csr g = LabelProductGraph(spo, &raw, &idx->obj_node_);
-    idx->IndexGraph(g, raw, exec, opts);
+    idx->IndexGraph(g, raw);
     for (uint32_t d : idx->obj_node_) {
       idx->walk_rows_[2] += idx->closure_size_[idx->comp_[d]];
     }
@@ -172,9 +120,7 @@ std::shared_ptr<const ReachIndex> ReachIndex::Build(
   return idx;
 }
 
-void ReachIndex::IndexGraph(const Csr& g, const std::vector<ObjId>& raw,
-                            const ExecOptions& exec,
-                            const ReachIndexOptions& opts) {
+void ReachIndex::IndexGraph(const Csr& g, const std::vector<ObjId>& raw) {
   const uint32_t n = static_cast<uint32_t>(raw.size());
   num_nodes_ = n;
 
@@ -258,6 +204,10 @@ void ReachIndex::IndexGraph(const Csr& g, const std::vector<ObjId>& raw,
   }
 
   // ---- condensation adjacency (pid CSR) ------------------------------
+  //
+  // Sorted and deduplicated; every edge goes to a smaller pid.  Only
+  // the labeling below reads it.
+  std::vector<uint32_t> dag_off(nscc + 1, 0), dag_to;
   {
     std::vector<std::pair<uint32_t, uint32_t>> edges;
     for (uint32_t u = 0; u < n; ++u) {
@@ -269,123 +219,77 @@ void ReachIndex::IndexGraph(const Csr& g, const std::vector<ObjId>& raw,
     }
     std::sort(edges.begin(), edges.end());
     edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-    dag_off_.assign(nscc + 1, 0);
-    for (const auto& e : edges) ++dag_off_[e.first + 1];
-    for (uint32_t p = 1; p <= nscc; ++p) {
-      dag_off_[p] += dag_off_[p - 1];
-    }
-    dag_to_.reserve(edges.size());
-    for (const auto& e : edges) dag_to_.push_back(e.second);
+    for (const auto& e : edges) ++dag_off[e.first + 1];
+    for (uint32_t p = 1; p <= nscc; ++p) dag_off[p] += dag_off[p - 1];
+    dag_to.reserve(edges.size());
+    for (const auto& e : edges) dag_to.push_back(e.second);
   }
 
   // ---- interval labeling ---------------------------------------------
   //
   // Every condensation edge points to a smaller pid, so an ascending
-  // sweep sees all successors before their predecessor.  For parallel
-  // construction the sweep is layered by longest-path-to-sink level:
-  // within one level no node depends on another, so a level's merges
-  // run concurrently and the result is independent of scheduling.
-  std::vector<std::vector<Iv>> ivs(nscc);
-  {
-    std::vector<uint32_t> level(nscc, 0);
-    uint32_t max_level = 0;
-    for (uint32_t p = 0; p < nscc; ++p) {
-      uint32_t lv = 0;
-      for (uint32_t e = dag_off_[p]; e < dag_off_[p + 1]; ++e) {
-        lv = std::max(lv, level[dag_to_[e]] + 1);
-      }
-      level[p] = lv;
-      max_level = std::max(max_level, lv);
-    }
-    std::vector<std::vector<uint32_t>> buckets(
-        static_cast<size_t>(max_level) + 1);
-    for (uint32_t p = 0; p < nscc; ++p) buckets[level[p]].push_back(p);
-
-    auto build_node = [&](uint32_t p, std::vector<Iv>* scratch) {
-      scratch->clear();
-      scratch->push_back({p, p, 1});
-      for (uint32_t e = dag_off_[p]; e < dag_off_[p + 1]; ++e) {
-        const std::vector<Iv>& sv = ivs[dag_to_[e]];
-        scratch->insert(scratch->end(), sv.begin(), sv.end());
-      }
-      Coalesce(*scratch, &ivs[p]);
-      ApplyBudget(&ivs[p], opts.interval_budget);
-    };
-    const size_t threads = exec.EffectiveThreads();
-    for (const std::vector<uint32_t>& bucket : buckets) {
-      if (exec.ShouldParallelize(bucket.size())) {
-        std::vector<ChunkRange> chunks = SplitEven(bucket.size(), threads);
-        ParallelFor(chunks.size(), threads, [&](size_t c) {
-          std::vector<Iv> scratch;
-          for (size_t i = chunks[c].begin; i < chunks[c].end; ++i) {
-            build_node(bucket[i], &scratch);
-          }
-        });
-      } else {
-        std::vector<Iv> scratch;
-        for (uint32_t p : bucket) build_node(p, &scratch);
-      }
-    }
-  }
-
-  // ---- flatten + derived stats ---------------------------------------
+  // sweep sees all successors before their predecessor and writes each
+  // pid's intervals straight into the flat arrays.  Every pid in I(q)
+  // is at most q, so a pid p with one successor q copies I(q) and then
+  // extends its last interval (which ends at q) to p when q = p - 1, or
+  // appends [p, p]: sorted and coalesced without a sort.  Only a pid
+  // with several successors gathers their intervals, sorts and
+  // coalesces.
   iv_off_.assign(nscc + 1, 0);
-  for (uint32_t p = 0; p < nscc; ++p) {
-    iv_off_[p + 1] = iv_off_[p] +
-                          static_cast<uint32_t>(ivs[p].size());
-  }
-  const size_t total_ivs = iv_off_[nscc];
-  iv_lo_.reserve(total_ivs);
-  iv_hi_.reserve(total_ivs);
-  iv_exact_.reserve(total_ivs);
-  pid_exact_.assign(nscc, 1);
   closure_size_.assign(nscc, 0);
+  std::vector<std::pair<uint32_t, uint32_t>> scratch;
   for (uint32_t p = 0; p < nscc; ++p) {
-    for (const Iv& iv : ivs[p]) {
-      iv_lo_.push_back(iv.lo);
-      iv_hi_.push_back(iv.hi);
-      iv_exact_.push_back(iv.exact);
-      if (!iv.exact) {
-        pid_exact_[p] = 0;
-        exact_ = false;
+    const uint32_t e0 = dag_off[p], e1 = dag_off[p + 1];
+    if (e1 - e0 <= 1) {
+      closure_size_[p] = members_off_[p + 1] - members_off_[p];
+      if (e1 > e0) {
+        const uint32_t q = dag_to[e0];
+        for (uint32_t i = iv_off_[q]; i < iv_off_[q + 1]; ++i) {
+          const uint32_t lo = iv_lo_[i], hi = iv_hi_[i];  // push may move
+          iv_lo_.push_back(lo);
+          iv_hi_.push_back(hi);
+        }
+        closure_size_[p] += closure_size_[q];
       }
-      closure_size_[p] += members_off_[iv.hi + 1] - members_off_[iv.lo];
+      if (e1 > e0 && iv_hi_.back() + 1 == p) {
+        iv_hi_.back() = p;
+      } else {
+        iv_lo_.push_back(p);
+        iv_hi_.push_back(p);
+      }
+    } else {
+      scratch.assign(1, {p, p});
+      for (uint32_t e = e0; e < e1; ++e) {
+        const uint32_t q = dag_to[e];
+        for (uint32_t i = iv_off_[q]; i < iv_off_[q + 1]; ++i) {
+          scratch.emplace_back(iv_lo_[i], iv_hi_[i]);
+        }
+      }
+      std::sort(scratch.begin(), scratch.end());
+      // Coalesce: overlapping or adjacent intervals merge.
+      const size_t first = iv_lo_.size();
+      for (const auto& [lo, hi] : scratch) {
+        if (iv_lo_.size() > first && lo <= iv_hi_.back() + 1) {
+          iv_hi_.back() = std::max(iv_hi_.back(), hi);
+        } else {
+          iv_lo_.push_back(lo);
+          iv_hi_.push_back(hi);
+        }
+      }
+      for (size_t i = first; i < iv_lo_.size(); ++i) {
+        closure_size_[p] +=
+            members_off_[iv_hi_[i] + 1] - members_off_[iv_lo_[i]];
+      }
     }
+    iv_off_[p + 1] = static_cast<uint32_t>(iv_lo_.size());
   }
 }
 
-ptrdiff_t ReachIndex::FindCovering(uint32_t p, uint32_t t) const {
+bool ReachIndex::Covers(uint32_t p, uint32_t t) const {
   const auto first = iv_lo_.begin() + iv_off_[p];
   const auto last = iv_lo_.begin() + iv_off_[p + 1];
   auto it = std::upper_bound(first, last, t);
-  if (it == first) return -1;
-  const ptrdiff_t i = (it - iv_lo_.begin()) - 1;
-  return iv_hi_[i] >= t ? i : -1;
-}
-
-bool ReachIndex::DfsReaches(uint32_t cf, uint32_t ct) const {
-  // The approximate-hit fallback: DFS over the condensation, entering
-  // only successors whose (over-approximating, hence sound) interval
-  // set could still contain the target.  Per-call scratch — this path
-  // only runs for budgeted indexes.
-  std::vector<uint8_t> visited(num_sccs_, 0);
-  std::vector<uint32_t> stack(1, cf);
-  visited[cf] = 1;
-  while (!stack.empty()) {
-    const uint32_t u = stack.back();
-    stack.pop_back();
-    if (u == ct) return true;
-    for (uint32_t e = dag_off_[u]; e < dag_off_[u + 1]; ++e) {
-      const uint32_t w = dag_to_[e];
-      if (visited[w]) continue;
-      const ptrdiff_t iv = FindCovering(w, ct);
-      if (iv < 0) continue;
-      if (iv_exact_[iv]) return true;
-      visited[w] = 1;
-      stack.push_back(w);
-    }
-  }
-  return false;
+  return it != first && iv_hi_[(it - iv_lo_.begin()) - 1] >= t;
 }
 
 bool ReachIndex::Reaches(ObjId from, ObjId to) const {
@@ -393,83 +297,41 @@ bool ReachIndex::Reaches(ObjId from, ObjId to) const {
   const uint32_t df = ids_.DenseOrNoNode(from);
   const uint32_t dt = ids_.DenseOrNoNode(to);
   if (df == kNoNode || dt == kNoNode) return false;
-  const uint32_t cf = comp_[df], ct = comp_[dt];
-  if (cf == ct) return true;  // same SCC
-  const ptrdiff_t iv = FindCovering(cf, ct);
-  if (iv < 0) return false;          // not even over-approximated
-  if (iv_exact_[iv]) return true;    // exact interval: definite
-  return DfsReaches(cf, ct);
+  return Covers(comp_[df], comp_[dt]);
 }
 
-void ReachIndex::EnsureClosures(const ExecOptions& exec) const {
+void ReachIndex::EnsureClosures() const {
   std::call_once(closures_once_, [&] {
-    std::vector<std::vector<ObjId>> cl(num_sccs_);
-    auto build_range = [&](size_t begin, size_t end) {
-      std::vector<uint32_t> stack, seen;
-      std::vector<uint8_t> visited;  // sized lazily: approx pids only
-      for (size_t p = begin; p < end; ++p) {
-        std::vector<ObjId>& out = cl[p];
-        if (pid_exact_[p]) {
-          // Exact interval set: the closure is the concatenation of one
-          // contiguous member run per interval.
-          out.reserve(closure_size_[p]);
-          for (uint32_t i = iv_off_[p]; i < iv_off_[p + 1]; ++i) {
-            out.insert(out.end(), members_.begin() + members_off_[iv_lo_[i]],
-                       members_.begin() + members_off_[iv_hi_[i] + 1]);
-          }
-        } else {
-          // Approximate pid: recover the exact reachable pid set by
-          // condensation DFS, then expand members.
-          if (visited.empty()) visited.assign(num_sccs_, 0);
-          stack.assign(1, static_cast<uint32_t>(p));
-          seen.assign(1, static_cast<uint32_t>(p));
-          visited[p] = 1;
-          while (!stack.empty()) {
-            const uint32_t u = stack.back();
-            stack.pop_back();
-            out.insert(out.end(), members_.begin() + members_off_[u],
-                       members_.begin() + members_off_[u + 1]);
-            for (uint32_t e = dag_off_[u]; e < dag_off_[u + 1]; ++e) {
-              const uint32_t w = dag_to_[e];
-              if (visited[w]) continue;
-              visited[w] = 1;
-              seen.push_back(w);
-              stack.push_back(w);
-            }
-          }
-          for (uint32_t u : seen) visited[u] = 0;
-        }
-        std::sort(out.begin(), out.end());
+    // The closure of a pid is the concatenation of one contiguous
+    // member run per interval.
+    closure_off_.resize(num_sccs_ + 1);
+    closure_ids_.reserve(std::accumulate(closure_size_.begin(),
+                                         closure_size_.end(), size_t{0}));
+    for (uint32_t p = 0; p < num_sccs_; ++p) {
+      closure_off_[p] = closure_ids_.size();
+      for (uint32_t i = iv_off_[p]; i < iv_off_[p + 1]; ++i) {
+        closure_ids_.insert(closure_ids_.end(),
+                            members_.begin() + members_off_[iv_lo_[i]],
+                            members_.begin() + members_off_[iv_hi_[i] + 1]);
       }
-    };
-    if (exec.ShouldParallelize(num_sccs_)) {
-      const size_t threads = exec.EffectiveThreads();
-      std::vector<ChunkRange> chunks = SplitEven(num_sccs_, threads);
-      ParallelFor(chunks.size(), threads, [&](size_t c) {
-        build_range(chunks[c].begin, chunks[c].end);
-      });
-    } else {
-      build_range(0, num_sccs_);
+      std::sort(closure_ids_.begin() + closure_off_[p], closure_ids_.end());
     }
-    closures_ = std::move(cl);
+    closure_off_[num_sccs_] = closure_ids_.size();
   });
 }
 
 ReachIndex::Span ReachIndex::ClosureAt(const std::vector<Triple>& spo,
                                        size_t i, int col) const {
   if (graph_ == ReachGraph::kLabelProduct) {
-    const std::vector<ObjId>& c = closures_[comp_[obj_node_[i]]];
-    return {c.data(), c.size()};
+    return ClosureOf(comp_[obj_node_[i]]);
   }
   const ObjId* v = col == 0 ? &spo[i].s : col == 1 ? &spo[i].p : &spo[i].o;
   const uint32_t d = ids_.DenseOrNoNode(*v);
   if (d == kNoNode) return {v, 1};  // outside the graph: reaches itself
-  const std::vector<ObjId>& c = closures_[comp_[d]];
-  return {c.data(), c.size()};
+  return ClosureOf(comp_[d]);
 }
 
 Result<TripleSet> ReachIndex::EmitWalk(const TripleSet& base, int col,
-                                       const ExecOptions& exec,
                                        size_t max_result_triples) const {
   if (col < 0 || col > 2 ||
       (graph_ == ReachGraph::kLabelProduct && col != 2)) {
@@ -477,7 +339,7 @@ Result<TripleSet> ReachIndex::EmitWalk(const TripleSet& base, int col,
   }
   const std::vector<Triple>& spo = base.triples();
   if (spo.empty()) return TripleSet();
-  EnsureClosures(exec);
+  EnsureClosures();
 
   // Output groups: runs of base triples whose outputs may coincide.
   // Walking column 2 a group is an (s, p) run, walking column 1 an s

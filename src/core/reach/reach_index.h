@@ -11,19 +11,15 @@
 //   I(p) = coalesce({[p,p]} ∪ ⋃ { I(q) : p -> q })
 //
 // computable in one ascending-pid sweep (successors first), and
-// membership `t ∈ I(s)` decides reach(s, t) by binary search.  With an
-// unlimited interval budget every interval is exact and the index
-// answers any pair in O(log k).  A finite budget (FERRARI's
-// approximate sets) merges the closest interval pairs, marking the
-// result approximate: an approximate hit falls back to a DFS over the
-// condensation pruned by the (sound, over-approximating) interval sets.
-//
-// The per-level interval merges are independent given the previous
-// levels, so construction parallelizes over the pool (util/parallel.h)
-// and is deterministic at any thread count.  Built indexes are cached
-// on the TripleSet's shared index-cache cell (GetOrBuild), giving them
-// the permutation indexes' lifecycle: shared between copies, dropped
-// when a mutation detaches the mutated set onto a fresh cell.
+// membership `t ∈ I(s)` decides reach(s, t) by binary search.  Every
+// interval is exact, so the index answers any pair in O(log k).  A pid
+// with one successor q extends I(q) by p without a sort (every pid in
+// I(q) is at most q < p); only pids with several successors sort and
+// coalesce.  Construction is serial and deterministic.  Built indexes
+// are cached on the TripleSet's shared index-cache cell (GetOrBuild),
+// giving them the permutation indexes' lifecycle: shared between
+// copies, dropped when a mutation detaches the mutated set onto a
+// fresh cell.
 //
 // Walk stars.  A right star (R JOIN[.; i=1'])* whose output keeps the
 // two other left positions and takes 3' in position i moves position i
@@ -37,10 +33,9 @@
 // partitioned by label: it walks the label-product graph, whose nodes
 // are (p, x) pairs and whose edges are (p, s) -> (p, o) per triple.
 // EmitWalk materializes any of them — byte-identical to Procedures 3/4
-// and the naive fixpoint at any thread count — by expanding memoized
-// per-SCC closures instead of running a DFS per source: for an exact
-// index a closure is a handful of contiguous runs of the pid-grouped
-// member array, one per interval.
+// and the naive fixpoint — by expanding memoized per-SCC closures
+// instead of running a DFS per source: a closure is a handful of
+// contiguous runs of the pid-grouped member array, one per interval.
 
 #ifndef TRIAL_CORE_REACH_REACH_INDEX_H_
 #define TRIAL_CORE_REACH_REACH_INDEX_H_
@@ -53,7 +48,6 @@
 
 #include "core/reach/graph.h"
 #include "storage/triple_set.h"
-#include "util/parallel.h"
 #include "util/status.h"
 
 namespace trial {
@@ -69,24 +63,12 @@ enum class ReachGraph : uint8_t {
   kLabelProduct = 1,
 };
 
-struct ReachIndexOptions {
-  /// Maximum intervals kept per condensation node; 0 means unlimited
-  /// (every interval exact, constant-time negative and positive
-  /// answers).  A finite budget trades per-node space for occasional
-  /// pruned-DFS fallbacks on approximate hits.
-  size_t interval_budget = 0;
-  /// The graph to index.
-  ReachGraph graph = ReachGraph::kSubjectObject;
-};
-
 class ReachIndex {
  public:
-  /// Builds the index over `base`'s `opts.graph` projection.
-  /// Deterministic for any thread count.  Records reach.index_builds /
-  /// reach.index_build_ns when metrics are enabled.
+  /// Builds the index over `base`'s `graph` projection.  Records
+  /// reach.index_builds / reach.index_build_ns when metrics are enabled.
   static std::shared_ptr<const ReachIndex> Build(
-      const TripleSet& base, const ExecOptions& exec,
-      const ReachIndexOptions& opts = {});
+      const TripleSet& base, ReachGraph graph = ReachGraph::kSubjectObject);
 
   /// The `graph` index attached to `base`'s cache cell, or nullptr.
   /// Never builds.  A mutation of `base` since the attach returns
@@ -94,12 +76,11 @@ class ReachIndex {
   static std::shared_ptr<const ReachIndex> Cached(
       const TripleSet& base, ReachGraph graph = ReachGraph::kSubjectObject);
 
-  /// Cached(base, opts.graph), or Build + attach on miss.  Copies of
-  /// `base` sharing its cache cell — including the store relation it
-  /// was copied from — see the attached index immediately.
+  /// Cached(base, graph), or Build + attach on miss.  Copies of `base`
+  /// sharing its cache cell — including the store relation it was
+  /// copied from — see the attached index immediately.
   static std::shared_ptr<const ReachIndex> GetOrBuild(
-      const TripleSet& base, const ExecOptions& exec,
-      const ReachIndexOptions& opts = {});
+      const TripleSet& base, ReachGraph graph = ReachGraph::kSubjectObject);
 
   /// Reflexive-transitive reachability over the s→o graph (a
   /// kSubjectObject index).  Ids absent from the graph reach exactly
@@ -110,36 +91,32 @@ class ReachIndex {
   /// set the index was built over (any set with identical contents):
   /// {t[col := l] : t ∈ base, t[col] ->* l}.  A kSubjectObject index
   /// serves every column; a kLabelProduct index serves column 2 only,
-  /// the same-middle star (InvalidArgument for any other column).  Byte-identical to the naive fixpoint (and
-  /// to Procedures 3/4 for their stars) at any thread count.
-  /// ResourceExhausted as soon as the rows emitted pass
+  /// the same-middle star (InvalidArgument for any other column).
+  /// Byte-identical to the naive fixpoint (and to Procedures 3/4 for
+  /// their stars).  ResourceExhausted as soon as the rows emitted pass
   /// `max_result_triples`, counted after each output group's
   /// duplicates merge (for column 0, whose groups interleave, before
   /// the final merge).
   Result<TripleSet> EmitWalk(const TripleSet& base, int col,
-                             const ExecOptions& exec,
                              size_t max_result_triples) const;
 
   /// EmitWalk of column 2: the arbitrary-path star
   /// (R JOIN[1,2,3'; 3=1'])* over a kSubjectObject index, the
   /// same-middle star over a kLabelProduct index.
-  Result<TripleSet> EmitStar(const TripleSet& base, const ExecOptions& exec,
+  Result<TripleSet> EmitStar(const TripleSet& base,
                              size_t max_result_triples) const {
-    return EmitWalk(base, 2, exec, max_result_triples);
+    return EmitWalk(base, 2, max_result_triples);
   }
 
   /// Σ over base triples of the closure size of their column-`col`
   /// node (1 for a value outside the graph): EmitWalk's output count
-  /// before duplicates merge.  Exact for an exact index unless two
-  /// triples of one output group — same values outside `col` — reach
-  /// overlapping closures.  0 for a column the index does not serve.
+  /// before duplicates merge.  Exact unless two triples of one output
+  /// group — same values outside `col` — reach overlapping closures.
+  /// 0 for a column the index does not serve.
   uint64_t walk_output_rows(int col) const { return walk_rows_[col]; }
 
   /// walk_output_rows(2): the bound on EmitStar's output.
   uint64_t star_output_rows() const { return walk_rows_[2]; }
-
-  /// True when every interval is exact (always true for budget 0).
-  bool exact() const { return exact_; }
 
   ReachGraph graph() const { return graph_; }
   size_t num_nodes() const { return num_nodes_; }
@@ -158,15 +135,17 @@ class ReachIndex {
 
   /// SCC contraction, member lists, condensation and interval labels
   /// over `g`, whose dense node d stands for raw id `raw[d]`.
-  void IndexGraph(const Csr& g, const std::vector<ObjId>& raw,
-                  const ExecOptions& exec, const ReachIndexOptions& opts);
-  /// Index of the interval of `p` covering pid `t`, or -1.
-  ptrdiff_t FindCovering(uint32_t p, uint32_t t) const;
-  /// Pruned DFS over the condensation: can SCC `cf` reach SCC `ct`?
-  bool DfsReaches(uint32_t cf, uint32_t ct) const;
+  void IndexGraph(const Csr& g, const std::vector<ObjId>& raw);
+  /// True when an interval of `p` covers pid `t`.
+  bool Covers(uint32_t p, uint32_t t) const;
   /// Memoized per-SCC sorted closures (raw ids), built on first
-  /// EmitWalk.  Thread-safe via call_once; parallel inside.
-  void EnsureClosures(const ExecOptions& exec) const;
+  /// EmitWalk.  Thread-safe via call_once.
+  void EnsureClosures() const;
+  /// The closure of pid `p`, after EnsureClosures.
+  Span ClosureOf(uint32_t p) const {
+    return {closure_ids_.data() + closure_off_[p],
+            closure_off_[p + 1] - closure_off_[p]};
+  }
   /// The closure of column `col` of `spo[i]`, after EnsureClosures.
   Span ClosureAt(const std::vector<Triple>& spo, size_t i, int col) const;
 
@@ -185,24 +164,20 @@ class ReachIndex {
   // non-adjacent after coalescing.
   std::vector<uint32_t> iv_off_;  // num_sccs_ + 1
   std::vector<uint32_t> iv_lo_, iv_hi_;
-  std::vector<uint8_t> iv_exact_;
-  std::vector<uint8_t> pid_exact_;  // all of pid's intervals exact
-
-  // Condensation adjacency (pid-space CSR, sorted + deduped; every
-  // edge goes to a smaller pid).
-  std::vector<uint32_t> dag_off_;
-  std::vector<uint32_t> dag_to_;
 
   // Closure cardinality per pid (raw nodes reachable from the SCC,
-  // itself included).  Upper bound for approximate pids.
+  // itself included).
   std::vector<uint64_t> closure_size_;
 
   uint64_t walk_rows_[3] = {0, 0, 0};
-  bool exact_ = true;
   uint64_t build_ns_ = 0;
 
+  // Every pid's sorted closure, concatenated in pid order: one
+  // allocation instead of one per SCC (most closures hold an id or
+  // two, which a vector per SCC pays ~50 bytes of overhead for).
   mutable std::once_flag closures_once_;
-  mutable std::vector<std::vector<ObjId>> closures_;
+  mutable std::vector<size_t> closure_off_;  // num_sccs_ + 1
+  mutable std::vector<ObjId> closure_ids_;
 };
 
 }  // namespace reach

@@ -5,8 +5,8 @@
 // TripleDatalog¬ program, or a ReachTripleDatalog¬ program, is exactly
 // the TriAL(*) expression ProgramToTriAL builds.  EvalProgram plans that
 // expression (PlanProgram) and runs it on the plan executor like any
-// TriAL query: DP join reordering, the Procedure 3/4 and reach-index
-// stars, EXPLAIN / EXPLAIN ANALYZE and the span trace all apply.  The
+// TriAL query: DP join reordering, the reach-index walk stars,
+// EXPLAIN / EXPLAIN ANALYZE and the span trace all apply.  The
 // translation hands one Expr to every use of a predicate; the planner
 // plans and runs such a shared subexpression once (SharedScan), so each
 // predicate is computed once, as on the direct route.
@@ -50,8 +50,8 @@ namespace datalog {
 /// Evaluation limits: the shared ExecLimits.  On the plan route they are
 /// the executor's: max_result_triples caps every operator's output —
 /// joins, unions and all stars stop as soon as they pass it — and the
-/// answer; max_rounds caps FixpointStar rounds (the Procedure 3/4 and
-/// reach-index stars run no rounds); exec parallelizes the kernels;
+/// answer; max_rounds caps FixpointStar rounds (the reach-index
+/// stars run no rounds); exec parallelizes the kernels;
 /// adaptive plans with the FeedbackCache.  On the direct route
 /// max_result_triples caps every derived predicate, max_rounds caps
 /// fixpoint iteration, and each (fixpoint round's) rule evaluation

@@ -1,7 +1,6 @@
 // Parallel execution utilities: a process-wide thread pool plus chunked
 // parallel-for helpers used by the query kernels (hash-join probe loops,
-// semi-naive fixpoint rounds, the Procedure 3/4 frontier expansions and
-// Datalog rule matching) and threaded through every evaluator entry
+// semi-naive fixpoint rounds and Datalog rule matching) and threaded through every evaluator entry
 // point via ExecOptions.
 //
 // Determinism contract: all helpers here produce results that are

@@ -7,7 +7,6 @@
 
 #include "core/builder.h"
 #include "core/eval.h"
-#include "core/fast_reach.h"
 #include "core/optimizer.h"
 #include "core/plan/plan.h"
 #include "graph/generators.h"
@@ -169,11 +168,11 @@ TEST(EngineEquivalenceSkewed, AllEnginesAgreeOnZipfStores) {
 }
 
 // Thread-count invariance — the parallel kernels' determinism contract:
-// with min_parallel_items forced to 1 so the join probe loop, the
-// semi-naive delta expansion and the Procedure 3/4 fast paths all take
-// their parallel branches even on tiny stores, results are identical
-// for 1, 2 and 4 threads (and to the stock serial engine) across
-// random TriAL expressions, stars included, on Zipf-skewed stores.
+// with min_parallel_items forced to 1 so the join probe loop and the
+// semi-naive delta expansion take their parallel branches even on tiny
+// stores, results are identical for 1, 2 and 4 threads (and to the
+// stock serial engine) across random TriAL expressions, stars
+// included, on Zipf-skewed stores.
 // The threaded evaluations run through the plan executor directly —
 // plan::PlanExpr + plan::ExecutePlan, the code path the smart engine
 // shims to — so the invariance property is pinned to the plan layer.
@@ -297,28 +296,6 @@ TEST(DifferenceStrategies, AntiProbeAndMergeMatchNaive) {
       EXPECT_STREQ(p->runtime.strategy, c.strategy)
           << c.name << "\n" << plan::Explain(*p);
     }
-  }
-}
-
-// The reachTA= fast paths under explicit thread counts, on a store big
-// enough that the parallel source-expansion branch does real chunking.
-TEST(ParallelInvariance, ReachFastPathsAreThreadCountInvariant) {
-  RandomStoreOptions opts;
-  opts.num_objects = 80;
-  opts.num_triples = 400;
-  opts.zipf_o = 0.7;
-  opts.seed = 5;
-  TripleStore store = RandomTripleStore(opts);
-  const TripleSet& base = *store.FindRelation("E");
-  ExecOptions serial;
-  TripleSet any1 = StarReachAnyPath(base, serial);
-  TripleSet mid1 = StarReachSameMiddle(base, serial);
-  for (size_t threads : std::vector<size_t>{2, 4}) {
-    ExecOptions exec;
-    exec.num_threads = threads;
-    exec.min_parallel_items = 1;
-    EXPECT_EQ(StarReachAnyPath(base, exec), any1) << threads << " threads";
-    EXPECT_EQ(StarReachSameMiddle(base, exec), mid1) << threads << " threads";
   }
 }
 

@@ -16,7 +16,6 @@
 
 #include "core/builder.h"
 #include "core/eval.h"
-#include "core/fast_reach.h"
 #include "core/plan/adapt.h"
 #include "core/plan/plan.h"
 #include "core/plan/profile.h"
@@ -136,31 +135,29 @@ TEST(PlannerGolden, SelectionAccessPathTracksBoundColumns) {
   EXPECT_EQ(q->access.prefix, 0);
 }
 
-TEST(PlannerGolden, ReachStarsLowerToFastPath) {
+TEST(PlannerGolden, ReachStarsLowerToIndexScan) {
   TripleStore store = SkewedStore(512);
-  // A large store-backed any-path star clears the interval-index
-  // threshold: the estimated output pays for an index build.
+  // A store-backed any-path star runs on the interval index, built cold.
   PlanPtr a = PlanExpr(ReachAnyPath(Expr::Rel("E")), store);
   ASSERT_EQ(a->op, PlanOp::kReachIndexScan);
+  EXPECT_FALSE(a->reach_same_middle);
   // The reach estimate must exceed the base: the arbitrary-path star is
   // output-bound superlinear, and the estimate makes that visible.
   EXPECT_GT(a->est_rows, a->children[0]->est_rows);
 
-  // A small store stays on the direct fast path — the index build
-  // would dominate a cheap fixpoint.
+  // A small cold store takes the same route: there is no size gate.
   TripleStore tiny = SkewedStore(48);
   PlanPtr a2 = PlanExpr(ReachAnyPath(Expr::Rel("E")), tiny);
-  ASSERT_EQ(a2->op, PlanOp::kReachFastPath);
+  ASSERT_EQ(a2->op, PlanOp::kReachIndexScan);
   EXPECT_FALSE(a2->reach_same_middle);
 
-  // The same-middle star is a walk partitioned by label: large and
-  // store-backed, it builds the label-product index; small, it stays on
-  // Procedure 4.
+  // The same-middle star is a walk partitioned by label: it runs on the
+  // label-product index, large or small.
   PlanPtr b = PlanExpr(ReachSameMiddle(Expr::Rel("E")), store);
   ASSERT_EQ(b->op, PlanOp::kReachIndexScan);
   EXPECT_TRUE(b->reach_same_middle);
   PlanPtr b2 = PlanExpr(ReachSameMiddle(Expr::Rel("E")), tiny);
-  ASSERT_EQ(b2->op, PlanOp::kReachFastPath);
+  ASSERT_EQ(b2->op, PlanOp::kReachIndexScan);
   EXPECT_TRUE(b2->reach_same_middle);
 
   // A non-reach spec stays a generic fixpoint with a probe order for
@@ -877,36 +874,6 @@ TEST(SharedSubplans, DifferenceRunsAShareHeldOnItsRight) {
       EXPECT_STREQ(diff.runtime.strategy, is_shared ? "merge" : "anti-probe")
           << Explain(*p);
     }
-  }
-}
-
-// Both reach kernels stop at the result-size cap themselves, on the
-// serial and the parallel emission path; under a cap they fit in they
-// return the unguarded answer.
-TEST(PlanExecGuards, ReachKernelsStopAtTheCap) {
-  TripleStore store = SkewedStore(512, 3);
-  const TripleSet& base = *store.FindRelation("E");
-  const TripleSet any = StarReachAnyPath(base);
-  const TripleSet same = StarReachSameMiddle(base);
-  ASSERT_GT(same.size(), base.size());
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    ExecOptions exec;
-    exec.num_threads = threads;
-    exec.min_parallel_items = 1;
-    for (size_t cap : {base.size() / 2, same.size() - 1}) {
-      auto a = StarReachAnyPath(base, exec, cap);
-      ASSERT_FALSE(a.ok()) << cap;
-      EXPECT_EQ(a.status().code(), StatusCode::kResourceExhausted);
-      auto m = StarReachSameMiddle(base, exec, cap);
-      ASSERT_FALSE(m.ok()) << cap;
-      EXPECT_EQ(m.status().code(), StatusCode::kResourceExhausted);
-    }
-    auto a = StarReachAnyPath(base, exec, 10 * any.size());
-    ASSERT_TRUE(a.ok());
-    EXPECT_EQ(*a, any);
-    auto m = StarReachSameMiddle(base, exec, 10 * same.size());
-    ASSERT_TRUE(m.ok());
-    EXPECT_EQ(*m, same);
   }
 }
 

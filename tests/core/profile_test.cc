@@ -423,13 +423,9 @@ TEST(ProfiledFixpoint, RecordsRoundsAndPeakAccumulator) {
   auto r = ExecutePlan(*p, store, {}, /*profile=*/true);
   ASSERT_TRUE(r.ok());
   const PlanNode* star = p.get();
-  while (star->op != PlanOp::kFixpointStar &&
-         star->op != PlanOp::kReachFastPath) {
+  while (star->op != PlanOp::kFixpointStar) {
     ASSERT_FALSE(star->children.empty()) << Explain(*p);
     star = star->children[0].get();
-  }
-  if (star->op != PlanOp::kFixpointStar) {
-    GTEST_SKIP() << "planner chose the reach fast path for this shape";
   }
   EXPECT_GE(star->runtime.rounds, 2u) << Explain(*p);
   EXPECT_EQ(star->runtime.rounds,

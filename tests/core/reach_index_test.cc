@@ -1,10 +1,11 @@
 // The interval reachability index (core/reach): SCC contraction +
 // interval labels answer Reaches like a brute DFS, EmitStar is
-// byte-identical to Procedure 3 and the naive fixpoint at every thread
-// count (including cyclic SCC-heavy graphs), the index follows the
-// permutation-cache lifecycle (shared between copies, invalidated by
-// mutation), the planner routes warm stars through ReachIndexScan, and
-// DijkstraScan answers weighted shortest paths deterministically.
+// byte-identical to Procedure 3 and the naive fixpoint (including
+// cyclic SCC-heavy graphs), the index follows the permutation-cache
+// lifecycle (shared between copies, invalidated by mutation), the
+// planner routes every walk star through ReachIndexScan at every
+// thread count, and DijkstraScan answers weighted shortest paths
+// deterministically.
 
 #include <gtest/gtest.h>
 
@@ -40,7 +41,6 @@ using plan::PlanPtr;
 using plan::PlanShortestPath;
 using reach::DijkstraShortestPath;
 using reach::ReachIndex;
-using reach::ReachIndexOptions;
 using reach::ShortestPathResult;
 
 ExecOptions Threads(size_t n) {
@@ -108,9 +108,8 @@ TEST(ReachIndexBuild, ChainCycleAndPendant) {
   store.Add(rel, d, p, e);
   const TripleSet& base = *store.FindRelation("E");
 
-  auto idx = ReachIndex::Build(base, Threads(1));
+  auto idx = ReachIndex::Build(base);
   ASSERT_NE(idx, nullptr);
-  EXPECT_TRUE(idx->exact());
   EXPECT_EQ(idx->num_nodes(), 5u);  // a..e; p never appears as s or o
   EXPECT_EQ(idx->num_sccs(), 3u);   // {a,b,c}, {d}, {e}
 
@@ -127,52 +126,74 @@ TEST(ReachIndexBuild, ChainCycleAndPendant) {
   EXPECT_FALSE(idx->Reaches(a, p));
 }
 
+// Every (s, t) pair of `store`'s relation E answers like a brute DFS.
+void ExpectReachesMatchesBruteDfs(const TripleStore& store) {
+  const TripleSet& base = *store.FindRelation("E");
+  auto idx = ReachIndex::Build(base);
+  for (ObjId s = 0; s < store.NumObjects(); ++s) {
+    std::vector<ObjId> want = BruteReachable(base, s);
+    for (ObjId t = 0; t < store.NumObjects(); ++t) {
+      bool brute = std::binary_search(want.begin(), want.end(), t);
+      EXPECT_EQ(idx->Reaches(s, t), brute) << "s=" << s << " t=" << t;
+    }
+  }
+}
+
 TEST(ReachIndexBuild, ReachesMatchesBruteDfs) {
   for (uint64_t seed : {3u, 7u, 19u}) {
-    TripleStore store = CyclicStore(seed);
-    const TripleSet& base = *store.FindRelation("E");
-    auto idx = ReachIndex::Build(base, Threads(1));
-    for (ObjId s = 0; s < store.NumObjects(); ++s) {
-      std::vector<ObjId> want = BruteReachable(base, s);
-      for (ObjId t = 0; t < store.NumObjects(); ++t) {
-        bool brute = std::binary_search(want.begin(), want.end(), t);
-        EXPECT_EQ(idx->Reaches(s, t), brute)
-            << "seed=" << seed << " s=" << s << " t=" << t;
-      }
-    }
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ExpectReachesMatchesBruteDfs(CyclicStore(seed));
   }
-}
-
-TEST(ReachIndexBuild, FiniteBudgetStaysSound) {
-  // A budget of one interval per node forces merged (approximate)
-  // intervals on any graph whose closures are non-contiguous in pid
-  // space; answers must still match the brute DFS via the pruned
-  // fallback.
-  TripleStore store = CyclicStore(5, /*objects=*/60, /*triples=*/150);
-  const TripleSet& base = *store.FindRelation("E");
-  ReachIndexOptions budget1;
-  budget1.interval_budget = 1;
-  auto exact = ReachIndex::Build(base, Threads(1));
-  auto approx = ReachIndex::Build(base, Threads(1), budget1);
-  EXPECT_TRUE(exact->exact());
-  EXPECT_LE(approx->num_intervals(), approx->num_sccs());
-  for (ObjId s = 0; s < store.NumObjects(); ++s) {
-    for (ObjId t = 0; t < store.NumObjects(); ++t) {
-      EXPECT_EQ(approx->Reaches(s, t), exact->Reaches(s, t))
-          << "s=" << s << " t=" << t;
-    }
+  // A long chain n0 -> n1 -> ... -> n199: every pid has one successor,
+  // so the labeling copies and extends without a sort.
+  TripleStore chain;
+  RelId rel = chain.AddRelation("E");
+  ObjId p = chain.InternObject("p");
+  std::vector<ObjId> n;
+  for (int i = 0; i < 200; ++i) {
+    n.push_back(chain.InternObject("n" + std::to_string(i)));
   }
-}
-
-TEST(ReachIndexBuild, DeterministicAcrossThreadCounts) {
-  TripleStore store = CyclicStore(11, /*objects=*/80, /*triples=*/400);
-  const TripleSet& base = *store.FindRelation("E");
-  auto one = ReachIndex::Build(base, Threads(1));
-  for (size_t t : {2u, 4u}) {
-    auto idx = ReachIndex::Build(base, Threads(t));
-    EXPECT_EQ(idx->num_sccs(), one->num_sccs());
-    EXPECT_EQ(idx->num_intervals(), one->num_intervals());
-    EXPECT_EQ(idx->star_output_rows(), one->star_output_rows());
+  for (size_t i = 0; i + 1 < n.size(); ++i) chain.Add(rel, n[i], p, n[i + 1]);
+  {
+    SCOPED_TRACE("chain");
+    ExpectReachesMatchesBruteDfs(chain);
+  }
+  // Stacked diamonds a_k -> {b_k, c_k} -> a_{k+1}, with a pendant
+  // b_k -> x_k: pids with several successors sort and coalesce
+  // overlapping and disjoint interval sets.
+  TripleStore diamond;
+  rel = diamond.AddRelation("E");
+  p = diamond.InternObject("p");
+  for (int k = 0; k < 20; ++k) {
+    const std::string i = std::to_string(k);
+    ObjId a = diamond.InternObject("a" + i);
+    ObjId b = diamond.InternObject("b" + i);
+    ObjId c = diamond.InternObject("c" + i);
+    ObjId d = diamond.InternObject("a" + std::to_string(k + 1));
+    diamond.Add(rel, a, p, b);
+    diamond.Add(rel, a, p, c);
+    diamond.Add(rel, b, p, d);
+    diamond.Add(rel, c, p, d);
+    diamond.Add(rel, b, p, diamond.InternObject("x" + i));
+  }
+  {
+    SCOPED_TRACE("diamond");
+    ExpectReachesMatchesBruteDfs(diamond);
+  }
+  // r -> {a, c} and b -> a, interned a < b < c < r: Tarjan numbers
+  // a, b, c, r as pids 0..3, so I(r) = {[0,0], [2,3]} keeps a one-pid
+  // gap at b, which r must not reach.
+  TripleStore gap;
+  rel = gap.AddRelation("E");
+  p = gap.InternObject("p");
+  ObjId a = gap.InternObject("a"), b = gap.InternObject("b");
+  ObjId c = gap.InternObject("c"), r = gap.InternObject("r");
+  gap.Add(rel, b, p, a);
+  gap.Add(rel, r, p, a);
+  gap.Add(rel, r, p, c);
+  {
+    SCOPED_TRACE("one-pid gap");
+    ExpectReachesMatchesBruteDfs(gap);
   }
 }
 
@@ -187,42 +208,23 @@ TEST(ReachIndexStar, ByteIdenticalToProcedure3AndNaive) {
     TripleSet procedure3 = StarReachAnyPath(base);
     auto ref = naive->Eval(star, store);
     ASSERT_TRUE(ref.ok());
-    ASSERT_EQ(procedure3, *ref) << "fast path vs naive, seed=" << seed;
-    for (size_t threads : {1u, 2u, 4u}) {
-      auto idx = ReachIndex::Build(base, Threads(threads));
-      auto got = idx->EmitStar(base, Threads(threads), 50'000'000);
-      ASSERT_TRUE(got.ok()) << got.status().message();
-      EXPECT_EQ(*got, procedure3)
-          << "seed=" << seed << " threads=" << threads;
-    }
+    ASSERT_EQ(procedure3, *ref) << "Procedure 3 vs naive, seed=" << seed;
+    auto got = ReachIndex::Build(base)->EmitStar(base, 50'000'000);
+    ASSERT_TRUE(got.ok()) << got.status().message();
+    EXPECT_EQ(*got, procedure3) << "seed=" << seed;
   }
-}
-
-TEST(ReachIndexStar, ApproximateIndexEmitsIdenticalStar) {
-  TripleStore store = CyclicStore(13);
-  const TripleSet& base = *store.FindRelation("E");
-  TripleSet want = StarReachAnyPath(base);
-  ReachIndexOptions budget1;
-  budget1.interval_budget = 1;
-  auto idx = ReachIndex::Build(base, Threads(2), budget1);
-  auto got = idx->EmitStar(base, Threads(2), 50'000'000);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(*got, want);
 }
 
 TEST(ReachIndexStar, OutputBoundAndOverflowGuard) {
   TripleStore store = CyclicStore(4);
   const TripleSet& base = *store.FindRelation("E");
-  auto idx = ReachIndex::Build(base, Threads(1));
+  auto idx = ReachIndex::Build(base);
   TripleSet want = StarReachAnyPath(base);
   // star_output_rows is an upper bound on the actual star cardinality.
   EXPECT_GE(idx->star_output_rows(), want.size());
-  // The guard trips both serial and parallel emission.
-  for (size_t threads : {1u, 4u}) {
-    auto r = idx->EmitStar(base, Threads(threads), want.size() - 1);
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
-  }
+  auto r = idx->EmitStar(base, want.size() - 1);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
 }
 
 // ---- cache lifecycle ---------------------------------------------------
@@ -235,18 +237,18 @@ TEST(ReachIndexCache, SharedBetweenCopiesAndStore) {
   EXPECT_EQ(ReachIndex::Cached(rel), nullptr);
 
   TripleSet copy = rel;  // shares the index-cache cell
-  auto built = ReachIndex::GetOrBuild(copy, Threads(1));
+  auto built = ReachIndex::GetOrBuild(copy);
   ASSERT_NE(built, nullptr);
   // The store's relation sees the index built through the copy, and
   // GetOrBuild returns the same instance instead of rebuilding.
   EXPECT_EQ(ReachIndex::Cached(rel), built);
-  EXPECT_EQ(ReachIndex::GetOrBuild(rel, Threads(1)), built);
+  EXPECT_EQ(ReachIndex::GetOrBuild(rel), built);
 }
 
 TEST(ReachIndexCache, MutationInvalidates) {
   TripleStore store = CyclicStore(6);
   TripleSet* rel = store.MutableRelation("E");
-  auto built = ReachIndex::GetOrBuild(*rel, Threads(1));
+  auto built = ReachIndex::GetOrBuild(*rel);
   ASSERT_NE(built, nullptr);
   ASSERT_EQ(ReachIndex::Cached(*rel), built);
 
@@ -256,7 +258,7 @@ TEST(ReachIndexCache, MutationInvalidates) {
               store.InternObject("zz2"));
   EXPECT_EQ(ReachIndex::Cached(*rel), nullptr);
   // A rebuild over the mutated set answers for the new triples.
-  auto fresh = ReachIndex::GetOrBuild(*rel, Threads(1));
+  auto fresh = ReachIndex::GetOrBuild(*rel);
   ASSERT_NE(fresh, nullptr);
   EXPECT_NE(fresh, built);
   EXPECT_TRUE(fresh->Reaches(store.FindObject("zz1"),
@@ -266,14 +268,15 @@ TEST(ReachIndexCache, MutationInvalidates) {
 // ---- planner routing + plan execution ---------------------------------
 
 TEST(ReachIndexPlan, WarmIndexRoutesToIndexScan) {
-  TripleStore store = CyclicStore(8);  // small: cold estimate stays low
+  TripleStore store = CyclicStore(8);  // small: no size gate either way
   for (RelId r = 0; r < store.NumRelations(); ++r) store.RelationStats(r);
   ExprPtr star = ReachAnyPath(Expr::Rel("E"));
 
   PlanPtr cold = PlanExpr(star, store);
-  ASSERT_EQ(cold->op, PlanOp::kReachFastPath) << Explain(*cold);
+  ASSERT_EQ(cold->op, PlanOp::kReachIndexScan) << Explain(*cold);
+  EXPECT_EQ(ReachIndex::Cached(*store.FindRelation("E")), nullptr);
 
-  auto idx = ReachIndex::GetOrBuild(*store.FindRelation("E"), Threads(1));
+  auto idx = ReachIndex::GetOrBuild(*store.FindRelation("E"));
   PlanPtr warm = PlanExpr(star, store);
   ASSERT_EQ(warm->op, PlanOp::kReachIndexScan) << Explain(*warm);
   // The warm plan's estimate is the index's exact output bound.
@@ -316,7 +319,7 @@ TEST(ReachIndexPlan, FixpointStarOnReachSpecMatchesAnyPathKernel) {
   // byte-identical to Procedure 3.  With the index warm the planner
   // routes such a star to ReachIndexScan, so force the fixpoint.
   TripleStore store = CyclicStore(17);
-  auto idx = ReachIndex::GetOrBuild(*store.FindRelation("E"), Threads(1));
+  auto idx = ReachIndex::GetOrBuild(*store.FindRelation("E"));
   ASSERT_NE(idx, nullptr);
   PlanPtr p = PlanExpr(ReachAnyPath(Expr::Rel("E")), store);
   p->op = PlanOp::kFixpointStar;  // bypass the routing, keep spec + child
@@ -782,10 +785,9 @@ std::vector<WalkShapeCase> AllWalkShapes() {
   return out;
 }
 
-ReachIndexOptions GraphFor(const WalkShapeCase& w) {
-  ReachIndexOptions opts;
-  if (w.same_middle) opts.graph = reach::ReachGraph::kLabelProduct;
-  return opts;
+reach::ReachGraph GraphFor(const WalkShapeCase& w) {
+  return w.same_middle ? reach::ReachGraph::kLabelProduct
+                       : reach::ReachGraph::kSubjectObject;
 }
 
 // Every walk shape over relation E of `store`, stored and derived, at
@@ -807,7 +809,7 @@ void ExpectWalksMatchNaive(const TripleStore& store) {
 
     // Stored base with a warm index: the planner routes the walk to
     // ReachIndexScan and prices it from the index.
-    auto warm = ReachIndex::GetOrBuild(rel, Threads(1), GraphFor(w));
+    auto warm = ReachIndex::GetOrBuild(rel, GraphFor(w));
     PlanPtr p = PlanExpr(star, store);
     ASSERT_EQ(p->op, PlanOp::kReachIndexScan) << Explain(*p);
     EXPECT_EQ(p->walk_col, w.col);
@@ -819,42 +821,45 @@ void ExpectWalksMatchNaive(const TripleStore& store) {
       auto got = ExecutePlan(*p, store, Limits(threads));
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       EXPECT_EQ(*got, *want) << threads << " threads";
-      // A fresh index built and expanded at this thread count.
-      auto fresh = ReachIndex::Build(rel, Threads(threads), GraphFor(w));
-      auto direct = fresh->EmitWalk(rel, w.col, Threads(threads),
-                                    50'000'000);
-      ASSERT_TRUE(direct.ok());
-      EXPECT_EQ(*direct, *want) << threads << " threads, direct";
-
-      // The guard trips mid-walk, through the plan and directly.
+      // The guard trips mid-walk.
       ExecLimits capped = Limits(threads);
       capped.max_result_triples = want->size() / 2;
       auto over = ExecutePlan(*p, store, capped);
       ASSERT_FALSE(over.ok()) << threads << " threads";
       EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
-      auto over_direct = fresh->EmitWalk(rel, w.col, Threads(threads),
-                                         want->size() / 2);
-      ASSERT_FALSE(over_direct.ok());
-      EXPECT_EQ(over_direct.status().code(), StatusCode::kResourceExhausted);
     }
+    // A fresh index, built and expanded directly.
+    auto fresh = ReachIndex::Build(rel, GraphFor(w));
+    auto direct = fresh->EmitWalk(rel, w.col, 50'000'000);
+    ASSERT_TRUE(direct.ok());
+    EXPECT_EQ(*direct, *want) << "direct";
+    auto over_direct = fresh->EmitWalk(rel, w.col, want->size() / 2);
+    ASSERT_FALSE(over_direct.ok());
+    EXPECT_EQ(over_direct.status().code(), StatusCode::kResourceExhausted);
 
-    // Derived base: the plan keeps Procedures 3/4 or the fixpoint, and
-    // an index built over the derived set emits the same walk.
+    // Derived base: the plan builds the index cold over the derived
+    // set, and an index built over it directly emits the same walk.
     ExprPtr dstar = w.Star(derived_expr);
     auto dwant = naive->Eval(dstar, store);
     ASSERT_TRUE(dwant.ok());
     PlanPtr dp = PlanExpr(dstar, store);
-    EXPECT_NE(dp->op, PlanOp::kReachIndexScan) << Explain(*dp);
+    ASSERT_EQ(dp->op, PlanOp::kReachIndexScan) << Explain(*dp);
+    EXPECT_EQ(dp->walk_col, w.col);
+    EXPECT_EQ(dp->reach_same_middle, w.same_middle);
     for (size_t threads : {1u, 2u, 4u}) {
       auto got = ExecutePlan(*dp, store, Limits(threads));
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       EXPECT_EQ(*got, *dwant) << threads << " threads, derived";
-      auto idx = ReachIndex::Build(*derived, Threads(threads), GraphFor(w));
-      auto direct = idx->EmitWalk(*derived, w.col, Threads(threads),
-                                  50'000'000);
-      ASSERT_TRUE(direct.ok());
-      EXPECT_EQ(*direct, *dwant) << threads << " threads, derived direct";
+      ExecLimits capped = Limits(threads);
+      capped.max_result_triples = dwant->size() / 2;
+      auto over = ExecutePlan(*dp, store, capped);
+      ASSERT_FALSE(over.ok()) << threads << " threads, derived";
+      EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
     }
+    auto idx = ReachIndex::Build(*derived, GraphFor(w));
+    auto ddirect = idx->EmitWalk(*derived, w.col, 50'000'000);
+    ASSERT_TRUE(ddirect.ok());
+    EXPECT_EQ(*ddirect, *dwant) << "derived direct";
   }
 }
 
@@ -891,21 +896,20 @@ TEST(WalkStars, LabelIndexCachesBesideTheSubjectObjectIndex) {
   TripleStore store = CyclicStore(6);
   const TripleSet& rel = *store.FindRelation("E");
   ASSERT_GT(rel.size(), 0u);
-  ReachIndexOptions label;
-  label.graph = reach::ReachGraph::kLabelProduct;
-  auto by_label = ReachIndex::GetOrBuild(rel, Threads(1), label);
+  auto by_label =
+      ReachIndex::GetOrBuild(rel, reach::ReachGraph::kLabelProduct);
   EXPECT_EQ(by_label->graph(), reach::ReachGraph::kLabelProduct);
   EXPECT_EQ(ReachIndex::Cached(rel), nullptr);
-  auto any = ReachIndex::GetOrBuild(rel, Threads(1));
+  auto any = ReachIndex::GetOrBuild(rel);
   EXPECT_EQ(ReachIndex::Cached(rel), any);
   EXPECT_EQ(ReachIndex::Cached(rel, reach::ReachGraph::kLabelProduct),
             by_label);
   // The label index walks only column 2.
   EXPECT_EQ(by_label->walk_output_rows(1), 0u);
-  auto wrong = by_label->EmitWalk(rel, 1, Threads(1), 50'000'000);
+  auto wrong = by_label->EmitWalk(rel, 1, 50'000'000);
   ASSERT_FALSE(wrong.ok());
   EXPECT_EQ(wrong.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(*by_label->EmitStar(rel, Threads(1), 50'000'000),
+  EXPECT_EQ(*by_label->EmitStar(rel, 50'000'000),
             StarReachSameMiddle(rel));
 }
 

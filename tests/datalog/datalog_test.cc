@@ -440,7 +440,7 @@ TEST(DatalogPlanRoute, ChainedReuseRunsEachPredicateOnce) {
 }
 
 // The result-size guard holds on both routes: the plan route (a join,
-// and a Procedure 4 star) and the direct engine.
+// and a same-middle walk star) and the direct engine.
 TEST(DatalogPlanRoute, TinyResultCapIsExhaustedOnBothRoutes) {
   TripleStore store = TransportStore();
   DatalogOptions opts;
@@ -463,9 +463,9 @@ TEST(DatalogPlanRoute, TinyResultCapIsExhaustedOnBothRoutes) {
   }
 }
 
-// The star kernels stop at the cap themselves: the executor checks no
-// star output after the fact, so the plan of the reach program run
-// under a tiny cap fails inside the Procedure 4 kernel.
+// The star kernel stops at the cap itself: the executor checks no star
+// output after the fact, so the plan of the reach program run under a
+// tiny cap fails inside the label-index walk.
 TEST(DatalogPlanRoute, ReachKernelStopsAtTheCap) {
   TripleStore store = TransportStore();
   Program p = MustParse(
@@ -473,7 +473,8 @@ TEST(DatalogPlanRoute, ReachKernelStopsAtTheCap) {
       "ans(X, Y, W) :- ans(X, Y, Z), E(Z, P, W), Y = P.");
   auto pl = PlanProgram(p, store);
   ASSERT_TRUE(pl.ok()) << pl.status().ToString();
-  ASSERT_EQ((*pl)->op, plan::PlanOp::kReachFastPath) << plan::Explain(**pl);
+  ASSERT_EQ((*pl)->op, plan::PlanOp::kReachIndexScan) << plan::Explain(**pl);
+  EXPECT_TRUE((*pl)->reach_same_middle);
   auto full = plan::ExecutePlan(**pl, store);
   ASSERT_TRUE(full.ok()) << full.status().ToString();
   ASSERT_GT(full->size(), 2u);
