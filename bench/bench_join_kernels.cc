@@ -1,6 +1,7 @@
 // Micro-benchmarks of the evaluator kernels (google-benchmark): the
 // hash-join vs nested-loop join, the semi-naive star vs the Procedure
-// 3/4 reachability fast paths, and set operations on TripleSets.
+// 3/4 reachability fast paths, the triple sort kernel, and set
+// operations on TripleSets.
 //
 // When TRIAL_BENCH_JSON names a file, the google-benchmark JSON
 // reporter writes the results there (the same mechanism as
@@ -20,6 +21,8 @@
 #include "core/eval.h"
 #include "core/fast_reach.h"
 #include "graph/generators.h"
+#include "storage/triple_index.h"
+#include "util/rng.h"
 
 namespace trial {
 namespace {
@@ -223,6 +226,44 @@ BENCHMARK(BM_ParallelSemiNaiveStar)
     ->ArgsProduct({{2048, 4096}, {1, 2, 4}})
     ->Unit(benchmark::kMillisecond)
     ->MinTime(0.1);
+
+// ---- the triple sort kernel ----------------------------------------------
+//
+// SortTriples (LSD radix, 11-bit digits) against the std::sort it
+// replaced, on shuffled rows whose ids span an sp2b_read-sized
+// dictionary (~2.6e5 ids, 18 bits).  The sizes are the staged outputs
+// of sp2b_read's `correlated` query: 66k, 413k and 828k rows.  The
+// second argument picks the kernel: 0 = std::sort (reference),
+// 1 = SortTriples.
+
+void BM_SortTriples(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const bool radix = state.range(1) != 0;
+  Rng rng(131);
+  std::vector<Triple> input(n);
+  for (Triple& t : input) {
+    t = Triple{static_cast<ObjId>(rng.Below(263819)),
+               static_cast<ObjId>(rng.Below(263819)),
+               static_cast<ObjId>(rng.Below(263819))};
+  }
+  std::vector<Triple> v;
+  for (auto _ : state) {
+    state.PauseTiming();
+    v = input;
+    state.ResumeTiming();
+    if (radix) {
+      SortTriples(&v, IndexOrder::kSPO);
+    } else {
+      std::sort(v.begin(), v.end());
+    }
+    benchmark::DoNotOptimize(v.data());
+  }
+  state.counters["radix"] = radix ? 1 : 0;
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_SortTriples)
+    ->ArgsProduct({{66000, 413000, 828000}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_TripleSetUnion(benchmark::State& state) {
   TripleStore a = MakeStore(static_cast<size_t>(state.range(0)));

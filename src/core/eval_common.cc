@@ -103,10 +103,6 @@ TripleSet SelectIndexed(const TripleSet& in, const CondSet& cond,
     bind[col] = true;
     val[col] = const_term.constant;
   }
-  TripleSet out;
-  auto emit = [&](const Triple& t) {
-    if (cond.HoldsUnary(t, store)) out.Insert(t);
-  };
   int a = -1, b = -1;
   for (int col = 0; col < 3; ++col) {
     if (!bind[col]) continue;
@@ -119,20 +115,26 @@ TripleSet SelectIndexed(const TripleSet& in, const CondSet& cond,
   // A selection probes its input exactly once, so only take the index
   // route when the needed permutation is free or its build amortizes
   // (store-backed input); for a fresh intermediate a linear scan is
-  // cheaper than a one-shot copy+sort.
+  // cheaper than a one-shot copy+sort.  Two (or three) bound columns
+  // probe the pair; a third constant is caught by the HoldsUnary
+  // re-verification.
   AccessPath path = PlanAccess(bind[0], bind[1], bind[2]);
-  if (a < 0 || !in.IndexAmortized(path.order)) {
-    for (const Triple& t : in) emit(t);
-  } else if (b < 0) {
-    if (strategy_out != nullptr) *strategy_out = "index";
-    for (const Triple& t : in.Lookup(a, val[a])) emit(t);
-  } else {
-    if (strategy_out != nullptr) *strategy_out = "index";
-    // Two (or three) bound columns: probe the pair; a third constant is
-    // caught by the HoldsUnary re-verification.
-    for (const Triple& t : in.LookupPair(a, val[a], b, val[b])) emit(t);
+  const bool indexed = a >= 0 && in.IndexAmortized(path.order);
+  if (indexed && strategy_out != nullptr) *strategy_out = "index";
+  TripleRange range = !indexed ? in.Scan(IndexOrder::kSPO)
+                      : b < 0  ? in.Lookup(a, val[a])
+                               : in.LookupPair(a, val[a], b, val[b]);
+  std::vector<Triple> out;
+  out.reserve(range.size());
+  for (const Triple& t : range) {
+    if (cond.HoldsUnary(t, store)) out.push_back(t);
   }
-  return out;
+  // The scan and SPO ranges already emit in SPO order; a POS or OSP
+  // range needs one sort.  Either way the rows are unique.
+  if (indexed && path.order != IndexOrder::kSPO) {
+    SortTriples(&out, IndexOrder::kSPO);
+  }
+  return TripleSet::FromSortedUnique(std::move(out));
 }
 
 std::vector<std::pair<ObjId, ObjId>> ProjectSO(const TripleSet& set) {

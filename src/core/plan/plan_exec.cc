@@ -45,7 +45,60 @@ constexpr size_t kGuardStride = 4096;
 constexpr size_t kMaxSegmentReserve = 64 * 1024;
 
 using TripleHashSet = std::unordered_set<Triple, TripleHash>;
-using HashIndex = std::unordered_map<uint64_t, std::vector<Triple>>;
+
+// The hash side of a join: every passing row's key hash and triple in
+// one flat array, bucketed by a counting sort on the hash, with one
+// offsets array and no per-key vectors.  Read-only after Build, so
+// parallel probe loops share it without locks.
+class HashIndex {
+ public:
+  // Two passes over `rows`, count then fill; `pass` filters rows and
+  // `hash` keys them (both called twice per row, nothing is staged).
+  template <typename Pass, typename Hash>
+  void Build(const TripleSet& rows, const Pass& pass, const Hash& hash) {
+    int bits = 1;
+    while (bits < 63 && (size_t{1} << bits) < rows.size()) ++bits;
+    shift_ = 64 - bits;
+    // offsets_[b] counts bucket b, then holds its end; filling
+    // backwards leaves it at the bucket's start.
+    offsets_.assign((size_t{1} << bits) + 1, 0);
+    for (const Triple& t : rows) {
+      if (pass(t)) ++offsets_[Bucket(hash(t))];
+    }
+    size_t end = 0;
+    for (size_t& o : offsets_) o = end += o;
+    entries_.resize(end);
+    for (const Triple& t : rows) {
+      if (!pass(t)) continue;
+      const uint64_t h = hash(t);
+      entries_[--offsets_[Bucket(h)]] = {h, t};
+    }
+  }
+
+  // Calls fn(triple) for every row stored under key hash `h`.
+  template <typename Fn>
+  void ForEach(uint64_t h, const Fn& fn) const {
+    const size_t b = Bucket(h);
+    for (size_t i = offsets_[b]; i < offsets_[b + 1]; ++i) {
+      if (entries_[i].hash == h) fn(entries_[i].triple);
+    }
+  }
+
+ private:
+  struct Entry {
+    uint64_t hash = 0;
+    Triple triple;
+  };
+  // Fibonacci hashing: the top bits of a multiplicative mix, so keys
+  // that differ only in low bits still spread.
+  size_t Bucket(uint64_t h) const {
+    return static_cast<size_t>((h * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+
+  int shift_ = 63;
+  std::vector<size_t> offsets_;
+  std::vector<Entry> entries_;
+};
 
 class Executor {
  public:
@@ -78,6 +131,10 @@ class Executor {
     n.runtime.profiled = true;
     n.runtime.start_ns = MonotonicNanos() - origin_ns_;
     Result<TripleSet> result = ExecNode(n);
+    // An operator's staged output is sorted on its first read.  Force
+    // that inside the span, so the sort is charged to the operator that
+    // made the rows, not to its parent (or, at the root, to no span).
+    if (result.ok()) (void)result->size();
     n.runtime.end_ns = MonotonicNanos() - origin_ns_;
     // Children execute strictly inside this node's span (operators run
     // their children sequentially; parallelism lives inside kernels),
@@ -93,8 +150,8 @@ class Executor {
     if (result.ok()) {
       n.runtime.executed = true;
       // ANALYZE counts every node, including the root: the caller asked
-      // for the rows, so the normalize size() forces is work the read
-      // was about to pay anyway.
+      // for the rows, so the normalize above is work the read was about
+      // to pay anyway.
       NoteRows(n, *result);
       if (n.runtime.peak_rows < n.runtime.actual_rows) {
         n.runtime.peak_rows = n.runtime.actual_rows;
@@ -336,19 +393,18 @@ class Executor {
     }
     n.runtime.strategy = "hash";
     HashIndex index;
-    for (const Triple& b : r) {
-      if (plan.PassesRight(b, store_)) {
-        index[plan.KeyHashRight(b, store_)].push_back(b);
-      }
-    }
+    index.Build(
+        r, [&](const Triple& b) { return plan.PassesRight(b, store_); },
+        [&](const Triple& b) { return plan.KeyHashRight(b, store_); });
     return ProbeLoop(l, plan,
                      [&](const Triple& a, std::vector<Triple>* out) {
-                       auto it = index.find(plan.KeyHashLeft(a, store_));
-                       if (it == index.end()) return;
-                       for (const Triple& b : it->second) {
-                         if (!spec.cond.Holds(a, b, store_)) continue;
-                         out->push_back(spec.Output(a, b));
-                       }
+                       index.ForEach(plan.KeyHashLeft(a, store_),
+                                     [&](const Triple& b) {
+                                       if (!spec.cond.Holds(a, b, store_)) {
+                                         return;
+                                       }
+                                       out->push_back(spec.Output(a, b));
+                                     });
                      });
   }
 
@@ -573,14 +629,16 @@ class Executor {
     HashIndex index;
     bool hash_built = false;
     auto build_hash = [&] {
-      for (const Triple& b : base) {
-        bool pass = right ? plan.PassesRight(b, store_)
-                          : plan.PassesLeft(b, store_);
-        if (!pass) continue;
-        uint64_t h = right ? plan.KeyHashRight(b, store_)
-                           : plan.KeyHashLeft(b, store_);
-        index[h].push_back(b);
-      }
+      index.Build(
+          base,
+          [&](const Triple& b) {
+            return right ? plan.PassesRight(b, store_)
+                         : plan.PassesLeft(b, store_);
+          },
+          [&](const Triple& b) {
+            return right ? plan.KeyHashRight(b, store_)
+                         : plan.KeyHashLeft(b, store_);
+          });
       hash_built = true;
     };
 
@@ -605,11 +663,9 @@ class Executor {
       if (use_probe) {
         for (const Triple& b : probe.Probe(base, d)) emit(b);
       } else {
-        uint64_t h = right ? plan.KeyHashLeft(d, store_)
-                           : plan.KeyHashRight(d, store_);
-        auto it = index.find(h);
-        if (it == index.end()) return;
-        for (const Triple& b : it->second) emit(b);
+        index.ForEach(right ? plan.KeyHashLeft(d, store_)
+                            : plan.KeyHashRight(d, store_),
+                      emit);
       }
     };
     // Folds candidate outputs into the accumulator in encounter order;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "storage/segment/store_snapshot.h"
+#include "storage/triple_index.h"
 #include "util/interner.h"
 #include "util/metrics.h"
 #include "util/timer.h"
@@ -183,7 +184,7 @@ Result<TripleStore> BulkLoadNTriples(std::string_view text,
       for (Triple& t : run) {
         t = Triple{remap[t.s], remap[t.p], remap[t.o]};
       }
-      std::sort(run.begin(), run.end());
+      SortTriples(&run, IndexOrder::kSPO);
       run.erase(std::unique(run.begin(), run.end()), run.end());
     }
   });

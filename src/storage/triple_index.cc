@@ -1,6 +1,7 @@
 #include "storage/triple_index.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "storage/segment/segment_source.h"
 
@@ -38,6 +39,113 @@ bool IndexLess(IndexOrder order, const Triple& a, const Triple& b) {
   return a[c[2]] < b[c[2]];
 }
 
+namespace {
+
+constexpr int kDigitBits = 11;
+constexpr size_t kRadix = size_t{1} << kDigitBits;
+constexpr ObjId kDigitMask = static_cast<ObjId>(kRadix - 1);
+
+static_assert(sizeof(Triple) == 3 * sizeof(ObjId), "Triple is (s, p, o)");
+
+// Column `c` of `t` by index, without the branches of Triple::operator[].
+ObjId Field(const Triple& t, int c) {
+  ObjId f[3];
+  std::memcpy(f, &t, sizeof f);
+  return f[c];
+}
+
+// One scatter pass: a key column and the shift of its digit.
+struct RadixPass {
+  int col = 0;
+  int shift = 0;
+  ObjId Digit(const Triple& t) const {
+    return (Field(t, col) >> shift) & kDigitMask;
+  }
+};
+
+}  // namespace
+
+void SortTriples(std::vector<Triple>* v, IndexOrder order) {
+  const size_t n = v->size();
+  if (n < kSortTriplesRadixMinRows) {
+    std::sort(v->begin(), v->end(), [order](const Triple& a, const Triple& b) {
+      return IndexLess(order, a, b);
+    });
+    return;
+  }
+  const int* cols = Cols(order);
+  // Each column's set bits, and the key suffixes (least significant
+  // columns first) the input is already sorted by: LSD passes over
+  // such a suffix are stable no-ops.
+  const Triple* data = v->data();
+  ObjId bits[3] = {0, 0, 0};
+  for (size_t i = 0; i < n; ++i) {
+    bits[0] |= data[i].s;
+    bits[1] |= data[i].p;
+    bits[2] |= data[i].o;
+  }
+  bool sorted[3] = {true, true, true};  // by key columns k..2
+  for (size_t i = 1; i < n && (sorted[0] || sorted[1] || sorted[2]); ++i) {
+    const ObjId a0 = Field(data[i - 1], cols[0]);
+    const ObjId a1 = Field(data[i - 1], cols[1]);
+    const ObjId a2 = Field(data[i - 1], cols[2]);
+    const ObjId b0 = Field(data[i], cols[0]);
+    const ObjId b1 = Field(data[i], cols[1]);
+    const ObjId b2 = Field(data[i], cols[2]);
+    sorted[2] = sorted[2] && a2 <= b2;
+    sorted[1] = sorted[1] && (a1 != b1 ? a1 < b1 : a2 <= b2);
+    sorted[0] = sorted[0] &&
+                (a0 != b0 ? a0 < b0 : a1 != b1 ? a1 < b1 : a2 <= b2);
+  }
+  int skip_from = 3;  // key columns k >= skip_from need no pass
+  for (int k = 2; k >= 0; --k) {
+    if (sorted[k]) skip_from = k;
+  }
+  // The passes, least significant first, stopping at each column's
+  // highest set bit.
+  RadixPass passes[9] = {};
+  int num_passes = 0;
+  for (int k = skip_from - 1; k >= 0; --k) {
+    const int c = cols[k];
+    for (int shift = 0; shift < 32 && (bits[c] >> shift) != 0;
+         shift += kDigitBits) {
+      passes[num_passes++] = {c, shift};
+    }
+  }
+  if (num_passes == 0) return;
+  // Every pass's histogram in one more read pass.
+  std::vector<size_t> hist(num_passes * kRadix, 0);
+  for (const Triple& t : *v) {
+    for (int i = 0; i < num_passes; ++i) {
+      ++hist[i * kRadix + passes[i].Digit(t)];
+    }
+  }
+  std::vector<Triple> scratch;
+  Triple* src = v->data();
+  Triple* dst = nullptr;
+  for (int i = 0; i < num_passes; ++i) {
+    size_t* off = &hist[i * kRadix];
+    // A digit shared by every row leaves the order as it is.
+    if (off[passes[i].Digit(src[0])] == n) continue;
+    if (dst == nullptr) {
+      scratch.resize(n);
+      dst = scratch.data();
+    }
+    size_t sum = 0;
+    for (size_t d = 0; d < kRadix; ++d) {
+      const size_t count = off[d];
+      off[d] = sum;
+      sum += count;
+    }
+    const RadixPass pass = passes[i];
+    for (size_t j = 0; j < n; ++j) dst[off[pass.Digit(src[j])]++] = src[j];
+    std::swap(src, dst);
+  }
+  // An odd number of scatters leaves the result in the scratch buffer:
+  // adopt it, and the input's buffer is the one freed.
+  if (src != v->data()) v->swap(scratch);
+}
+
 AccessPath PlanAccess(bool bind_s, bool bind_p, bool bind_o) {
   // Each order's prefix covers the bound set exactly when the bound
   // columns are a prefix of its key; every single column and every pair
@@ -57,19 +165,17 @@ const std::vector<Triple>& TripleIndexCache::Permutation(
     const std::vector<Triple>& spo, IndexOrder order) {
   if (order == IndexOrder::kPOS) {
     if (!pos_built) {
-      pos = spo;
-      std::sort(pos.begin(), pos.end(), [](const Triple& a, const Triple& b) {
-        return IndexLess(IndexOrder::kPOS, a, b);
-      });
+      pos = spo;  // already sorted by s, POS's last key column
+      SortTriples(&pos, IndexOrder::kPOS);
       pos_built = true;
     }
     return pos;
   }
   if (!osp_built) {
-    osp = spo;
-    std::sort(osp.begin(), osp.end(), [](const Triple& a, const Triple& b) {
-      return IndexLess(IndexOrder::kOSP, a, b);
-    });
+    // Built from POS when it is ready: sorted by p, OSP's last key
+    // column, so only the s and o passes run.
+    osp = pos_built ? pos : spo;
+    SortTriples(&osp, IndexOrder::kOSP);
     osp_built = true;
   }
   return osp;

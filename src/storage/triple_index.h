@@ -11,7 +11,7 @@
 //   bound {p}         -> POS prefix      bound {p, o} -> POS prefix
 //   bound {o}         -> OSP prefix      bound {o, s} -> OSP prefix
 //
-// Permutations are built lazily on first lookup (O(n log n) copy+sort)
+// Permutations are built lazily on first lookup (copy + SortTriples)
 // and cached.  The cache cell is *shared between copies* of a TripleSet:
 // evaluators routinely copy base relations out of the store, and sharing
 // means the first probe through any copy also warms the store's relation
@@ -44,6 +44,22 @@ int IndexColumn(IndexOrder order, int k);
 
 /// Comparator for `order`: SPO compares (s,p,o), POS (p,o,s), OSP (o,s,p).
 bool IndexLess(IndexOrder order, const Triple& a, const Triple& b);
+
+/// Below this many rows SortTriples uses a comparison sort: the radix
+/// passes' fixed 2048-bucket histograms cost more than they save.
+constexpr size_t kSortTriplesRadixMinRows = 512;
+
+/// Sorts `v` by IndexLess(order), keeping duplicates — the one sort
+/// kernel behind every triple sort in the storage layer (staged
+/// normalize, POS/OSP builds, the loader's runs).  An LSD radix sort
+/// with 11-bit digits over the key columns, least significant first.
+/// Passes that cannot reorder anything are skipped: the digits above a
+/// column's highest set bit, any digit that is the same on every row
+/// (so a POS range with p pinned sorts on (o, s) alone), and the
+/// columns of a key suffix the input is already sorted by (a POS build
+/// from the SPO body never sorts on s).  One scratch buffer of n
+/// triples is freed before returning.
+void SortTriples(std::vector<Triple>* v, IndexOrder order);
 
 /// A contiguous range of triples inside one permutation.  Iteration
 /// yields full triples (the permutations store whole triples, not key

@@ -44,16 +44,22 @@ void TripleSet::Normalize() const {
   if (staged_.empty()) return;
   if (source_ != nullptr) Promote();
   // Sort only the staged batch and merge it into the already-sorted
-  // body: O(n + k log k) per batch instead of O((n+k) log (n+k)).
-  std::sort(staged_.begin(), staged_.end());
+  // body: O(n + k) per batch instead of re-sorting all n + k.
+  SortTriples(&staged_, IndexOrder::kSPO);
   staged_.erase(std::unique(staged_.begin(), staged_.end()), staged_.end());
-  size_t mid = triples_.size();
-  triples_.insert(triples_.end(), staged_.begin(), staged_.end());
+  if (triples_.empty()) {
+    // The common case, an operator's whole output: adopt the batch's
+    // buffer instead of copying it and keeping both.
+    triples_.swap(staged_);
+  } else {
+    size_t mid = triples_.size();
+    triples_.insert(triples_.end(), staged_.begin(), staged_.end());
+    std::inplace_merge(triples_.begin(), triples_.begin() + mid,
+                       triples_.end());
+    triples_.erase(std::unique(triples_.begin(), triples_.end()),
+                   triples_.end());
+  }
   staged_.clear();
-  std::inplace_merge(triples_.begin(), triples_.begin() + mid,
-                     triples_.end());
-  triples_.erase(std::unique(triples_.begin(), triples_.end()),
-                 triples_.end());
   // The contents changed: detach onto a fresh cache cell rather than
   // clearing the shared one, which other copies may still be using.
   cache_ = std::make_shared<TripleIndexCache>();

@@ -2,8 +2,8 @@
 // (storage/triple_index.h): planner coverage, agreement of Lookup /
 // LookupPair / Scan with the sorted base vector, lazy build and
 // invalidation, cache sharing across copies, stats, the merge-based
-// Normalize, and the Zipf-skewed store generator that exercises skewed
-// index selectivity.
+// Normalize, the SortTriples radix kernel, and the Zipf-skewed store
+// generator that exercises skewed index selectivity.
 
 #include <gtest/gtest.h>
 
@@ -312,6 +312,128 @@ TEST(ZipfStores, EnginesAgreeOnSelectiveQueries) {
         EXPECT_EQ(*rn, *rs) << e->ToString();
       }
     }
+  }
+}
+
+// ---- the sort kernel ----------------------------------------------------
+
+// SortTriples must order exactly as std::sort with IndexLess, keeping
+// duplicates, for every order.  The inputs hit each pass-skipping rule:
+// ids that use bits 22-31 (the third 11-bit digit, up to 0xFFFFFFFF),
+// duplicate rows, a column constant across all rows (its passes are
+// skipped), a column where most but not all rows share one value,
+// input already sorted (every pass skipped) and reverse sorted, at
+// sizes on both sides of the comparison-sort fallback.
+void ExpectSortsLikeStdSort(std::vector<Triple> rows, const char* what) {
+  for (IndexOrder order :
+       {IndexOrder::kSPO, IndexOrder::kPOS, IndexOrder::kOSP}) {
+    std::vector<Triple> want = rows;
+    std::sort(want.begin(), want.end(),
+              [order](const Triple& a, const Triple& b) {
+                return IndexLess(order, a, b);
+              });
+    std::vector<Triple> got = rows;
+    SortTriples(&got, order);
+    EXPECT_EQ(got, want) << what << ", " << IndexOrderName(order) << ", "
+                         << rows.size() << " rows";
+    // Sorted input (every order's own output) must stay put, and the
+    // other orders must sort it like any input.
+    for (IndexOrder again :
+         {IndexOrder::kSPO, IndexOrder::kPOS, IndexOrder::kOSP}) {
+      std::vector<Triple> resorted = want;
+      SortTriples(&resorted, again);
+      std::vector<Triple> ref = want;
+      std::stable_sort(ref.begin(), ref.end(),
+                       [again](const Triple& a, const Triple& b) {
+                         return IndexLess(again, a, b);
+                       });
+      EXPECT_EQ(resorted, ref) << what << ", " << IndexOrderName(order)
+                               << " then " << IndexOrderName(again);
+    }
+    std::vector<Triple> reversed(want.rbegin(), want.rend());
+    SortTriples(&reversed, order);
+    EXPECT_EQ(reversed, want) << what << ", reversed, "
+                              << IndexOrderName(order);
+  }
+}
+
+TEST(SortTriples, MatchesStdSortOnEveryOrder) {
+  Rng rng(4242);
+  const size_t sizes[] = {0,
+                          1,
+                          2,
+                          37,
+                          kSortTriplesRadixMinRows - 1,
+                          kSortTriplesRadixMinRows,
+                          kSortTriplesRadixMinRows + 1,
+                          5000,
+                          40000};
+  for (size_t n : sizes) {
+    // Full 32-bit ids, plus the extremes of the top digit.
+    std::vector<Triple> wide(n);
+    for (size_t i = 0; i < n; ++i) {
+      wide[i] = Triple{static_cast<ObjId>(rng.Next()),
+                       static_cast<ObjId>(rng.Next()),
+                       static_cast<ObjId>(rng.Next())};
+      if (i % 7 == 0) wide[i].o = 0xFFFFFFFFu;
+      if (i % 11 == 0) wide[i].s = ObjId{1} << 22;
+    }
+    ExpectSortsLikeStdSort(wide, "32-bit ids");
+    // Ids in bits 22-31 only: every pass but the top digit's is skipped.
+    std::vector<Triple> high(n);
+    for (Triple& t : high) {
+      t = Triple{static_cast<ObjId>(rng.Below(1024)) << 22,
+                 static_cast<ObjId>(rng.Below(1024)) << 22,
+                 static_cast<ObjId>(rng.Below(1024)) << 22};
+    }
+    ExpectSortsLikeStdSort(high, "bits 22-31");
+    // Small ids with many duplicates.
+    std::vector<Triple> dups(n);
+    for (Triple& t : dups) {
+      t = Triple{static_cast<ObjId>(rng.Below(5)),
+                 static_cast<ObjId>(rng.Below(3)),
+                 static_cast<ObjId>(rng.Below(5))};
+    }
+    ExpectSortsLikeStdSort(dups, "duplicates");
+    // One column constant across all rows (a POS range with p pinned),
+    // and a constant column whose value has bits in every digit.
+    for (ObjId pinned : {ObjId{7}, ObjId{0xFFFFFFFFu}}) {
+      std::vector<Triple> constant(n);
+      for (Triple& t : constant) {
+        t = Triple{static_cast<ObjId>(rng.Below(100000)), pinned,
+                   static_cast<ObjId>(rng.Below(3000000))};
+      }
+      ExpectSortsLikeStdSort(constant, "constant p");
+    }
+    // A skewed column: nine rows in ten share one value, so one digit
+    // bucket holds most rows but not all of them.
+    std::vector<Triple> skewed(n);
+    for (Triple& t : skewed) {
+      t = Triple{static_cast<ObjId>(rng.Below(50000)),
+                 rng.Below(10) == 0 ? static_cast<ObjId>(rng.Below(5000)) : 3,
+                 static_cast<ObjId>(rng.Below(50000))};
+    }
+    ExpectSortsLikeStdSort(skewed, "skewed p");
+    // All-zero rows: nothing to sort at all.
+    ExpectSortsLikeStdSort(std::vector<Triple>(n), "all zero");
+  }
+}
+
+// The one scratch buffer is freed before returning: the sorted vector
+// holds one buffer of the input's size, whichever pass count ran.
+TEST(SortTriples, LeavesOneBufferOfTheInputSize) {
+  Rng rng(7);
+  for (ObjId universe : {ObjId{2000}, ObjId{3000000}}) {
+    std::vector<Triple> v(3000);
+    for (Triple& t : v) {
+      t = Triple{static_cast<ObjId>(rng.Below(universe)),
+                 static_cast<ObjId>(rng.Below(universe)),
+                 static_cast<ObjId>(rng.Below(universe))};
+    }
+    SortTriples(&v, IndexOrder::kSPO);
+    EXPECT_EQ(v.size(), 3000u);
+    EXPECT_EQ(v.capacity(), 3000u);
+    EXPECT_TRUE(std::is_sorted(v.begin(), v.end()));
   }
 }
 
