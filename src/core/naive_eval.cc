@@ -40,6 +40,7 @@ class NaiveEvaluator final : public Evaluator {
         if (rel == nullptr) {
           return Status::NotFound("unknown relation: " + e.rel_name());
         }
+        // A refcount bump: the copy shares the relation's block.
         return *rel;
       }
       case ExprKind::kEmpty:

@@ -192,6 +192,7 @@ class Executor {
         if (rel == nullptr) {
           return Status::NotFound("unknown relation: " + n.rel_name);
         }
+        // A refcount bump: the copy shares the relation's block.
         return *rel;
       }
       case PlanOp::kEmptyRel:
@@ -269,7 +270,7 @@ class Executor {
         NoteRows(*n.children[0], base);
         n.runtime.strategy =
             n.reach_same_middle ? "label-index" : "interval-index";
-        // GetOrBuild attaches through `base`'s shared cache cell, so a
+        // GetOrBuild attaches through `base`'s shared block, so a
         // cold build on an IndexScan child warms the store's relation
         // for every later query.
         std::shared_ptr<const reach::ReachIndex> idx =

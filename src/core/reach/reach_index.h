@@ -16,10 +16,9 @@
 // with one successor q extends I(q) by p without a sort (every pid in
 // I(q) is at most q < p); only pids with several successors sort and
 // coalesce.  Construction is serial and deterministic.  Built indexes
-// are cached on the TripleSet's shared index-cache cell (GetOrBuild),
-// giving them the permutation indexes' lifecycle: shared between
-// copies, dropped when a mutation detaches the mutated set onto a
-// fresh cell.
+// are cached on the TripleSet's shared block (GetOrBuild): shared
+// between copies, dropped when a write moves the written set onto a
+// new block.
 //
 // Walk stars.  A right star (R JOIN[.; i=1'])* whose output keeps the
 // two other left positions and takes 3' in position i moves position i
@@ -54,7 +53,7 @@ namespace trial {
 namespace reach {
 
 /// The projected graph an index is built over.  The value is the
-/// index's slot on the TripleSet cache cell.
+/// index's slot on the TripleSet's block.
 enum class ReachGraph : uint8_t {
   /// Nodes: R's subjects and objects; edges s -> o per triple.
   kSubjectObject = 0,
@@ -70,14 +69,14 @@ class ReachIndex {
   static std::shared_ptr<const ReachIndex> Build(
       const TripleSet& base, ReachGraph graph = ReachGraph::kSubjectObject);
 
-  /// The `graph` index attached to `base`'s cache cell, or nullptr.
-  /// Never builds.  A mutation of `base` since the attach returns
-  /// nullptr (the mutated set detached onto a fresh cell).
+  /// The `graph` index attached to `base`'s block, or nullptr.  Never
+  /// builds.  A write to `base` since the attach returns nullptr (the
+  /// written set moved onto a new block).
   static std::shared_ptr<const ReachIndex> Cached(
       const TripleSet& base, ReachGraph graph = ReachGraph::kSubjectObject);
 
   /// Cached(base, graph), or Build + attach on miss.  Copies of `base`
-  /// sharing its cache cell — including the store relation it was
+  /// sharing its block — including the store relation it was
   /// copied from — see the attached index immediately.
   static std::shared_ptr<const ReachIndex> GetOrBuild(
       const TripleSet& base, ReachGraph graph = ReachGraph::kSubjectObject);

@@ -195,9 +195,9 @@ Result<TripleStore> BulkLoadNTriples(std::string_view text,
       if (shards[w].runs[r].empty()) continue;
       RelId rel = global_rel[w][r];
       store.BulkAppend(rel, std::move(shards[w].runs[r]));
-      // Fold the sorted run in now (staged sort + inplace_merge) so
-      // each run pays one linear merge instead of deferring a giant
-      // mixed batch to the first reader.
+      // Fold the sorted run in now so each run pays one linear merge
+      // (a run past 1/16 of the body compacts into it) instead of
+      // deferring a giant mixed batch to the first reader.
       store.Relation(rel).size();
     }
   }

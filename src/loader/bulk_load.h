@@ -22,8 +22,9 @@
 //        --> staged run merge           sorted runs are appended with
 //                                       TripleStore::BulkAppend and
 //                                       folded in through TripleSet's
-//                                       staged sort + inplace_merge
-//                                       normalization
+//                                       normalization (the first run
+//                                       is adopted, later ones merged
+//                                       linearly)
 //
 // No intermediate RdfGraph (name-triple set) is ever materialized: the
 // only per-triple string work is one dictionary probe per term.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
+#include <memory>
 
 #include "storage/segment/segment_source.h"
 
@@ -161,43 +163,110 @@ AccessPath PlanAccess(bool bind_s, bool bind_p, bool bind_o) {
   return {IndexOrder::kSPO, 0};
 }
 
-const std::vector<Triple>& TripleIndexCache::Permutation(
-    const std::vector<Triple>& spo, IndexOrder order) {
-  if (order == IndexOrder::kPOS) {
-    if (!pos_built) {
-      pos = spo;  // already sorted by s, POS's last key column
-      SortTriples(&pos, IndexOrder::kPOS);
-      pos_built = true;
-    }
-    return pos;
+namespace {
+
+// The first element of [lo, end) not less than t, found by galloping
+// from lo: O(log d) compares for a distance d, so k ordered searches
+// over n elements cost O(k log(n/k)) — a few rows into a long run and
+// two runs of equal length alike.
+template <typename Less>
+const Triple* Gallop(const Triple* lo, const Triple* end, const Triple& t,
+                     Less less) {
+  size_t step = 1;
+  const Triple* hi = lo;
+  while (hi != end && less(*hi, t)) {
+    lo = hi + 1;
+    hi = static_cast<size_t>(end - lo) > step ? lo + step : end;
+    step *= 2;
   }
-  if (!osp_built) {
-    // Built from POS when it is ready: sorted by p, OSP's last key
-    // column, so only the s and o passes run.
-    osp = pos_built ? pos : spo;
-    SortTriples(&osp, IndexOrder::kOSP);
-    osp_built = true;
-  }
-  return osp;
+  return std::lower_bound(lo, hi, t, less);
 }
 
-const std::vector<Triple>& TripleIndexCache::SegmentPermutation(
-    const TripleSegmentSource& src, IndexOrder order) {
-  std::vector<Triple>* slot = nullptr;
-  bool* built = nullptr;
-  switch (order) {
-    case IndexOrder::kSPO: slot = &base; built = &base_built; break;
-    case IndexOrder::kPOS: slot = &pos; built = &pos_built; break;
-    case IndexOrder::kOSP: slot = &osp; built = &osp_built; break;
+// a ∪ b for two runs sorted and duplicate-free in `order`.  a's
+// stretches between b's rows are copied whole, so merging a delta into
+// a body costs little more than one copy of the body.
+std::vector<Triple> MergeRuns(const std::vector<Triple>& a,
+                              const std::vector<Triple>& b, IndexOrder order) {
+  auto less = [order](const Triple& x, const Triple& y) {
+    return IndexLess(order, x, y);
+  };
+  std::vector<Triple> out;
+  out.reserve(a.size() + b.size());
+  const Triple* lo = a.data();
+  const Triple* end = lo + a.size();
+  for (const Triple& t : b) {
+    const Triple* hi = Gallop(lo, end, t, less);
+    out.insert(out.end(), lo, hi);
+    lo = hi;
+    if (hi == end || less(t, *hi)) out.push_back(t);
   }
-  if (!*built) {
-    // A failed decode leaves the slot empty and marks it built: the
+  out.insert(out.end(), lo, end);
+  return out;
+}
+
+// The rows of `rows` not in `set`, both sorted and duplicate-free in
+// SPO order.
+std::vector<Triple> Minus(const std::vector<Triple>& rows,
+                          const std::vector<Triple>& set) {
+  std::vector<Triple> out;
+  out.reserve(rows.size());
+  const Triple* lo = set.data();
+  const Triple* end = lo + set.size();
+  for (const Triple& t : rows) {
+    lo = Gallop(lo, end, t, std::less<Triple>());
+    if (lo == end || *lo != t) out.push_back(t);
+  }
+  return out;
+}
+
+const std::shared_ptr<TripleBody>& EmptyBody() {
+  // Every order is built, so no lazy build ever writes to it.
+  static const std::shared_ptr<TripleBody> empty = [] {
+    auto b = std::make_shared<TripleBody>();
+    for (bool& built : b->built) built = true;
+    return b;
+  }();
+  return empty;
+}
+
+}  // namespace
+
+size_t TripleBody::size() const {
+  return source != nullptr ? source->num_triples() : perm[0].size();
+}
+
+const std::vector<Triple>& TripleBody::Permutation(IndexOrder order) {
+  const int i = static_cast<int>(order);
+  if (built[i]) return perm[i];
+  if (source != nullptr) {
+    // A failed decode leaves the order empty and marks it built: the
     // sticky diagnostic on the source is the truth, and re-decoding a
     // corrupt segment on every probe would only repeat the failure.
-    (void)src.Decode(order, slot);
-    *built = true;
+    (void)source->Decode(order, &perm[i]);
+  } else if (order == IndexOrder::kPOS) {
+    perm[i] = perm[0];  // already sorted by s, POS's last key column
+    SortTriples(&perm[i], order);
+  } else {
+    // Built from POS when it is ready: sorted by p, OSP's last key
+    // column, so only the s and o passes run.
+    perm[i] = built[1] ? perm[1] : perm[0];
+    SortTriples(&perm[i], order);
   }
-  return *slot;
+  built[i] = true;
+  return perm[i];
+}
+
+TripleBlock::TripleBlock() : body(EmptyBody()) {}
+
+const std::vector<Triple>& TripleBlock::View(IndexOrder order) {
+  const std::vector<Triple>& b = body->Permutation(order);
+  if (!HasDelta()) return b;
+  const int i = static_cast<int>(order);
+  if (!merged_built[i]) {
+    merged[i] = MergeRuns(b, delta[i], order);
+    merged_built[i] = true;
+  }
+  return merged[i];
 }
 
 namespace {
@@ -209,45 +278,180 @@ namespace {
 void AggregateColumn(const std::vector<Triple>& sorted_by_col, int col,
                      size_t* distinct, std::vector<ValueFreq>* topk) {
   topk->clear();
-  size_t n = 0;
-  size_t run = 0;
-  auto flush = [&](ObjId value) {
+  auto flush = [&](ObjId value, size_t run) {
     // Keep the list sorted (count desc, value asc) and capped: a linear
-    // insertion into <= kAggTopK entries per distinct value.
+    // insertion into <= kAggTopK entries per distinct value.  Values
+    // come ascending, so a full list only admits a strictly larger run.
+    if (topk->size() == TripleSetStats::kAggTopK &&
+        run <= topk->back().count) {
+      return;
+    }
     ValueFreq vf{value, static_cast<uint64_t>(run)};
     auto pos = std::lower_bound(
         topk->begin(), topk->end(), vf, [](const ValueFreq& a, const ValueFreq& b) {
           return a.count != b.count ? a.count > b.count : a.value < b.value;
         });
-    if (pos != topk->end() || topk->size() < TripleSetStats::kAggTopK) {
-      topk->insert(pos, vf);
-      if (topk->size() > TripleSetStats::kAggTopK) topk->pop_back();
-    }
+    topk->insert(pos, vf);
+    if (topk->size() > TripleSetStats::kAggTopK) topk->pop_back();
   };
-  for (size_t i = 0; i < sorted_by_col.size(); ++i) {
-    if (i > 0 && sorted_by_col[i][col] != sorted_by_col[i - 1][col]) {
-      flush(sorted_by_col[i - 1][col]);
+  size_t n = 0;
+  size_t run = 0;
+  ObjId value = 0;
+  for (const Triple& t : sorted_by_col) {
+    const ObjId v = Field(t, col);
+    if (run > 0 && v != value) {
+      flush(value, run);
       run = 0;
     }
-    if (run == 0) ++n;
+    if (run == 0) {
+      ++n;
+      value = v;
+    }
     ++run;
   }
-  if (run > 0) flush(sorted_by_col.back()[col]);
+  if (run > 0) flush(value, run);
   *distinct = n;
+}
+
+// Adds `rows` (sorted in every order) to `stats`, the stats of a set
+// S = body ∪ `prior` that the rows are disjoint from.  A value's count
+// in S is its range in `prior` plus, where the body's permutation led by
+// its column is built, its range there.  The new heavy hitters are
+// among the old ones and the rows' values: any other value keeps its
+// count, and the old kAggTopK, whose counts only grew, still rank above
+// it.  So a column stays exact when its body permutation is built and
+// its heavy-hitter list is complete; otherwise an unseen value counts
+// as new (distinct becomes an upper bound) and only the listed heavy
+// hitters' counts move.  Returns whether every column stayed exact.
+bool AddRows(const std::vector<Triple> (&rows)[3], const TripleBody& body,
+             const std::vector<Triple> (&prior)[3], TripleSetStats* stats) {
+  stats->num_triples += rows[0].size();
+  bool exact = true;
+  for (int c = 0; c < 3; ++c) {
+    const IndexOrder order = static_cast<IndexOrder>(c);  // led by c
+    const bool probe_body = body.Built(order);
+    std::vector<ValueFreq>& top = stats->topk[c];
+    const size_t heavy = top.size();
+    const bool complete =
+        heavy == std::min(TripleSetStats::kAggTopK, stats->distinct[c]);
+    exact = exact && probe_body && complete;
+    const std::vector<Triple>& run = rows[c];
+    for (size_t i = 0; i < run.size();) {
+      const ObjId v = run[i][c];
+      size_t j = i + 1;
+      while (j < run.size() && run[j][c] == v) ++j;
+      size_t before = EqualRange(prior[c], order, v).size();
+      if (probe_body) before += EqualRange(body.perm[c], order, v).size();
+      if (before == 0) ++stats->distinct[c];
+      auto hit = std::find_if(top.begin(), top.begin() + heavy,
+                              [v](const ValueFreq& f) { return f.value == v; });
+      if (hit != top.begin() + heavy) {
+        hit->count += j - i;
+      } else if (probe_body && complete) {
+        top.push_back({v, static_cast<uint64_t>(before + j - i)});
+      }
+      i = j;
+    }
+    std::sort(top.begin(), top.end(), [](const ValueFreq& a, const ValueFreq& b) {
+      return a.count != b.count ? a.count > b.count : a.value < b.value;
+    });
+    if (top.size() > TripleSetStats::kAggTopK) {
+      top.resize(TripleSetStats::kAggTopK);
+    }
+  }
+  return exact;
+}
+
+// `rows` (SPO-sorted) in every order.
+void SortEveryOrder(std::vector<Triple> rows, std::vector<Triple> (&out)[3]) {
+  out[1] = rows;
+  SortTriples(&out[1], IndexOrder::kPOS);
+  out[2] = rows;
+  SortTriples(&out[2], IndexOrder::kOSP);
+  out[0] = std::move(rows);
 }
 
 }  // namespace
 
-const TripleSetStats& TripleIndexCache::Stats(const std::vector<Triple>& spo) {
-  if (stats_built) return stats;
-  stats.num_triples = spo.size();
-  AggregateColumn(spo, 0, &stats.distinct[0], &stats.topk[0]);
-  AggregateColumn(Permutation(spo, IndexOrder::kPOS), 1, &stats.distinct[1],
-                  &stats.topk[1]);
-  AggregateColumn(Permutation(spo, IndexOrder::kOSP), 2, &stats.distinct[2],
-                  &stats.topk[2]);
-  stats_built = true;
+TripleBlock::TripleBlock(std::vector<Triple> spo)
+    : body(std::make_shared<TripleBody>()) {
+  body->perm[0] = std::move(spo);
+  body->built[0] = true;
+}
+
+const TripleSetStats& TripleBlock::Stats() {
+  if (stats_built && stats_exact) return stats;
+  stats.num_triples = size();
+  for (int c = 0; c < 3; ++c) {
+    AggregateColumn(View(static_cast<IndexOrder>(c)), c, &stats.distinct[c],
+                    &stats.topk[c]);
+  }
+  stats_built = stats_exact = true;
   return stats;
+}
+
+std::shared_ptr<TripleBlock> TripleBlock::Write(
+    const std::shared_ptr<TripleBlock>& old, std::vector<Triple> batch) {
+  if (batch.empty()) return old;
+  // The common case, an operator's whole output: adopt the batch.
+  if (old->size() == 0) return std::make_shared<TripleBlock>(std::move(batch));
+  // Rows already in the delta are no news; the rest may still be in the
+  // body.
+  if (old->HasDelta()) batch = Minus(batch, old->delta[0]);
+  TripleBody& body = *old->body;
+  const std::vector<Triple>& body_spo = body.Permutation(IndexOrder::kSPO);
+  auto next = std::make_shared<TripleBlock>();
+  std::vector<Triple> added[3];
+  const size_t delta_bound = old->delta[0].size() + batch.size();
+  if (delta_bound * kCompactDivisor <= body.size()) {
+    SortEveryOrder(Minus(batch, body_spo), added);
+    if (added[0].empty()) return old;
+    next->body = old->body;
+    for (int i = 0; i < 3; ++i) {
+      next->delta[i] =
+          MergeRuns(old->delta[i], added[i], static_cast<IndexOrder>(i));
+    }
+    if (old->stats_built) {
+      next->stats = old->stats;
+      next->stats_built = true;
+      next->stats_exact =
+          AddRows(added, body, old->delta, &next->stats) && old->stats_exact;
+    }
+    return next;
+  }
+  // Compaction: body ∪ delta ∪ batch, one permutation at a time — SPO,
+  // and each other order the old body had built — by linear merges.
+  auto compacted = std::make_shared<TripleBody>();
+  for (int i = 0; i < 3; ++i) {
+    const IndexOrder order = static_cast<IndexOrder>(i);
+    if (!body.Built(order)) continue;
+    std::vector<Triple> rows = batch;
+    SortTriples(&rows, order);
+    compacted->perm[i] =
+        MergeRuns(body.perm[i], MergeRuns(old->delta[i], rows, order), order);
+    compacted->built[i] = true;
+  }
+  if (compacted->perm[0].size() == old->size()) return old;  // nothing new
+  next->body = std::move(compacted);
+  if (old->stats_built) {
+    next->stats = old->stats;
+    next->stats_built = true;
+    next->stats_exact = true;
+    // Every built order recomputes its column (heavy hitters included);
+    // the others add the new rows.
+    for (bool b : next->body->built) next->stats_exact = next->stats_exact && b;
+    if (!next->stats_exact) {
+      SortEveryOrder(Minus(batch, body_spo), added);
+      AddRows(added, body, old->delta, &next->stats);
+    }
+    next->stats.num_triples = next->size();
+    for (int c = 0; c < 3; ++c) {
+      if (!next->body->built[c]) continue;
+      AggregateColumn(next->body->perm[c], c, &next->stats.distinct[c],
+                      &next->stats.topk[c]);
+    }
+  }
+  return next;
 }
 
 double EstimateEquiJoinRows(const TripleSetStats& l, int lcol,

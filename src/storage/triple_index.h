@@ -1,22 +1,30 @@
 // Permutation indexes over a TripleSet (the RDF-store "SPO/POS/OSP"
 // design; see Ali et al., "A Survey of RDF Stores & SPARQL Engines").
 //
-// A TripleSet's canonical representation is a sorted, duplicate-free
-// (s, p, o) vector — that vector *is* the SPO index.  The two extra
-// permutations stored here, POS (sorted by p, o, s) and OSP (sorted by
-// o, s, p), are enough to make any single bound column, and any bound
-// pair of columns, a contiguous index range:
+// A sorted, duplicate-free (s, p, o) vector *is* the SPO index.  Two
+// more permutations, POS (sorted by p, o, s) and OSP (sorted by o, s,
+// p), make any single bound column, and any bound pair of columns, a
+// contiguous index range:
 //
 //   bound {s}         -> SPO prefix      bound {s, p} -> SPO prefix
 //   bound {p}         -> POS prefix      bound {p, o} -> POS prefix
 //   bound {o}         -> OSP prefix      bound {o, s} -> OSP prefix
 //
-// Permutations are built lazily on first lookup (copy + SortTriples)
-// and cached.  The cache cell is *shared between copies* of a TripleSet:
-// evaluators routinely copy base relations out of the store, and sharing
-// means the first probe through any copy also warms the store's relation
-// for every later copy.  A mutation (Insert) detaches the mutated set
-// onto a fresh cell, leaving other sharers untouched.
+// Storage is x-RDF-3X's differential-index design.  A TripleBody is an
+// immutable sorted run: its SPO vector plus POS/OSP built lazily (copy
+// + SortTriples) or, for a snapshot, decoded lazily from the segment.
+// A TripleBlock is one published state of a set: a shared body plus a
+// small sorted delta disjoint from it, kept in all three orders.  Reads
+// that find their range in only one of the two return it in place; the
+// others build the merged view of that order once (a linear merge, no
+// sort) and cache it on the block.  A write publishes a new block that
+// shares the old body and the permutations already built on it; once
+// the delta passes 1/kCompactDivisor of the body the write compacts,
+// merging body and delta one built permutation at a time.
+//
+// Every TripleSet copy shares its block (copying is a refcount bump),
+// so the first build through any copy serves every later copy; lazy
+// builds follow a single-writer rule (TripleSet::Materialize).
 
 #ifndef TRIAL_STORAGE_TRIPLE_INDEX_H_
 #define TRIAL_STORAGE_TRIPLE_INDEX_H_
@@ -29,8 +37,6 @@
 #include "storage/triple.h"
 
 namespace trial {
-
-class TripleSegmentSource;
 
 /// The three maintained permutations.  The enumerator value is the index
 /// of the leading (most significant) column: 0 = s, 1 = p, 2 = o.
@@ -108,6 +114,16 @@ struct ValueFreq {
 /// matching frequencies exactly over these lists and falls back to a
 /// containment assumption for the tails; columns whose lists are empty
 /// (stats from an old snapshot) degrade to the independence heuristic.
+///
+/// Cached stats survive writes (TripleSet::CachedStats): a write adds
+/// the new rows to the old block's stats.  `num_triples` stays exact.
+/// Column c stays exact — distinct count and heavy hitters — when the
+/// body's permutation led by c is built, since each added value is
+/// looked up there.  Otherwise an unseen value counts as new, so
+/// `distinct[c]` is an upper bound, off by at most the delta's distinct
+/// values in c, and only already-listed heavy hitters move until a
+/// compaction recomputes the column.  TripleSet::Stats() is always
+/// exact.
 struct TripleSetStats {
   /// Heavy-hitter list length.  Big enough to cover the head of a
   /// Zipf-ish distribution, small enough to persist and scan for free.
@@ -141,54 +157,80 @@ struct TripleSetStats {
 double EstimateEquiJoinRows(const TripleSetStats& l, int lcol,
                             const TripleSetStats& r, int rcol);
 
-/// The lazily-built part of a TripleSet's index: the POS and OSP
-/// permutations plus stats.  Owned via shared_ptr by every TripleSet
-/// copy with the same normalized contents; TripleSet is the only caller.
-struct TripleIndexCache {
-  std::vector<Triple> pos, osp;
-  bool pos_built = false;
-  bool osp_built = false;
-  // For a snapshot-backed set the SPO vector itself is lazy too: it is
-  // decoded here, not stored in the TripleSet, so copies share the one
-  // decode the same way they share the sorted permutations.
-  std::vector<Triple> base;
-  bool base_built = false;
+class TripleSegmentSource;
+
+/// One immutable sorted, duplicate-free run of triples: a TripleSet's
+/// body.  In memory it is given its SPO vector and sorts POS and OSP
+/// from it on first use; snapshot-backed it decodes each order from the
+/// segment source on first use (O(n), the segments were written
+/// sorted).  Its triples never change after it is published — lazy
+/// builds only fill in orders — so blocks share it behind a shared_ptr.
+struct TripleBody {
+  std::vector<Triple> perm[3];  // by IndexOrder
+  bool built[3] = {false, false, false};
+  // Snapshot backing; null for in-memory bodies.
+  std::shared_ptr<const TripleSegmentSource> source;
+
+  /// The triple count; a snapshot body reads it from the metadata.
+  size_t size() const;
+  bool Built(IndexOrder order) const {
+    return built[static_cast<int>(order)];
+  }
+  /// The run in `order`, built or decoded on first use.  A corrupt
+  /// segment decodes to an empty vector and leaves its sticky
+  /// diagnostic on the source.
+  const std::vector<Triple>& Permutation(IndexOrder order);
+};
+
+/// One published state of a TripleSet, shared by all its copies: the
+/// body, a delta disjoint from it, and what depends on their exact
+/// union — the merged views, stats and reachability indexes.
+struct TripleBlock {
+  /// A write compacts once the delta would exceed 1/kCompactDivisor of
+  /// the body, so sets under kCompactDivisor rows compact at once.
+  static constexpr size_t kCompactDivisor = 16;
+  /// Reachability index slots (core/reach/reach_index.h numbers them).
+  static constexpr size_t kReachSlots = 2;
+
+  TripleBlock();
+  /// A block whose body is `spo`, sorted and duplicate-free.
+  explicit TripleBlock(std::vector<Triple> spo);
+
+  std::shared_ptr<TripleBody> body;  // never null
+  // The rows not in the body, in every order (SPO, POS, OSP); small.
+  std::vector<Triple> delta[3];
+  // body ∪ delta per order, built on demand by a linear merge.
+  std::vector<Triple> merged[3];
+  bool merged_built[3] = {false, false, false};
+  // See TripleSetStats for what a write keeps exact.  `stats_exact`
+  // says every count and heavy hitter is exact for these triples.
   TripleSetStats stats;
   bool stats_built = false;
-  // Derived reachability indexes over the set's projected graphs, one
-  // slot per graph kind (core/reach/reach_index.h numbers them),
-  // type-erased so the storage layer stays ignorant of the concrete
-  // type.  Living on the cache cell gives them the permutation
-  // indexes' exact lifecycle: shared between copies of the same
-  // normalized contents, dropped when a mutation detaches the mutated
-  // set onto a fresh cell.
-  static constexpr size_t kReachSlots = 2;
+  bool stats_exact = false;
+  // Type-erased reachability indexes over the set's projected graphs.
+  // They live and die with the block: a write publishes a new block.
   std::shared_ptr<const void> reach[kReachSlots];
 
-  /// The permutation of `spo` for `order`, building it on first use
-  /// (`order` must be kPOS or kOSP; kSPO is the base vector itself).
-  const std::vector<Triple>& Permutation(const std::vector<Triple>& spo,
-                                         IndexOrder order);
-
-  /// Snapshot-backed variant: the permutation decoded straight from
-  /// `src`'s compressed segment for `order` — O(n), no sort, the
-  /// segments were written sorted.  On corruption the sticky diagnostic
-  /// lands on `src` and the returned vector is empty.
-  const std::vector<Triple>& SegmentPermutation(const TripleSegmentSource& src,
-                                                IndexOrder order);
-
-  bool Built(IndexOrder order) const {
-    switch (order) {
-      case IndexOrder::kSPO: return true;
-      case IndexOrder::kPOS: return pos_built;
-      case IndexOrder::kOSP: return osp_built;
-    }
-    return false;
+  size_t size() const { return body->size() + delta[0].size(); }
+  bool HasDelta() const { return !delta[0].empty(); }
+  /// True when View(order) needs no build.
+  bool Ready(IndexOrder order) const {
+    return HasDelta() ? merged_built[static_cast<int>(order)]
+                      : body->Built(order);
   }
+  /// The whole set in `order`: the body's permutation when the delta is
+  /// empty, else the merged view (built on first use).
+  const std::vector<Triple>& View(IndexOrder order);
+  /// Exact stats: cached when exact, else linear passes over View of
+  /// every order.
+  const TripleSetStats& Stats();
 
-  /// Stats over `spo`; forces the POS and OSP builds (distinct-p and
-  /// distinct-o counts walk the respective permutations).
-  const TripleSetStats& Stats(const std::vector<Triple>& spo);
+  /// The block holding this block's triples plus `batch` (sorted and
+  /// duplicate-free in SPO order): `old` itself when every row is
+  /// already present, else a new block sharing old's body (rows go to
+  /// the delta) or, past the compaction point, a new body.
+  static std::shared_ptr<TripleBlock> Write(
+      const std::shared_ptr<TripleBlock>& old, std::vector<Triple> batch);
 };
 
 /// equal_range of triples whose `column` equals `v` inside the given

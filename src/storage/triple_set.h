@@ -1,26 +1,31 @@
 // TripleSet: a set of triples, the value produced and consumed by every
 // TriAL operator (the algebra is closed, Section 3).
 //
-// Representation: a sorted, duplicate-free vector in (s, p, o) order —
-// which doubles as the SPO permutation index — plus lazily-built POS and
-// OSP permutations (see triple_index.h) behind the access-path API
-// below.  Insertion batches into a staging area and re-normalizes lazily
-// (sort the batch, inplace_merge into the sorted body), so bulk loads
-// and fixpoint iterations stay cheap.
+// Representation: one shared, immutable TripleBlock (triple_index.h) —
+// a sorted, duplicate-free body whose SPO vector doubles as the SPO
+// index, lazily-built POS and OSP permutations, and a small sorted
+// delta of rows written since the body was made — plus a per-copy
+// staging area.  Insertion stages; the first read normalizes: it sorts
+// and dedups the batch and publishes a new block (triple_index.h,
+// TripleBlock::Write).  So bulk loads and operator outputs pay one sort,
+// and appending k rows to a large set costs O(k log n + |delta|), not a
+// re-merge of the body.
 //
-// The permutation cache is shared between copies: copying a relation out
-// of a TripleStore shares the store's cache cell, so an index built
-// through any copy benefits every later copy of the same relation.
-// Mutating a copy detaches it onto a fresh cell.
+// Copies share the block: copying a relation out of a TripleStore is a
+// refcount bump, and an index built through any copy serves every later
+// copy of the same relation.  A write through one copy moves that copy
+// alone onto a new block; the body, and the permutations already built
+// on it, stay shared.  Stats survive the write (derived, see
+// TripleSetStats); reachability indexes do not.
 //
-// Snapshot backing: a set opened from an on-disk store snapshot holds a
-// TripleSegmentSource instead of decoded vectors.  size() and Stats()
-// come from the persisted metadata without touching triple data; the
-// first scan/probe of a permutation decodes that segment (O(n), no
-// sort) into the shared cache cell.  Mutation promotes copy-on-write:
-// the SPO vector is decoded (or copied from the cache), the source is
-// dropped, and the set behaves like any in-memory set from then on —
-// other copies still sharing the source are unaffected.
+// Snapshot backing: a set opened from an on-disk store snapshot has a
+// body backed by a TripleSegmentSource instead of decoded vectors.
+// size() and Stats() come from the persisted metadata without touching
+// triple data; the first scan/probe of a permutation decodes that
+// segment (O(n), no sort) into the shared body.  The first write keeps
+// that body and its decoded orders (the new rows go to the delta) until
+// a compaction merges them into an in-memory body; other copies still
+// read the snapshot unchanged.
 
 #ifndef TRIAL_STORAGE_TRIPLE_SET_H_
 #define TRIAL_STORAGE_TRIPLE_SET_H_
@@ -39,13 +44,13 @@ namespace trial {
 /// An immutable-after-Normalize sorted set of triples.
 class TripleSet {
  public:
-  TripleSet() : cache_(std::make_shared<TripleIndexCache>()) {}
+  TripleSet() : block_(std::make_shared<TripleBlock>()) {}
   /// Takes any vector; sorts and dedups it.
   explicit TripleSet(std::vector<Triple> triples);
 
   /// A set backed by a snapshot segment source: no triple data is
   /// decoded here; the persisted exact stats are pre-seeded into the
-  /// cache so planning is free.
+  /// block so planning is free.
   static TripleSet FromSnapshot(
       std::shared_ptr<const TripleSegmentSource> source);
 
@@ -59,9 +64,8 @@ class TripleSet {
   /// Equivalent to Insert per element but a single append — an
   /// unreserved empty staging area adopts the vector wholesale, a
   /// Reserve'd one keeps its buffer.  Normalization stays lazy, so
-  /// successive batches still pay one sort + inplace_merge on the next
-  /// read, and the shared index-cache cell detaches exactly as for
-  /// Insert.
+  /// successive batches still pay one sort and one write on the next
+  /// read, exactly as for Insert.
   void InsertBatch(std::vector<Triple> batch) {
     if (staged_.empty() && staged_.capacity() < batch.size()) {
       staged_ = std::move(batch);
@@ -79,16 +83,16 @@ class TripleSet {
   /// Number of triples.  For a snapshot-backed set this reads the
   /// persisted count — no triple data is decoded.
   size_t size() const {
-    if (source_ != nullptr && staged_.empty()) return source_->num_triples();
     Normalize();
-    return triples_.size();
+    return block_->size();
   }
   bool empty() const { return size() == 0; }
 
   /// Sorted (s,p,o) view.  Stable until the next Insert.  For a
-  /// snapshot-backed set this decodes the SPO segment on first use.
+  /// snapshot-backed set this decodes the SPO segment on first use;
+  /// with a pending delta it builds the merged view (a linear merge).
   const std::vector<Triple>& triples() const {
-    return OrderVector(IndexOrder::kSPO);
+    return Block().View(IndexOrder::kSPO);
   }
 
   std::vector<Triple>::const_iterator begin() const { return triples().begin(); }
@@ -99,10 +103,15 @@ class TripleSet {
   // All lookups return contiguous ranges over one of the three
   // permutations (SPO / POS / OSP); ranges stay valid until the next
   // Insert.  Columns are 0 = subject, 1 = predicate, 2 = object.
+  //
+  // With a delta, a range found in only one of body and delta is
+  // returned in place; otherwise (and for every read once the order's
+  // merged view exists) the range points into Scan(order).
 
   /// Triples whose `column` equals `v`, in the order chosen by
   /// PlanAccess for that column.  O(log n) plus the range size; builds
-  /// the needed permutation on first use (O(n log n), cached).
+  /// the needed permutation on first use (O(n log n), cached), and the
+  /// merged view when both body and delta hold matches (O(n), cached).
   TripleRange Lookup(int column, ObjId v) const;
 
   /// Triples with `col_a` == `va` and `col_b` == `vb` (distinct
@@ -125,66 +134,65 @@ class TripleSet {
   std::vector<TripleRange> Partitions(IndexOrder order,
                                       size_t num_parts) const;
 
-  /// Forces normalization plus the permutation build for `order`, so
-  /// subsequent const reads (Lookup / LookupPair / Scan on that order)
-  /// touch no lazily-mutated state.  Parallel kernels call this before
-  /// handing the set to concurrent workers: the lazy builds are
-  /// single-writer, concurrent reads after materialization are safe.
-  void Materialize(IndexOrder order) const { OrderVector(order); }
+  /// Forces normalization plus the build of `order`'s full view (the
+  /// body's permutation, and the merged view when a delta is pending),
+  /// so subsequent const reads (Lookup / LookupPair / Scan on that
+  /// order) touch no lazily-mutated state.  Parallel
+  /// kernels call this before handing the set to concurrent workers:
+  /// the lazy builds are single-writer, concurrent reads after
+  /// materialization are safe.
+  void Materialize(IndexOrder order) const { (void)Scan(order); }
 
   /// True when `order` can be probed without a build (already built, or
   /// the SPO base).  Pending staged inserts make every order not-ready;
-  /// a snapshot-backed set's SPO is not ready until its first decode.
+  /// a snapshot-backed set's SPO is not ready until its first decode,
+  /// and with a delta an order is ready once its merged view is built.
   bool IndexReady(IndexOrder order) const {
-    if (!staged_.empty() || cache_ == nullptr) return false;
-    if (source_ != nullptr && order == IndexOrder::kSPO) {
-      return cache_->base_built;
-    }
-    return cache_->Built(order);
+    return staged_.empty() && block_ != nullptr && block_->Ready(order);
   }
 
   /// True when probing `order` is free or its build will be amortized:
-  /// the SPO base, an already-built permutation, or a cache cell shared
-  /// with another set (e.g. the store's relation, which every later
-  /// copy then probes for free).  A fresh intermediate result returns
-  /// false for POS/OSP — its cache dies with it, so a one-shot caller
-  /// is better off with a linear scan.
+  /// the SPO base, an already-built permutation, or a block or body
+  /// shared with another set (e.g. the store's relation, which every
+  /// later copy then probes for free).  A fresh intermediate result
+  /// returns false for POS/OSP — its block dies with it, so a one-shot
+  /// caller is better off with a linear scan.
   bool IndexAmortized(IndexOrder order) const;
 
-  /// Per-column stats for access-path costing.  Builds all permutations.
+  /// Exact per-column stats for access-path costing.  Builds every
+  /// order's full view unless exact stats are cached.
   const TripleSetStats& Stats() const;
 
   /// The cached stats when already computed, nullptr otherwise — never
   /// forces a permutation build.  Planner estimates degrade to generic
   /// heuristics instead of paying O(n log n) builds a query may never
-  /// need; once anything calls Stats() the exact counts appear.
+  /// need; once anything calls Stats() the exact counts appear, and
+  /// writes keep them (TripleSetStats says what stays exact).
   const TripleSetStats* CachedStats() const {
-    return staged_.empty() && cache_ != nullptr && cache_->stats_built
-               ? &cache_->stats
+    return staged_.empty() && block_ != nullptr && block_->stats_built
+               ? &block_->stats
                : nullptr;
   }
 
-  /// The reachability index attached to this set's cache cell in
-  /// `slot` (< TripleIndexCache::kReachSlots, one per projected graph),
-  /// or nullptr when none is attached (or staged inserts are pending).
+  /// The reachability index attached to this set's block in `slot`
+  /// (< TripleBlock::kReachSlots, one per projected graph), or nullptr
+  /// when none is attached (or staged inserts are pending).
   /// Type-erased: core/reach/reach_index.h owns the concrete type and
   /// the slot numbering, and does the casting.  Never forces a build.
   std::shared_ptr<const void> CachedReachIndex(size_t slot = 0) const {
-    return staged_.empty() && cache_ != nullptr ? cache_->reach[slot]
+    return staged_.empty() && block_ != nullptr ? block_->reach[slot]
                                                 : nullptr;
   }
 
-  /// Attaches a reachability index to the cache cell's `slot`
-  /// (normalizing first, so a later Normalize with no staged inserts
-  /// cannot detach it).  Copies sharing the cell — including the
-  /// store's relation when this set was copied out of a store — see it
-  /// immediately; the next mutation of any sharer detaches that sharer
-  /// onto a fresh cell, invalidating its view of the index.
+  /// Attaches a reachability index to the block's `slot` (normalizing
+  /// first, so it lands on the block holding the indexed triples).
+  /// Copies sharing the block — including the store's relation when
+  /// this set was copied out of a store — see it immediately; a write
+  /// through any sharer moves that sharer onto a new block, without it.
   void AttachReachIndex(std::shared_ptr<const void> index,
                         size_t slot = 0) const {
     Normalize();
-    if (cache_ == nullptr) cache_ = std::make_shared<TripleIndexCache>();
-    cache_->reach[slot] = std::move(index);
+    block_->reach[slot] = std::move(index);
   }
 
   /// Adopts an already sorted, duplicate-free vector as the set's SPO
@@ -193,13 +201,18 @@ class TripleSet {
   /// O(n log n) normalize sort that Insert-then-read would pay.
   static TripleSet FromSortedUnique(std::vector<Triple> triples);
 
-  /// True while the set reads through an on-disk snapshot segment
-  /// (mutation promotes it to an ordinary in-memory set).
-  bool snapshot_backed() const { return source_ != nullptr; }
+  /// True while the set reads straight through an on-disk snapshot
+  /// segment: no write has landed since it was opened.
+  bool snapshot_backed() const {
+    return block_ != nullptr && block_->body->source != nullptr &&
+           !block_->HasDelta();
+  }
 
-  /// The backing source, or nullptr for in-memory sets (test hook for
-  /// decode_count / sharing assertions).
-  const TripleSegmentSource* snapshot_source() const { return source_.get(); }
+  /// The body's backing source, or nullptr for in-memory bodies (test
+  /// hook for decode_count / sharing assertions).
+  const TripleSegmentSource* snapshot_source() const {
+    return block_ != nullptr ? block_->body->source.get() : nullptr;
+  }
 
   /// OK unless a lazy segment decode hit corruption — then the sticky
   /// first diagnostic.  Checked by every evaluator entry point via
@@ -214,7 +227,7 @@ class TripleSet {
   /// would surface as an empty result instead of an error when the
   /// caller first reads it.  No-op (OK) for in-memory sets.
   Status VerifyMaterialized() const {
-    if (source_ != nullptr) (void)OrderVector(IndexOrder::kSPO);
+    if (snapshot_source() != nullptr) (void)triples();
     return SnapshotHealth();
   }
 
@@ -227,26 +240,30 @@ class TripleSet {
   bool operator!=(const TripleSet& o) const { return !(*this == o); }
 
  private:
+  /// Publishes the staged rows (TripleBlock::Write).  When that drops a
+  /// snapshot-backed body, its decode health moves to decode_error_ so
+  /// SnapshotHealth() keeps reporting it after the source is gone.
   void Normalize() const;
-  /// Copy-on-write promotion: materializes triples_ from the snapshot
-  /// (cache copy or fresh decode) and drops the source.  Any decode
-  /// failure is captured into decode_error_ so SnapshotHealth() keeps
-  /// reporting it after the source is gone.
-  void Promote() const;
-  /// The permutation vector backing `order` (triples_ for SPO, or the
-  /// shared cache's segment decode for snapshot-backed sets).
-  const std::vector<Triple>& OrderVector(IndexOrder order) const;
+  /// The normalized block.
+  TripleBlock& Block() const {
+    Normalize();
+    return *block_;
+  }
+  /// Serves a probe of `order`: `probe` maps a sorted run to the range
+  /// of matches in it.
+  template <typename Probe>
+  TripleRange Find(IndexOrder order, Probe probe) const;
+  explicit TripleSet(std::shared_ptr<TripleBlock> block)
+      : block_(std::move(block)) {}
+  /// A set whose body is `spo`, already sorted and duplicate-free.
+  static TripleSet FromBody(std::vector<Triple> spo);
 
-  mutable std::vector<Triple> triples_;  // sorted, unique
-  mutable std::vector<Triple> staged_;   // pending inserts
-  // Shared with copies; detached (fresh cell) whenever triples_ changes.
-  // Never null except after being moved from; OrderVector/Stats re-create.
-  mutable std::shared_ptr<TripleIndexCache> cache_;
-  // Snapshot backing; shared by every copy of the relation.  Null for
-  // in-memory sets and after copy-on-write promotion.
-  mutable std::shared_ptr<const TripleSegmentSource> source_;
-  // Sticky record of a promotion-time decode failure (the source that
-  // carried the diagnostic is gone after promotion).
+  mutable std::vector<Triple> staged_;  // pending inserts
+  // Shared with copies; replaced by a write.  Never null except after
+  // being moved from; Normalize re-creates it.
+  mutable std::shared_ptr<TripleBlock> block_;
+  // Sticky record of a decode failure of a snapshot body this set no
+  // longer holds (compaction replaced it).
   mutable Status decode_error_ = Status::OK();
 };
 

@@ -115,8 +115,9 @@ class TripleStore {
 
   /// Stages a whole batch of id-level triples into `rel` (the bulk
   /// loader's per-worker sorted runs; any vector is accepted).  The
-  /// relation's staged inplace_merge normalization and index-cache
-  /// detach semantics are exactly those of per-triple Add.
+  /// relation normalizes it on the next read exactly as per-triple Add
+  /// rows: into its small delta, or past the compaction point into a
+  /// new body (TripleSet, triple_index.h).
   /// Pre: ids valid; relation exists.
   void BulkAppend(RelId rel, std::vector<Triple> batch) {
     ++epoch_;

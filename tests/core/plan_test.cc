@@ -449,6 +449,68 @@ TEST(PlannerEstimates, ConstantSelectionsUseTopKThenExactRanges) {
 
 // ---- explain rendering -------------------------------------------------
 
+// A write keeps the relation's cached stats: an append to a 10^4-row
+// relation lands in its delta, and a selection on the appended subject
+// is still planned from those stats — the tail average over the exact
+// new counts — rather than from the no-stats heuristic.
+TEST(PlannerEstimates, AppendKeepsCachedStatsForPlanning) {
+  TripleStore store = SkewedStore(10000);
+  const RelId e = store.AddRelation("E");
+  const TripleSet& rel = store.Relation(e);
+  const TripleSetStats before = rel.Stats();
+  const ObjId s = store.InternObject("appended_subject");
+  const ObjId p = rel.triples().front().p;
+  store.BulkAppend(e, {Triple{s, p, store.InternObject("appended_o1")},
+                       Triple{s, p, store.InternObject("appended_o2")}});
+  ExprPtr sel = Expr::Select(Expr::Rel("E"), Where({EqConst(Pos::P1, s)}));
+  PlanPtr plan = PlanExpr(sel, store);
+  EXPECT_FALSE(rel.IndexReady(IndexOrder::kSPO));  // a delta is pending
+  const TripleSetStats* st = rel.CachedStats();
+  ASSERT_NE(st, nullptr);
+  EXPECT_EQ(st->num_triples, before.num_triples + 2);
+  EXPECT_EQ(st->distinct[0], before.distinct[0] + 1);  // SPO was built
+  ASSERT_TRUE(st->HasAgg(0));
+  double head = 0;
+  for (const ValueFreq& f : st->topk[0]) head += static_cast<double>(f.count);
+  const double tail_avg =
+      (static_cast<double>(st->num_triples) - head) /
+      static_cast<double>(st->distinct[0] - st->topk[0].size());
+  EXPECT_DOUBLE_EQ(plan->est_rows, tail_avg) << Explain(*plan);
+  auto r = ExecutePlan(*plan, store);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->size(), 2u);
+}
+
+// A bare scan of a stored relation returns the relation itself: the
+// result shares the store's block, so no triple is copied — with a
+// write pending in the delta and after a write past the compaction
+// point alike.
+TEST(PlanExec, BareScanSharesTheStoreRelation) {
+  TripleStore store = SkewedStore(4096);
+  const RelId e = store.AddRelation("E");
+  const TripleSet& rel = store.Relation(e);
+  auto scan = [&] {
+    PlanPtr p = PlanExpr(Expr::Rel("E"), store);
+    return ExecutePlan(*p, store);
+  };
+  const ObjId s = store.InternObject("appended_subject");
+  store.BulkAppend(e, {Triple{s, s, s}});
+  auto pending = scan();
+  ASSERT_TRUE(pending.ok()) << pending.status().ToString();
+  EXPECT_FALSE(rel.IndexReady(IndexOrder::kSPO));  // a delta is pending
+  EXPECT_EQ(pending->triples().data(), rel.triples().data());
+  EXPECT_EQ(pending->size(), rel.size());
+
+  std::vector<Triple> big;
+  for (ObjId i = 0; i < 600; ++i) big.push_back(Triple{s, i, s});
+  store.BulkAppend(e, std::move(big));
+  auto compacted = scan();
+  ASSERT_TRUE(compacted.ok()) << compacted.status().ToString();
+  EXPECT_TRUE(rel.IndexReady(IndexOrder::kSPO));  // one body again
+  EXPECT_EQ(compacted->triples().data(), rel.triples().data());
+  EXPECT_EQ(compacted->size(), rel.size());
+}
+
 TEST(ExplainRender, ShowsEstimatedThenActualRows) {
   TripleStore store = SkewedStore(512);
   ExprPtr e = CompositionJoin(Expr::Rel("E"), Expr::Rel("E"));

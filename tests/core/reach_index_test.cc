@@ -265,6 +265,45 @@ TEST(ReachIndexCache, MutationInvalidates) {
                              store.FindObject("zz2")));
 }
 
+TEST(ReachIndexCache, AppendRebuildsTheIndexAndExtendsTheWalk) {
+  TripleStore store = CyclicStore(3, /*objects=*/40, /*triples=*/200);
+  const RelId e = store.AddRelation("E");
+  const TripleSet& rel = store.Relation(e);
+  const size_t before = rel.size();
+  ExprPtr star = ReachAnyPath(Expr::Rel("E"));
+  auto old_index = ReachIndex::GetOrBuild(rel);
+  ASSERT_NE(old_index, nullptr);
+  PlanPtr warm = PlanExpr(star, store);
+  ASSERT_EQ(warm->op, PlanOp::kReachIndexScan) << Explain(*warm);
+  ASSERT_TRUE(ExecutePlan(*warm, store, Limits(2)).ok());
+
+  // An edge out of a reached node to a fresh one extends every path
+  // through that node.  It lands in the relation's delta, on a new
+  // block without the old index.
+  const Triple first = rel.triples().front();
+  const ObjId fresh = store.InternObject("appended_node");
+  store.BulkAppend(e, {Triple{first.o, first.p, fresh}});
+  ASSERT_EQ(rel.size(), before + 1);
+  EXPECT_FALSE(rel.IndexReady(IndexOrder::kSPO));  // a delta is pending
+  EXPECT_EQ(ReachIndex::Cached(rel), nullptr);
+
+  auto want = MakeNaiveEvaluator()->Eval(star, store);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  EXPECT_TRUE(want->Contains(Triple{first.s, first.p, fresh}));
+  PlanPtr p = PlanExpr(star, store);
+  ASSERT_EQ(p->op, PlanOp::kReachIndexScan) << Explain(*p);
+  for (size_t threads : {1u, 2u, 4u}) {
+    auto got = ExecutePlan(*p, store, Limits(threads));
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, *want) << threads << " threads";
+  }
+  auto rebuilt = ReachIndex::Cached(rel);
+  ASSERT_NE(rebuilt, nullptr);
+  EXPECT_NE(rebuilt, old_index);
+  EXPECT_TRUE(rebuilt->Reaches(first.s, fresh));
+  EXPECT_FALSE(old_index->Reaches(first.s, fresh));
+}
+
 // ---- planner routing + plan execution ---------------------------------
 
 TEST(ReachIndexPlan, WarmIndexRoutesToIndexScan) {

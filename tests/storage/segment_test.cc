@@ -258,6 +258,65 @@ TEST(SnapshotRoundTrip, PreAggSnapshotsFallBackToHeuristics) {
   EXPECT_EQ(*want, *got);
 }
 
+// Appends pending in a relation's delta persist like any other
+// triples: the reopened store holds the same triples and exact stats,
+// whether the appended relation was in memory or snapshot-backed.
+TEST(SnapshotRoundTrip, AppendsThenSaveReopenIdentical) {
+  RandomStoreOptions opts;
+  opts.num_objects = 300;
+  opts.num_triples = 2000;
+  opts.zipf_p = 1.2;
+  opts.zipf_o = 0.8;
+  opts.seed = 37;
+  TripleStore store = RandomTripleStore(opts);
+  const RelId e = store.AddRelation("E");
+  store.RelationStats(e);
+  auto append = [](TripleStore* st, RelId rel, const std::string& tag) {
+    const ObjId s = st->InternObject("appended_" + tag);
+    const Triple old = st->Relation(rel).triples()[7];
+    const size_t before = st->Relation(rel).size();
+    st->BulkAppend(rel, {Triple{s, old.p, old.o}, Triple{old.s, old.p, s},
+                         old});
+    ASSERT_EQ(st->Relation(rel).size(), before + 2);
+    EXPECT_FALSE(st->Relation(rel).IndexReady(IndexOrder::kSPO));
+  };
+  auto expect_identical = [](const TripleStore& a, const TripleStore& b) {
+    ASSERT_EQ(a.NumRelations(), b.NumRelations());
+    for (RelId r = 0; r < a.NumRelations(); ++r) {
+      EXPECT_EQ(a.Relation(r).triples(), b.Relation(r).triples());
+      const TripleSetStats want =
+          TripleSet(a.Relation(r).triples()).Stats();
+      for (const TripleSetStats* st :
+           {&a.RelationStats(r), &b.RelationStats(r)}) {
+        EXPECT_EQ(st->num_triples, want.num_triples);
+        for (int c = 0; c < 3; ++c) {
+          EXPECT_EQ(st->distinct[c], want.distinct[c]);
+          EXPECT_EQ(st->topk[c], want.topk[c]);
+        }
+      }
+    }
+  };
+  // In memory: append, save, reopen.
+  append(&store, e, "a");
+  const std::string path = TempPath("seg_append.trial");
+  ASSERT_TRUE(SaveStoreSnapshot(store, path).ok());
+  auto opened = OpenStoreSnapshot(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  expect_identical(store, *opened);
+
+  // Snapshot-backed: append to the opened store, save, reopen.
+  append(&*opened, e, "b");
+  append(&store, e, "b");
+  const std::string path2 = TempPath("seg_append2.trial");
+  ASSERT_TRUE(SaveStoreSnapshot(*opened, path2).ok());
+  auto reopened = OpenStoreSnapshot(path2);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  expect_identical(store, *reopened);
+  EXPECT_TRUE(opened->SnapshotStatus().ok());
+  std::remove(path.c_str());
+  std::remove(path2.c_str());
+}
+
 TEST(SnapshotRoundTrip, ResaveReopenedStore) {
   TripleStore store = ZipfStore(13);
   std::string p1 = TempPath("seg_resave1.trial");
