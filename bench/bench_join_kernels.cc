@@ -34,7 +34,7 @@ TripleStore MakeStore(size_t triples) {
   opts.seed = 97;
   TripleStore store = RandomTripleStore(opts);
   // Force the one-time lazy normalization (sort) of the relation at
-  // setup, so single-iteration rows (MinTime-capped Parallel* sweeps)
+  // setup, so single-iteration rows (MinTime-capped sweeps)
   // measure the join kernels rather than the first-touch sort.  Index
   // permutations are deliberately NOT built here — their lazy,
   // amortization-gated builds are part of what the probe benches
@@ -173,59 +173,6 @@ void BM_IndexedSelect(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_IndexedSelect)->Range(1024, 65536)->Complexity();
-
-// ---- parallel kernels ---------------------------------------------------
-//
-// The ExecOptions{num_threads} knob on the same kernels; the second
-// benchmark argument is the worker-thread count (the `threads` column
-// of the committed baseline).  min_parallel_items is lowered so the
-// parallel branches engage across the whole sweep.  NOTE: when the
-// recording host is single-core (see "num_cpus" in the baseline's
-// context block), these rows are core-bound — the >1-thread rows then
-// measure chunking overhead, not speedup, and should be re-recorded on
-// real cores.
-
-EvalOptions ParallelOpts(int64_t threads) {
-  EvalOptions opts;
-  opts.exec.num_threads = static_cast<size_t>(threads);
-  opts.exec.min_parallel_items = 256;
-  return opts;
-}
-
-// The composition hash join at bulk-load scale: the 2^20 rows are the
-// ">= 10^6 triples" target the parallel probe loop exists for.
-void BM_ParallelHashJoin(benchmark::State& state) {
-  TripleStore store = MakeStore(static_cast<size_t>(state.range(0)));
-  auto engine = MakeSmartEvaluator(ParallelOpts(state.range(1)));
-  ExprPtr e = CompositionJoin();
-  for (auto _ : state) {
-    auto r = engine->Eval(e, store);
-    benchmark::DoNotOptimize(r);
-  }
-  state.counters["threads"] = static_cast<double>(state.range(1));
-}
-BENCHMARK(BM_ParallelHashJoin)
-    ->ArgsProduct({{1 << 16, 1 << 20}, {1, 2, 4}})
-    ->Unit(benchmark::kMillisecond)
-    ->MinTime(0.1);
-
-void BM_ParallelSemiNaiveStar(benchmark::State& state) {
-  TripleStore store = MakeStore(static_cast<size_t>(state.range(0)));
-  auto engine = MakeSmartEvaluator(ParallelOpts(state.range(1)));
-  // A non-reach spec forces the generic semi-naive path.
-  ExprPtr e = Expr::StarRight(
-      Expr::Rel("E"),
-      Spec(Pos::P1, Pos::P2p, Pos::P3p, {Eq(Pos::P3, Pos::P1p)}));
-  for (auto _ : state) {
-    auto r = engine->Eval(e, store);
-    benchmark::DoNotOptimize(r);
-  }
-  state.counters["threads"] = static_cast<double>(state.range(1));
-}
-BENCHMARK(BM_ParallelSemiNaiveStar)
-    ->ArgsProduct({{2048, 4096}, {1, 2, 4}})
-    ->Unit(benchmark::kMillisecond)
-    ->MinTime(0.1);
 
 // ---- the triple sort kernel ----------------------------------------------
 //

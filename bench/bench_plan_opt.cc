@@ -102,25 +102,6 @@ void BM_SelfJoinHashPlan(benchmark::State& state) {
 }
 BENCHMARK(BM_SelfJoinHashPlan)->Range(4096, 65536)->Complexity();
 
-// The parallel range-partitioned merge: same plan, threaded executor.
-void BM_ParallelMergeJoin(benchmark::State& state) {
-  TripleStore store = MakeUniformStore(static_cast<size_t>(state.range(0)));
-  ExprPtr e = Expr::Join(Expr::Rel("E"), Expr::Rel("E"), Composition());
-  plan::PlanPtr p = plan::PlanExpr(e, store);
-  ExecLimits limits;
-  limits.exec.num_threads = static_cast<size_t>(state.range(1));
-  limits.exec.min_parallel_items = 256;
-  for (auto _ : state) {
-    auto r = plan::ExecutePlan(*p, store, limits);
-    benchmark::DoNotOptimize(r);
-  }
-  state.counters["threads"] = static_cast<double>(state.range(1));
-}
-BENCHMARK(BM_ParallelMergeJoin)
-    ->ArgsProduct({{1 << 14, 1 << 16}, {1, 2, 4}})
-    ->Unit(benchmark::kMillisecond)
-    ->MinTime(0.1);
-
 // ---- DP reordering on a 3-relation Zipf join ----------------------------
 //
 // Written order: (big ⋈ big) ⋈ tiny — the worst composition, its

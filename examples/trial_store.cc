@@ -44,12 +44,8 @@
 //                    nested-span JSON trace (parent-child operator
 //                    nesting, nanosecond timestamps from query start)
 //   --metrics=PATH   enable the process metrics registry and write its
-//                    JSON snapshot (loader/segment/pool/exec
-//                    counters and histograms) on exit
-//   --query-threads=N  with --query: also evaluate with N evaluator
-//                    threads (0 = one per hardware thread) and report
-//                    serial vs parallel wall time; results are verified
-//                    identical
+//                    JSON snapshot (loader/segment/exec counters and
+//                    histograms) on exit
 //   --save=PATH      after loading, persist the store as a binary
 //                    snapshot (segment format; see
 //                    storage/segment/store_snapshot.h).  With --verify
@@ -116,7 +112,6 @@ struct Args {
   std::string sp_dst;
   bool explain = false;
   bool analyze = false;
-  size_t query_threads = 1;  // 1: serial only; 0: hardware concurrency
   std::string json;
   std::string save;
   std::string trace;
@@ -135,8 +130,6 @@ struct RunStats {
   std::string label;  // the expression, program or shortest-path query
   size_t result_triples = 0;
   double serial_seconds = 0;
-  double parallel_seconds = -1;  // < 0: parallel pass not requested
-  size_t threads = 1;
   // Plan fields (--explain/--analyze): operator count, root estimated
   // vs actual cardinality, and the rendered tree.
   bool explained = false;
@@ -191,9 +184,7 @@ bool ParseArgs(int argc, char** argv, Args* a) {
       {"--trace=", &a->trace},       {"--metrics=", &a->metrics},
       {"--json=", &a->json},         {"--save=", &a->save}};
   const std::pair<const char*, size_t*> counts[] = {
-      {"--gen=", &a->gen},
-      {"--threads=", &a->threads},
-      {"--query-threads=", &a->query_threads}};
+      {"--gen=", &a->gen}, {"--threads=", &a->threads}};
   const std::tuple<const char*, double*, double> reals[] = {
       {"--zipf-s=", &a->zipf_s, HUGE_VAL},
       {"--zipf-p=", &a->zipf_p, HUGE_VAL},
@@ -352,16 +343,9 @@ Status WriteJson(const Args& args, const BulkLoadStats& stats,
                  ",\n"
                  "  \"query\": \"%s\",\n"
                  "  \"query_result_triples\": %zu,\n"
-                 "  \"query_serial_seconds\": %.4f,\n",
+                 "  \"query_serial_seconds\": %.4f",
                  EscapeJson(query.label).c_str(), query.result_triples,
                  query.serial_seconds);
-    if (query.parallel_seconds < 0) {
-      std::fprintf(f, "  \"query_parallel_seconds\": null,\n");
-    } else {
-      std::fprintf(f, "  \"query_parallel_seconds\": %.4f,\n",
-                   query.parallel_seconds);
-    }
-    std::fprintf(f, "  \"query_threads\": %zu", query.threads);
     if (query.explained) {
       std::fprintf(f,
                    ",\n"
@@ -403,7 +387,7 @@ Result<TripleSet> RunPlan(plan::PlanNode& pl, const TripleStore& store,
                            : "plan (estimated vs actual rows):\n%s",
               out->plan_text.c_str());
   if (args.analyze) {
-    plan::QueryTrace trace = plan::CollectTrace(pl, out->label, 1);
+    plan::QueryTrace trace = plan::CollectTrace(pl, out->label);
     plan::EmitTrace(trace);
     if (!args.trace.empty()) {
       TRIAL_RETURN_IF_ERROR(WriteFile(args.trace, plan::TraceToJson(trace)));
@@ -433,15 +417,6 @@ void PrintAnswer(const TripleStore& store, const std::string& name,
 
 Status RunQuery(const TripleStore& store, const Args& args, RunStats* out) {
   TRIAL_ASSIGN_OR_RETURN(ExprPtr expr, ParseTriAL(args.query, &store));
-  auto engine = MakeSmartEvaluator();
-  // When comparing serial vs parallel, run one untimed warm-up first:
-  // the first evaluation pays the store's lazy permutation-index
-  // builds (cached on the store's shared cells), which would otherwise
-  // bias the comparison toward whichever engine runs second.
-  if (args.query_threads != 1) {
-    auto warmup = engine->Eval(expr, store);
-    (void)warmup;
-  }
   out->label = expr->ToString();
   std::printf("\nquery:    %s\n", out->label.c_str());
   // --explain/--analyze evaluate through the plan API — the same
@@ -454,27 +429,12 @@ Status RunQuery(const TripleStore& store, const Args& args, RunStats* out) {
     result = RunPlan(*pl, store, args, out);
   } else {
     Timer t;
-    result = engine->Eval(expr, store);
+    result = MakeSmartEvaluator()->Eval(expr, store);
     out->serial_seconds = t.Seconds();
   }
   if (!result.ok()) return result.status();
   std::printf("serial:   %zu triples in %.3fs\n", result->size(),
               out->serial_seconds);
-  if (args.query_threads != 1) {
-    EvalOptions eopts;
-    eopts.exec.num_threads = args.query_threads;
-    Timer tp;
-    TRIAL_ASSIGN_OR_RETURN(TripleSet presult,
-                           MakeSmartEvaluator(eopts)->Eval(expr, store));
-    out->parallel_seconds = tp.Seconds();
-    if (presult != *result) {
-      return Status::Internal("parallel result DIFFERS from serial");
-    }
-    out->threads = eopts.exec.EffectiveThreads();
-    std::printf("parallel: %zu triples in %.3fs (%zu threads, result "
-                "identical to serial)\n",
-                presult.size(), out->parallel_seconds, out->threads);
-  }
   PrintAnswer(store, "result", *result, out);
   return Status::OK();
 }

@@ -22,15 +22,14 @@
 #include "core/exec_limits.h"
 #include "core/expr.h"
 #include "storage/triple_store.h"
-#include "util/parallel.h"
 #include "util/status.h"
 
 namespace trial {
 
 /// Resource guards for evaluation: the shared ExecLimits
-/// (max_result_triples, max_rounds, exec) under the TriAL engines'
+/// (max_result_triples, max_rounds, adaptive) under the TriAL engines'
 /// historical name.  DatalogOptions derives from the same base, so the
-/// guard and threading plumbing is defined exactly once.
+/// guard plumbing is defined exactly once.
 struct EvalOptions : ExecLimits {};
 
 /// Abstract QueryComputation engine: e, T  ->  e(T).

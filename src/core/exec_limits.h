@@ -1,8 +1,8 @@
 // Shared engine resource limits.
 //
 // Every evaluation entry point — the three TriAL engines, the plan
-// executor and the Datalog engine — carries the same three knobs: a
-// result-size guard, a fixpoint round guard and the parallel ExecOptions.
+// executor and the Datalog engine — carries the same knobs: a
+// result-size guard and a fixpoint round guard.
 // They were historically duplicated between EvalOptions and
 // DatalogOptions under diverging names (max_star_rounds vs
 // max_fixpoint_rounds, ...); this is the one definition.
@@ -12,11 +12,17 @@
 
 #include <cstddef>
 
-#include "util/parallel.h"
-
 namespace trial {
 
-/// Resource guards + parallel knobs shared by every engine.
+/// A thread count no engine reads: query execution is serial.  The
+/// field exists only because the end-to-end benchmark
+/// (perfbench/src/main.cc) assigns it; drop it when that benchmark
+/// next changes.
+struct ExecOptions {
+  size_t num_threads = 1;
+};
+
+/// Resource guards shared by every engine.
 struct ExecLimits {
   /// Abort with kResourceExhausted when any intermediate (TriAL) or
   /// derived (Datalog) result exceeds this many triples — guards U /
@@ -33,13 +39,10 @@ struct ExecLimits {
   /// the executed plan produced (plan::ExecuteAdaptive), so later plans
   /// of an expression it has run start from the true counts.  Join
   /// *order* may change between executions; results are byte-identical
-  /// to the plain plan at any thread count.
+  /// to the plain plan.
   bool adaptive = false;
 
-  /// Parallel execution knobs, honored by the plan executor's join and
-  /// fixpoint kernels and the Datalog leading-atom matcher; the naive
-  /// and matrix reference engines stay serial.  Results are identical for every thread count (chunked
-  /// execution, in-order merge).
+  /// Unread; see ExecOptions.
   ExecOptions exec;
 };
 

@@ -17,8 +17,8 @@
 //                   and every counted join-region subset produced.
 //
 // Contract: feedback changes join ORDER, never semantics — the result
-// is byte-identical to the plain plan's at any thread count (all join
-// orders produce the same normalized TripleSet).  Feedback only moves
+// is byte-identical to the plain plan's (all join orders produce the
+// same normalized TripleSet).  Feedback only moves
 // cost estimates, so a stale or aliased cache entry can at worst pick a
 // slower order, never a wrong answer.
 
@@ -101,7 +101,7 @@ struct AdaptiveResult {
 /// (keyed by the expression text) plus, when the root is a DP join
 /// region, every executed region subset whose rows were counted (keyed
 /// by RegionSubsetKey).  Results are byte-identical to
-/// ExecutePlan(PlanExpr(e, store)) at any thread count.  `out` may be
+/// ExecutePlan(PlanExpr(e, store)).  `out` may be
 /// null; `fb` null means FeedbackCache::Global().  Metrics are those of
 /// ExecutePlan: exec.query_ns times the execution, not the planning.
 Result<TripleSet> ExecuteAdaptive(const ExprPtr& e, const TripleStore& store,

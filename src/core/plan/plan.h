@@ -46,12 +46,11 @@
 // leading-atom matcher (BoundProbe / EstimateBoundMatches).
 //
 // Contract: executing the plan of an expression produces the same
-// normalized result set as the naive evaluator on every store and at
-// every thread count.  Join order and strategy (probe / hash / merge)
-// are chosen by the planner from statistics, and the executor re-checks
-// every cost rule against actual cardinalities before committing to a
-// strategy — but whatever it picks, each kernel's output is identical
-// for any thread count (deterministic partitioning, ordered merges).
+// normalized result set as the naive evaluator on every store.  Join
+// order and strategy (probe / hash / merge) are chosen by the planner
+// from statistics, and the executor re-checks every cost rule against
+// actual cardinalities before committing to a strategy — whatever it
+// picks, the result set is the same.  Every kernel runs serially.
 
 #ifndef TRIAL_CORE_PLAN_PLAN_H_
 #define TRIAL_CORE_PLAN_PLAN_H_
@@ -386,10 +385,9 @@ PlanPtr PlanShortestPath(const TripleStore& store, const std::string& rel,
 
 /// Runs the tree, filling each node's `runtime`.  Re-entrant per node
 /// tree (a tree may be executed again; runtime is overwritten).  The
-/// result is byte-identical to the pre-plan smart evaluator for every
-/// thread count in `limits.exec`.  The root's actual cardinality is
-/// NOT recorded here (see PlanRuntime); call RecordRootRows before
-/// rendering Explain when you want it.
+/// result is byte-identical to the pre-plan smart evaluator.  The
+/// root's actual cardinality is NOT recorded here (see PlanRuntime);
+/// call RecordRootRows before rendering Explain when you want it.
 ///
 /// With `profile` set, every operator is additionally wall-clock
 /// timestamped and row-counted (PlanRuntime's profiling fields) for

@@ -1,20 +1,19 @@
 // The shared plan executor: runs a physical operator tree against a
-// store, dispatching every parallel kernel from one place.
+// store.  Every kernel is a serial loop.
 //
 // This is the former SmartEvaluator execution logic (hash/probe joins,
 // semi-naive fixpoints, reach-index walks), lifted out of
 // smart_eval.cc so that every consumer — the smart engine shim, the
 // CLIs' EXPLAIN paths and the tests — runs the same code.  Results are
-// byte-identical to the pre-plan evaluator at every thread count: the
-// probe-vs-hash and per-round decisions are re-made here from *actual*
-// cardinalities with exactly the historical rules; the planner's
-// predictions only pre-size buffers and feed Explain().
+// byte-identical to the pre-plan evaluator: the probe-vs-hash and
+// per-round decisions are re-made here from *actual* cardinalities with
+// exactly the historical rules; the planner's predictions feed
+// Explain() and the anti-probe rule, whose right side never runs.
 //
 // Each node's PlanRuntime is filled as it executes: actual output rows,
 // the strategy really taken, and fixpoint round counts.
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <unordered_map>
@@ -27,29 +26,16 @@
 #include "core/reach/reach_index.h"
 #include "util/interner.h"
 #include "util/metrics.h"
-#include "util/parallel.h"
 
 namespace trial {
 namespace plan {
 namespace {
 
-// Parallel kernels flush per-chunk emit counts into the shared
-// result-size guard every this many outputs, so a runaway join aborts
-// promptly without contending on an atomic per triple.
-constexpr size_t kGuardStride = 4096;
-
-// Upper bound on the per-chunk reserve derived from a fixpoint's
-// estimated output cardinality (the planner's estimate is a hint, not a
-// promise — a wildly high star estimate must not balloon every chunk
-// buffer).  64Ki triples ≈ 768 KiB per chunk.
-constexpr size_t kMaxSegmentReserve = 64 * 1024;
-
 using TripleHashSet = std::unordered_set<Triple, TripleHash>;
 
 // The hash side of a join: every passing row's key hash and triple in
 // one flat array, bucketed by a counting sort on the hash, with one
-// offsets array and no per-key vectors.  Read-only after Build, so
-// parallel probe loops share it without locks.
+// offsets array and no per-key vectors.
 class HashIndex {
  public:
   // Two passes over `rows`, count then fill; `pass` filters rows and
@@ -137,8 +123,8 @@ class Executor {
     if (result.ok()) (void)result->size();
     n.runtime.end_ns = MonotonicNanos() - origin_ns_;
     // Children execute strictly inside this node's span (operators run
-    // their children sequentially; parallelism lives inside kernels),
-    // so self time is the cumulative span minus the children's spans.
+    // their children sequentially), so self time is the cumulative span
+    // minus the children's spans.
     uint64_t child_ns = 0;
     for (const PlanPtr& c : n.children) {
       if (c->runtime.profiled) {
@@ -363,8 +349,8 @@ class Executor {
   // partners for each left triple — by permutation-index range probe
   // when the key has exact object columns, by hashing the right side
   // otherwise — and verify the full condition on each candidate (covers
-  // hash collisions, data equalities and cross inequalities).  The
-  // probe loop over the left side is the parallel kernel (ProbeLoop).
+  // hash collisions, data equalities and cross inequalities).  Both
+  // strategies share the probe loop over the left side (ProbeLoop).
   Result<TripleSet> Join(PlanNode& n, const TripleSet& l, const TripleSet& r) {
     JoinPlan plan = JoinPlan::Build(n.spec.cond);
     const JoinSpec& spec = n.spec;
@@ -381,8 +367,8 @@ class Executor {
     }
     if (probe.n > 0) {
       n.runtime.strategy = "probe";
-      // Materialize the probed permutation before concurrent probes:
-      // the lazy index build is single-writer.
+      // Build the probed permutation up front, not inside the first
+      // probe.
       r.Materialize(probe.Order());
       return ProbeLoop(l, plan,
                        [&](const Triple& a, std::vector<Triple>* out) {
@@ -443,175 +429,58 @@ class Executor {
     return MergeLoop(n, l, r, plan);
   }
 
-  // The merge kernel.  Parallel variant: the left run is cut into
-  // contiguous key-ordered slices (TripleSet's deterministic partition
-  // API); each slice binary-searches its first key into the right run
-  // once, then advances a private cursor monotonically.  Every left
-  // triple sees exactly the candidates the serial walk would hand it,
-  // and slice buffers merge in slice order, so the output is identical
-  // for any thread count.  The result-size guard mirrors ProbeLoop.
+  // The merge kernel: one pass over the left run, with a cursor into
+  // the right run that only moves forward.  Guarded like ProbeLoop.
   Result<TripleSet> MergeLoop(PlanNode& n, const TripleSet& l,
                               const TripleSet& r, const JoinPlan& plan) {
     const JoinSpec& spec = n.spec;
     const int lc = n.merge_lcol, rc = n.merge_rcol;
-    const IndexOrder lorder = static_cast<IndexOrder>(lc);
-    const IndexOrder rorder = static_cast<IndexOrder>(rc);
-    // Lazy permutation builds are single-writer: materialize both runs
-    // before any concurrent reads.
-    l.Materialize(lorder);
-    r.Materialize(rorder);
-    TripleRange run = r.Scan(rorder);
-    // `match` walks one left slice.  Returns false when the overflow
-    // flag tripped (parallel only; serial passes a guard that errors).
-    auto match = [&](TripleRange slice, std::vector<Triple>* out,
-                     const auto& guard) {
-      const Triple* cur = run.begin();
-      if (!slice.empty()) {
-        ObjId first = (*slice.begin())[lc];
-        cur = std::lower_bound(
-            run.begin(), run.end(), first,
-            [rc](const Triple& t, ObjId v) { return t[rc] < v; });
-      }
+    TripleRange run = r.Scan(static_cast<IndexOrder>(rc));
+    const Triple* cur = run.begin();
 #ifndef NDEBUG
-      // Executor-side verification of the planner's ordering claim:
-      // both runs must really be non-decreasing on their key columns.
-      ObjId prev = 0;
-      bool first = true;
+    // Executor-side verification of the planner's ordering claim:
+    // both runs must really be non-decreasing on their key columns.
+    ObjId prev = 0;
+    bool first = true;
 #endif
-      for (const Triple& a : slice) {
+    std::vector<Triple> out;
+    for (const Triple& a : l.Scan(static_cast<IndexOrder>(lc))) {
 #ifndef NDEBUG
-        assert(first || a[lc] >= prev);
-        prev = a[lc];
-        first = false;
-        assert(cur == run.end() || cur == run.begin() ||
-               (*(cur - 1))[rc] <= (*cur)[rc]);
+      assert(first || a[lc] >= prev);
+      prev = a[lc];
+      first = false;
+      assert(cur == run.end() || cur == run.begin() ||
+             (*(cur - 1))[rc] <= (*cur)[rc]);
 #endif
-        if (!guard(out->size())) return false;
-        if (!plan.PassesLeft(a, store_)) continue;
-        ObjId k = a[lc];
-        while (cur != run.end() && (*cur)[rc] < k) ++cur;
-        for (const Triple* b = cur; b != run.end() && (*b)[rc] == k; ++b) {
-          if (!spec.cond.Holds(a, *b, store_)) continue;
-          out->push_back(spec.Output(a, *b));
-        }
+      if (!plan.PassesLeft(a, store_)) continue;
+      ObjId k = a[lc];
+      while (cur != run.end() && (*cur)[rc] < k) ++cur;
+      for (const Triple* b = cur; b != run.end() && (*b)[rc] == k; ++b) {
+        if (!spec.cond.Holds(a, *b, store_)) continue;
+        out.push_back(spec.Output(a, *b));
       }
-      return true;
-    };
-    if (limits_.exec.ShouldParallelize(l.size())) {
-      size_t threads = limits_.exec.EffectiveThreads();
-      std::vector<TripleRange> slices =
-          l.Partitions(lorder, threads * kChunksPerThread);
-      std::vector<std::vector<Triple>> bufs(slices.size());
-      std::atomic<size_t> emitted{0};
-      std::atomic<bool> overflow{false};
-      ParallelFor(slices.size(), threads, [&](size_t c) {
-        size_t flushed = 0;
-        match(slices[c], &bufs[c], [&](size_t produced) {
-          if (overflow.load(std::memory_order_relaxed)) return false;
-          if (produced - flushed >= kGuardStride) {
-            size_t total = emitted.fetch_add(produced - flushed,
-                                             std::memory_order_relaxed) +
-                           (produced - flushed);
-            flushed = produced;
-            if (total > limits_.max_result_triples) {
-              overflow.store(true, std::memory_order_relaxed);
-              return false;
-            }
-          }
-          return true;
-        });
-        // Flush the sub-stride tail, exactly as ProbeLoop does after
-        // its loop: without it, `emitted` undercounts every finished
-        // slice by up to kGuardStride-1 rows and later slices guard
-        // against a stale total.
-        emitted.fetch_add(bufs[c].size() - flushed,
-                          std::memory_order_relaxed);
-      });
-      size_t total = 0;
-      for (const std::vector<Triple>& b : bufs) total += b.size();
-      if (overflow.load() || total > limits_.max_result_triples) {
+      if (out.size() > limits_.max_result_triples) {
         return Status::ResourceExhausted("join result too large");
       }
-      std::vector<Triple> merged;
-      merged.reserve(total);
-      for (std::vector<Triple>& b : bufs) {
-        merged.insert(merged.end(), b.begin(), b.end());
-      }
-      return TripleSet(std::move(merged));
-    }
-    std::vector<Triple> out;
-    bool fits = true;
-    match(l.Scan(lorder), &out, [&](size_t produced) {
-      fits = produced <= limits_.max_result_triples;
-      return fits;
-    });
-    if (!fits || out.size() > limits_.max_result_triples) {
-      return Status::ResourceExhausted("join result too large");
     }
     return TripleSet(std::move(out));
   }
 
   // The join probe loop: applies `match` (which appends verified output
-  // triples) to every left triple passing the one-sided filters.
-  // Parallel when the exec knobs allow: the left side is consumed
-  // through TripleSet's partition API — contiguous SPO slices, one
-  // private buffer each — and buffers merge in slice order, so the
-  // result is identical for any thread count (and the final TripleSet
-  // normalizes to sorted-unique regardless).  The result-size guard
-  // counts emitted candidates exactly like the serial loop; slices
-  // flush their counts every kGuardStride outputs and abort the
-  // remaining work once the limit trips.
+  // triples) to every left triple passing the one-sided filters, and
+  // stops once the output passes max_result_triples.
   template <typename Match>
   Result<TripleSet> ProbeLoop(const TripleSet& l, const JoinPlan& plan,
                               const Match& match) {
-    if (limits_.exec.ShouldParallelize(l.size())) {
-      size_t threads = limits_.exec.EffectiveThreads();
-      std::vector<TripleRange> slices =
-          l.Partitions(IndexOrder::kSPO, threads * kChunksPerThread);
-      std::vector<std::vector<Triple>> bufs(slices.size());
-      std::atomic<size_t> emitted{0};
-      std::atomic<bool> overflow{false};
-      ParallelFor(slices.size(), threads, [&](size_t c) {
-        std::vector<Triple>* out = &bufs[c];
-        size_t flushed = 0;
-        for (const Triple& a : slices[c]) {
-          if (overflow.load(std::memory_order_relaxed)) return;
-          if (!plan.PassesLeft(a, store_)) continue;
-          match(a, out);
-          if (out->size() - flushed >= kGuardStride) {
-            size_t total = emitted.fetch_add(out->size() - flushed,
-                                             std::memory_order_relaxed) +
-                           (out->size() - flushed);
-            flushed = out->size();
-            if (total > limits_.max_result_triples) {
-              overflow.store(true, std::memory_order_relaxed);
-              return;
-            }
-          }
-        }
-        emitted.fetch_add(out->size() - flushed, std::memory_order_relaxed);
-      });
-      size_t total = 0;
-      for (const std::vector<Triple>& b : bufs) total += b.size();
-      if (overflow.load() || total > limits_.max_result_triples) {
-        return Status::ResourceExhausted("join result too large");
-      }
-      std::vector<Triple> merged;
-      merged.reserve(total);
-      for (std::vector<Triple>& b : bufs) {
-        merged.insert(merged.end(), b.begin(), b.end());
-      }
-      return TripleSet(std::move(merged));
-    }
-    std::vector<Triple> merged;
+    std::vector<Triple> out;
     for (const Triple& a : l.triples()) {
       if (!plan.PassesLeft(a, store_)) continue;
-      match(a, &merged);
-      if (merged.size() > limits_.max_result_triples) {
+      match(a, &out);
+      if (out.size() > limits_.max_result_triples) {
         return Status::ResourceExhausted("join result too large");
       }
     }
-    return TripleSet(std::move(merged));
+    return TripleSet(std::move(out));
   }
 
   // Semi-naive fixpoint: only the last round's delta re-joins the fixed
@@ -648,8 +517,7 @@ class Executor {
     std::vector<Triple> next;
     // Candidate partners of one delta triple, pre-dedup: every
     // fixed-side triple matching the join condition, in probe (or hash
-    // bucket) iteration order.  Read-only over base/index/plan, so the
-    // per-round delta expansion can run it from parallel workers.
+    // bucket) iteration order.
     auto candidates = [&](const Triple& d, bool use_probe,
                           std::vector<Triple>* out) {
       bool pass = right ? plan.PassesLeft(d, store_)
@@ -670,8 +538,7 @@ class Executor {
       }
     };
     // Folds candidate outputs into the accumulator in encounter order;
-    // false when the result-size guard trips.  Serial by design: the
-    // dedup against acc is the sequential tail of every round.
+    // false when the result-size guard trips.
     auto fold = [&](const std::vector<Triple>& cand) {
       for (const Triple& o : cand) {
         if (acc.insert(o).second) {
@@ -681,23 +548,6 @@ class Executor {
       }
       return true;
     };
-    // Per-chunk segment buffers are pre-sized from the planner's output
-    // estimate, capped hard (kMaxSegmentReserve) so an optimistic star
-    // estimate costs bounded memory: the arbitrary-path star is
-    // output-bound superlinear, and re-growing every chunk buffer every
-    // round was measurable allocation churn.  Reserve only — contents
-    // and merge order are untouched, so results stay byte-identical.
-    size_t threads = limits_.exec.EffectiveThreads();
-    size_t reserve_hint = 0;
-    if (n.est_rows > 0) {
-      double per_chunk = n.est_rows / static_cast<double>(
-                                          threads * kChunksPerThread);
-      // Clamp in double before the cast: estimates compound without
-      // bound through key-less joins, and casting an out-of-range
-      // double to size_t is UB.
-      reserve_hint = static_cast<size_t>(std::min(
-          per_chunk + 16.0, static_cast<double>(kMaxSegmentReserve)));
-    }
     std::vector<Triple> scratch;
     for (size_t round = 0; round < limits_.max_rounds; ++round) {
       next.clear();
@@ -710,39 +560,11 @@ class Executor {
       } else {
         ++n.runtime.hash_rounds;
       }
-      if (limits_.exec.ShouldParallelize(delta.size())) {
-        // Parallel delta expansion in bounded segments: each segment's
-        // candidates are generated in parallel (chunk buffers merged in
-        // order, so the concatenation equals the serial encounter
-        // order) and folded into the accumulator before the next
-        // segment starts.  Memory stays ~ one segment's match count,
-        // and the only guard is the serial one — accumulator growth —
-        // so success/failure is identical for every thread count.
-        if (use_probe) base.Materialize(probe.Order());
-        size_t segment = std::max(limits_.exec.min_parallel_items,
-                                  static_cast<size_t>(64 * 1024));
-        for (size_t sb = 0; sb < delta.size(); sb += segment) {
-          size_t count = std::min(segment, delta.size() - sb);
-          std::vector<Triple> cand = ParallelChunkedCollect<Triple>(
-              count, threads,
-              [&](size_t, size_t begin, size_t end,
-                  std::vector<Triple>* out) {
-                out->reserve(reserve_hint);
-                for (size_t i = begin; i < end; ++i) {
-                  candidates(delta[sb + i], use_probe, out);
-                }
-              });
-          if (!fold(cand)) {
-            return Status::ResourceExhausted("star result too large");
-          }
-        }
-      } else {
-        for (const Triple& d : delta) {
-          scratch.clear();
-          candidates(d, use_probe, &scratch);
-          if (!fold(scratch)) {
-            return Status::ResourceExhausted("star result too large");
-          }
+      for (const Triple& d : delta) {
+        scratch.clear();
+        candidates(d, use_probe, &scratch);
+        if (!fold(scratch)) {
+          return Status::ResourceExhausted("star result too large");
         }
       }
       if (profile_) {

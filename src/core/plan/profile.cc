@@ -143,11 +143,9 @@ double QError(double est_rows, double actual_rows) {
   return std::max(e / a, a / e);
 }
 
-QueryTrace CollectTrace(const PlanNode& root, std::string query,
-                        size_t threads) {
+QueryTrace CollectTrace(const PlanNode& root, std::string query) {
   QueryTrace trace;
   trace.query = std::move(query);
-  trace.threads = threads;
   Flatten(root, -1, 0, &trace);
   if (!trace.spans.empty()) {
     trace.wall_ns = trace.spans[0].end_ns - trace.spans[0].start_ns;
@@ -159,9 +157,7 @@ std::string TraceToJson(const QueryTrace& trace) {
   std::string out = "{\n  \"query\": \"";
   JsonEscape(trace.query, &out);
   char buf[96];
-  std::snprintf(buf, sizeof buf, "\",\n  \"threads\": %zu,\n"
-                "  \"wall_ns\": %llu,\n  \"root\": ",
-                trace.threads,
+  std::snprintf(buf, sizeof buf, "\",\n  \"wall_ns\": %llu,\n  \"root\": ",
                 static_cast<unsigned long long>(trace.wall_ns));
   out.append(buf);
   if (trace.spans.empty()) {

@@ -18,8 +18,7 @@
 //                          preserved, timestamps relative to query
 //                          start.  Spans of sequential siblings never
 //                          overlap (operators execute their children
-//                          in order; parallelism lives inside operator
-//                          kernels), so start/end pairs are monotone
+//                          in order), so start/end pairs are monotone
 //                          along any root-to-leaf path and across
 //                          sibling order.  TraceToJson renders the
 //                          nested JSON exported by `trial_store
@@ -78,17 +77,15 @@ struct TraceSpan {
 struct QueryTrace {
   std::string query;     ///< expression text (caller-provided)
   uint64_t wall_ns = 0;  ///< root span cumulative time
-  size_t threads = 1;    ///< exec threads the query ran with
   std::vector<TraceSpan> spans;  ///< preorder; spans[0] is the root
 };
 
 /// Flattens a profiled, executed tree into a trace.  Nodes that never
 /// executed (error paths) are skipped along with their subtrees.
-QueryTrace CollectTrace(const PlanNode& root, std::string query = "",
-                        size_t threads = 1);
+QueryTrace CollectTrace(const PlanNode& root, std::string query = "");
 
 /// The nested-span JSON export:
-///   {"query": "...", "threads": 1, "wall_ns": 123456,
+///   {"query": "...", "wall_ns": 123456,
 ///    "root": {"op": "MergeJoin", "detail": "...", "start_ns": 0,
 ///             "end_ns": ..., "self_ns": ..., "rows": ...,
 ///             "est_rows": ..., "q_error": ..., "strategy": "merge",

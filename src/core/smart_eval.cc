@@ -8,7 +8,7 @@
 // an operator tree with cardinality estimates, and the executor
 // (plan/plan_exec.cc) runs it, re-checking every cost decision against
 // actual cardinalities so results and performance match the historical
-// inline engine at every thread count.  Callers that want the plan
+// inline engine.  Callers that want the plan
 // itself (EXPLAIN, tests) use plan::PlanExpr / plan::ExecutePlan
 // directly; this evaluator exists for the uniform Evaluator interface.
 //

@@ -37,10 +37,8 @@ class Env {
 class RuleEvaluator {
  public:
   RuleEvaluator(const TripleStore& store,
-                const std::map<std::string, TripleSet>& idb,
-                const DatalogOptions& opts)
-      : store_(store), idb_(idb), opts_(opts),
-        adom_(ActiveObjects(store)) {}
+                const std::map<std::string, TripleSet>& idb)
+      : store_(store), idb_(idb), adom_(ActiveObjects(store)) {}
 
   // Evaluates one rule, inserting derived head triples into `out`.
   Status EvalRule(const Rule& rule, TripleSet* out) {
@@ -56,7 +54,8 @@ class RuleEvaluator {
     }
     OrderPositiveAtoms();
     std::vector<Triple> derived;
-    TRIAL_RETURN_IF_ERROR(MatchAll(&derived));
+    Env env;
+    TRIAL_RETURN_IF_ERROR(MatchPositive(0, &env, &derived));
     out->InsertBatch(std::move(derived));
     return Status::OK();
   }
@@ -167,8 +166,7 @@ class RuleEvaluator {
   // executor's operators use — so any pair of bound columns is some
   // permutation's sorted prefix, a third is re-checked by Unify.
   // Sets *empty_match when a constant is unknown to the store (the
-  // atom then matches nothing).  Shared by the serial matcher and the
-  // parallel driver so both always iterate the same range.
+  // atom then matches nothing).
   TripleRange AtomRange(const Atom& atom, const Env& env,
                         const TripleSet& rel, bool* empty_match) const {
     *empty_match = false;
@@ -189,70 +187,6 @@ class RuleEvaluator {
       if (v.has_value()) probe.Bind(c, *v);
     }
     return probe.Range(rel);
-  }
-
-  // Drives the positive-atom matcher over the whole rule.  With
-  // exec.num_threads > 1 and a large enough leading match range, the
-  // range is chunked over the thread pool: each chunk matches with a
-  // private environment and derivation buffer, and buffers merge in
-  // chunk order — exactly the serial derivation sequence, so results
-  // (and error reporting) are identical for every thread count.
-  Status MatchAll(std::vector<Triple>* out) {
-    Env env;
-    size_t threads = opts_.exec.EffectiveThreads();
-    if (threads <= 1 || positive_.empty()) return MatchPositive(0, &env, out);
-    const Atom& atom = positive_[0]->atom;
-    Status st = Status::OK();
-    const TripleSet* rel = RelationOf(atom.pred, &st);
-    if (rel == nullptr) return st;
-    bool empty_match = false;
-    TripleRange range = AtomRange(atom, env, *rel, &empty_match);
-    if (empty_match) return Status::OK();  // unknown constant: no matches
-    if (!opts_.exec.ShouldParallelize(range.size())) {
-      return MatchPositive(0, &env, out);
-    }
-    // Materialize every relation the workers may probe — the lazy
-    // normalization and permutation builds are single-writer, so they
-    // must not happen under concurrent Lookup calls.  Stats() forces
-    // all three permutations.
-    for (const Literal* l : positive_) {
-      const TripleSet* r = RelationOf(l->atom.pred, &st);
-      if (r == nullptr) return st;
-      r->Stats();
-    }
-    for (const Literal* l : deferred_) {
-      if (l->kind != Literal::Kind::kAtom) continue;
-      st = Status::OK();
-      if (const TripleSet* r = RelationOf(l->atom.pred, &st)) r->Stats();
-      // An unknown deferred predicate surfaces inside the matcher,
-      // exactly as in the serial path.
-    }
-    std::vector<ChunkRange> chunks =
-        SplitEven(range.size(), threads * kChunksPerThread);
-    std::vector<std::vector<Triple>> parts(chunks.size());
-    std::vector<Status> status(chunks.size(), Status::OK());
-    ParallelFor(chunks.size(), threads, [&](size_t c) {
-      Env wenv;
-      for (size_t i = chunks[c].begin; i < chunks[c].end && status[c].ok();
-           ++i) {
-        size_t mark = wenv.Mark();
-        if (Unify(atom, range.begin()[i], &wenv)) {
-          Status s = MatchPositive(1, &wenv, &parts[c]);
-          if (!s.ok()) status[c] = s;
-        }
-        wenv.Rewind(mark);
-      }
-    });
-    for (size_t c = 0; c < chunks.size(); ++c) {
-      if (!status[c].ok()) return status[c];
-    }
-    size_t total = 0;
-    for (const std::vector<Triple>& p : parts) total += p.size();
-    out->reserve(out->size() + total);
-    for (std::vector<Triple>& p : parts) {
-      out->insert(out->end(), p.begin(), p.end());
-    }
-    return Status::OK();
   }
 
   Status MatchPositive(size_t i, Env* env, std::vector<Triple>* out) {
@@ -373,7 +307,6 @@ class RuleEvaluator {
 
   const TripleStore& store_;
   const std::map<std::string, TripleSet>& idb_;
-  const DatalogOptions& opts_;
   std::vector<ObjId> adom_;
   const Rule* rule_ = nullptr;
   std::vector<const Literal*> positive_;
@@ -394,7 +327,7 @@ Result<std::map<std::string, TripleSet>> EvalProgramAll(
     const std::vector<size_t>& rule_idx = info.rules_of[pred];
     if (info.recursive_preds.count(pred) == 0) {
       TripleSet value;
-      RuleEvaluator ev(store, idb, opts);
+      RuleEvaluator ev(store, idb);
       for (size_t i : rule_idx) {
         TRIAL_RETURN_IF_ERROR(ev.EvalRule(program.rules[i], &value));
       }
@@ -410,7 +343,7 @@ Result<std::map<std::string, TripleSet>> EvalProgramAll(
           return Status::ResourceExhausted("fixpoint exceeded round limit");
         }
         TripleSet value;
-        RuleEvaluator ev(store, idb, opts);
+        RuleEvaluator ev(store, idb);
         for (size_t i : rule_idx) {
           TRIAL_RETURN_IF_ERROR(ev.EvalRule(program.rules[i], &value));
         }

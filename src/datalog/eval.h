@@ -28,8 +28,8 @@
 //   * a program the translator rejects, e.g. a ~ literal on an object
 //     that is not in the store.
 //
-// Both routes return the same answer, byte for byte, at every thread
-// count (datalog_test checks this against the naive TriAL engine too).
+// Both routes return the same answer, byte for byte (datalog_test
+// checks this against the naive TriAL engine too).
 
 #ifndef TRIAL_DATALOG_EVAL_H_
 #define TRIAL_DATALOG_EVAL_H_
@@ -41,7 +41,6 @@
 #include "core/plan/plan.h"
 #include "datalog/ast.h"
 #include "storage/triple_store.h"
-#include "util/parallel.h"
 #include "util/status.h"
 
 namespace trial {
@@ -51,13 +50,9 @@ namespace datalog {
 /// the executor's: max_result_triples caps every operator's output —
 /// joins, unions and all stars stop as soon as they pass it — and the
 /// answer; max_rounds caps FixpointStar rounds (the reach-index
-/// stars run no rounds); exec parallelizes the kernels;
-/// adaptive plans with the FeedbackCache.  On the direct route
-/// max_result_triples caps every derived predicate, max_rounds caps
-/// fixpoint iteration, and each (fixpoint round's) rule evaluation
-/// chunks the leading positive atom's match range over the thread
-/// pool, with per-chunk derivation buffers merged in chunk order.
-/// Answers are identical for every thread count on both routes.
+/// stars run no rounds); adaptive plans with the FeedbackCache.  On
+/// the direct route max_result_triples caps every derived predicate
+/// and max_rounds caps fixpoint iteration.
 struct DatalogOptions : ExecLimits {};
 
 /// The physical plan of `answer_pred`'s TriAL(*) translation, ready for

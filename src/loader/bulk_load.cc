@@ -9,6 +9,7 @@
 #include "storage/triple_index.h"
 #include "util/interner.h"
 #include "util/metrics.h"
+#include "util/parallel.h"
 #include "util/timer.h"
 
 namespace trial {
@@ -122,10 +123,8 @@ Result<TripleStore> BulkLoadNTriples(std::string_view text,
                                      const BulkLoadOptions& opts,
                                      BulkLoadStats* stats) {
   Timer total;
-  size_t threads = opts.num_threads;
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
+  size_t threads =
+      opts.num_threads == 0 ? HardwareThreads() : opts.num_threads;
   // Workers cost a shard dictionary each; beyond any plausible core
   // count they only fragment the dictionaries.
   threads = std::min<size_t>(threads, 256);

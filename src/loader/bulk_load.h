@@ -48,7 +48,7 @@ namespace trial {
 
 /// Bulk-load pipeline knobs.
 struct BulkLoadOptions {
-  /// Worker count; 0 means std::thread::hardware_concurrency() (>= 1).
+  /// Worker count; 0 means HardwareThreads().
   /// 1 runs the whole pipeline inline, no threads spawned.
   size_t num_threads = 0;
   /// Target scanner chunk size in bytes; the scanner shrinks it so

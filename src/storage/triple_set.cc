@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "util/parallel.h"
-
 namespace trial {
 
 TripleSet::TripleSet(std::vector<Triple> triples)
@@ -113,28 +111,6 @@ bool TripleSet::IndexAmortized(IndexOrder order) const {
 TripleRange TripleSet::Scan(IndexOrder order) const {
   const std::vector<Triple>& v = Block().View(order);
   return {v.data(), v.data() + v.size()};
-}
-
-TripleRange TripleSet::Scan(IndexOrder order, size_t part,
-                            size_t num_parts) const {
-  TripleRange all = Scan(order);
-  if (num_parts == 0) num_parts = 1;
-  if (part >= num_parts) return TripleRange{};
-  size_t n = all.size();
-  return {all.first + n * part / num_parts,
-          all.first + n * (part + 1) / num_parts};
-}
-
-std::vector<TripleRange> TripleSet::Partitions(IndexOrder order,
-                                               size_t num_parts) const {
-  TripleRange all = Scan(order);
-  std::vector<ChunkRange> chunks = SplitEven(all.size(), num_parts);
-  std::vector<TripleRange> out;
-  out.reserve(chunks.size());
-  for (const ChunkRange& c : chunks) {
-    out.push_back({all.first + c.begin, all.first + c.end});
-  }
-  return out;
 }
 
 const TripleSetStats& TripleSet::Stats() const { return Block().Stats(); }

@@ -121,26 +121,12 @@ class TripleSet {
   /// The full set in the given permutation order.
   TripleRange Scan(IndexOrder order) const;
 
-  /// Partition-aware scan: the `part`-th of `num_parts` contiguous
-  /// near-equal slices of Scan(order).  Slices concatenate (in part
-  /// order) to the full scan, and the split depends only on (size(),
-  /// num_parts) — never on threads or scheduling — so parallel kernels
-  /// that merge per-part outputs in order are deterministic.
-  TripleRange Scan(IndexOrder order, size_t part, size_t num_parts) const;
-
-  /// All `num_parts` slices of the partitioned scan at once, in order.
-  /// At most num_parts ranges are returned (fewer when the set is
-  /// smaller); builds the permutation for `order` on first use.
-  std::vector<TripleRange> Partitions(IndexOrder order,
-                                      size_t num_parts) const;
-
   /// Forces normalization plus the build of `order`'s full view (the
   /// body's permutation, and the merged view when a delta is pending),
   /// so subsequent const reads (Lookup / LookupPair / Scan on that
-  /// order) touch no lazily-mutated state.  Parallel
-  /// kernels call this before handing the set to concurrent workers:
-  /// the lazy builds are single-writer, concurrent reads after
-  /// materialization are safe.
+  /// order) touch no lazily-mutated state.  The lazy builds are
+  /// single-writer, so threads that share one set call this first;
+  /// concurrent reads after materialization are safe.
   void Materialize(IndexOrder order) const { (void)Scan(order); }
 
   /// True when `order` can be probed without a build (already built, or

@@ -81,7 +81,7 @@ struct MetricsRegistry::Impl {
 
 MetricsRegistry& MetricsRegistry::Global() {
   // Leaked on purpose: instrumented sites hold raw pointers that must
-  // outlive every static destructor (thread-pool workers, atexit I/O).
+  // outlive every static destructor (atexit I/O).
   static MetricsRegistry* reg = new MetricsRegistry();
   return *reg;
 }

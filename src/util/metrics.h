@@ -1,6 +1,6 @@
 // Process-wide metrics registry: lock-cheap counters, gauges and
 // log-bucketed histograms, threaded through the bulk loader, the
-// segment store, the thread pool and both query engines.
+// segment store and both query engines.
 //
 // Design constraints, in order:
 //
@@ -22,7 +22,7 @@
 //      (deque storage, never erased), so call sites hold raw pointers.
 //
 // Naming convention: "<subsystem>.<what>[_<unit>]", e.g.
-// "loader.parse_ns", "segment.decodes", "pool.queue_wait_ns".  The
+// "loader.parse_ns", "segment.decodes", "exec.query_ns".  The
 // snapshot renders as one JSON object (RenderJson) — the shape served
 // by the future trial_serve stats endpoint and uploaded by CI as
 // METRICS_*.json.

@@ -1,173 +1,14 @@
 #include "util/parallel.h"
 
 #include <algorithm>
-#include <atomic>
-
-#include "util/metrics.h"
+#include <thread>
 
 namespace trial {
-namespace {
-
-// True while the current thread is executing a pool task; a nested Run
-// then degrades to inline execution instead of deadlocking on the pool.
-thread_local bool tls_in_pool_task = false;
-
-}  // namespace
 
 size_t HardwareThreads() {
   size_t n = std::thread::hardware_concurrency();
   if (n == 0) n = 1;
   return std::min<size_t>(n, 256);
-}
-
-std::vector<ChunkRange> SplitEven(size_t n, size_t chunks) {
-  if (chunks == 0) chunks = 1;
-  chunks = std::min(chunks, std::max<size_t>(n, 1));
-  std::vector<ChunkRange> out;
-  out.reserve(chunks);
-  for (size_t c = 0; c < chunks; ++c) {
-    out.push_back({n * c / chunks, n * (c + 1) / chunks});
-  }
-  return out;
-}
-
-// One handed-out job.  Owned via shared_ptr so a worker that wakes
-// after the submitting Run already returned still holds a live object
-// (it then finds next >= num_tasks and goes back to waiting).
-struct ThreadPool::Job {
-  const std::function<void(size_t)>* fn = nullptr;
-  size_t num_tasks = 0;
-  size_t parallelism = 1;          // worker index i participates iff i+1 < this
-  std::atomic<size_t> next{0};     // task claim counter
-  std::atomic<size_t> done{0};     // completed tasks
-  // Metrics recording, latched at submit time so every participant of
-  // one job agrees (the flag may flip mid-run).
-  bool metrics = false;
-  uint64_t submit_ns = 0;          // queue wait = task start - submit
-};
-
-ThreadPool& ThreadPool::Global() {
-  static ThreadPool pool(HardwareThreads());
-  return pool;
-}
-
-ThreadPool::ThreadPool(size_t max_threads) {
-  size_t spawn = max_threads > 0 ? max_threads - 1 : 0;
-  workers_.reserve(spawn);
-  for (size_t i = 0; i < spawn; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& t : workers_) t.join();
-}
-
-void ThreadPool::WorkerLoop(size_t index) {
-  uint64_t seen = 0;
-  for (;;) {
-    std::shared_ptr<Job> job;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] { return stop_ || epoch_ != seen; });
-      if (stop_) return;
-      seen = epoch_;
-      job = job_;
-    }
-    if (job == nullptr || index + 1 >= job->parallelism) continue;
-    RunTasks(*job);
-  }
-}
-
-void ThreadPool::RunTasks(Job& job) {
-  // Per-task instruments resolved once per participant — and only once
-  // a task is actually claimed, so a participant that loses every claim
-  // race never registers a zero-sample histogram.  Tasks are coarse
-  // chunks (kChunksPerThread per thread), so the two clock reads per
-  // task are noise even with metrics on.
-  Histogram* wait_h = nullptr;
-  Histogram* task_h = nullptr;
-  for (;;) {
-    size_t t = job.next.fetch_add(1, std::memory_order_relaxed);
-    if (t >= job.num_tasks) return;
-    if (job.metrics && wait_h == nullptr) {
-      MetricsRegistry& reg = MetricsRegistry::Global();
-      wait_h = reg.GetHistogram("pool.queue_wait_ns");
-      task_h = reg.GetHistogram("pool.task_ns");
-    }
-    uint64_t t0 = 0;
-    if (wait_h != nullptr) {
-      t0 = MonotonicNanos();
-      wait_h->Observe(t0 - job.submit_ns);
-    }
-    tls_in_pool_task = true;
-    (*job.fn)(t);
-    tls_in_pool_task = false;
-    if (task_h != nullptr) task_h->Observe(MonotonicNanos() - t0);
-    if (job.done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-        job.num_tasks) {
-      // Lock before notifying so the submitter cannot miss the wakeup
-      // between its predicate check and its wait.
-      std::lock_guard<std::mutex> lock(mu_);
-      done_cv_.notify_all();
-    }
-  }
-}
-
-void ThreadPool::Run(size_t num_tasks, size_t parallelism,
-                     const std::function<void(size_t)>& fn) {
-  if (num_tasks == 0) return;
-  const bool metrics = MetricsEnabled();
-  if (num_tasks == 1 || parallelism <= 1 || workers_.empty() ||
-      tls_in_pool_task) {
-    if (metrics) {
-      MetricsRegistry& reg = MetricsRegistry::Global();
-      reg.GetCounter("pool.inline_runs")->Increment();
-      reg.GetCounter("pool.tasks")->Add(num_tasks);
-    }
-    for (size_t t = 0; t < num_tasks; ++t) fn(t);
-    return;
-  }
-  std::lock_guard<std::mutex> run_lock(run_mu_);
-  auto job = std::make_shared<Job>();
-  job->fn = &fn;
-  job->num_tasks = num_tasks;
-  job->parallelism = std::min(parallelism, max_threads());
-  job->metrics = metrics;
-  if (metrics) job->submit_ns = MonotonicNanos();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    job_ = job;
-    ++epoch_;
-  }
-  work_cv_.notify_all();
-  RunTasks(*job);  // the calling thread is participant 0
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&] {
-      return job->done.load(std::memory_order_acquire) == job->num_tasks;
-    });
-    job_.reset();
-  }
-  if (metrics) {
-    MetricsRegistry& reg = MetricsRegistry::Global();
-    reg.GetCounter("pool.jobs")->Increment();
-    reg.GetCounter("pool.tasks")->Add(num_tasks);
-    reg.GetGauge("pool.workers")
-        ->Set(static_cast<int64_t>(workers_.size() + 1));
-    reg.GetHistogram("pool.run_ns")->Observe(MonotonicNanos() -
-                                             job->submit_ns);
-  }
-}
-
-void ParallelFor(size_t num_chunks, size_t threads,
-                 const std::function<void(size_t)>& fn) {
-  ThreadPool::Global().Run(num_chunks, threads, fn);
 }
 
 }  // namespace trial

@@ -1,5 +1,5 @@
 // Cardinality feedback (core/plan/adapt.*): the byte-identical contract
-// of ExecuteAdaptive against the plain plan at every thread count, the
+// of ExecuteAdaptive against the plain plan, the
 // correlated-misestimate shape planned right up front and its feedback
 // recorded for the next plan, the FeedbackCache's epoch/store scoping,
 // and the smart evaluator's LRU plan cache.
@@ -64,7 +64,7 @@ ExprPtr RandomJoinTree(Rng* rng, int leaves) {
 // ---- byte-identical property ------------------------------------------
 
 // ExecuteAdaptive must return exactly ExecutePlan(PlanExpr(e))'s result
-// on random 3-5-relation join expressions, at 1/2/4 threads — also the
+// on random 3-5-relation join expressions — also the
 // second time round, when the plan comes from the recorded feedback.
 // Each case gets a fresh FeedbackCache: no learning leaks between
 // expressions.
@@ -77,24 +77,19 @@ TEST(AdaptiveEquivalence, ByteIdenticalToStaticOnRandomJoins) {
       PlanPtr st = PlanExpr(e, store);
       auto want = ExecutePlan(*st, store);
       if (!want.ok()) continue;  // resource guard: same either route
-      for (size_t threads : {1u, 2u, 4u}) {
-        FeedbackCache fb;
-        ExecLimits lim;
-        lim.adaptive = true;
-        lim.exec.num_threads = threads;
-        lim.exec.min_parallel_items = 1;
-        for (int pass = 0; pass < 2; ++pass) {
-          AdaptiveResult ar;
-          auto got = ExecuteAdaptive(e, store, lim, false, &ar, &fb);
-          ASSERT_TRUE(got.ok())
-              << "seed " << seed << " expr " << e->ToString() << ": "
-              << got.status().ToString();
-          EXPECT_TRUE(*got == *want)
-              << "seed " << seed << " threads " << threads << " pass "
-              << pass << "\n"
-              << e->ToString();
-          ASSERT_NE(ar.plan, nullptr);
-        }
+      FeedbackCache fb;
+      ExecLimits lim;
+      lim.adaptive = true;
+      for (int pass = 0; pass < 2; ++pass) {
+        AdaptiveResult ar;
+        auto got = ExecuteAdaptive(e, store, lim, false, &ar, &fb);
+        ASSERT_TRUE(got.ok())
+            << "seed " << seed << " expr " << e->ToString() << ": "
+            << got.status().ToString();
+        EXPECT_TRUE(*got == *want)
+            << "seed " << seed << " pass " << pass << "\n"
+            << e->ToString();
+        ASSERT_NE(ar.plan, nullptr);
       }
     }
   }

@@ -170,24 +170,11 @@ TEST(EngineEquivalenceSkewed, AllEnginesAgreeOnZipfStores) {
   }
 }
 
-// Thread-count invariance — the parallel kernels' determinism contract:
-// with min_parallel_items forced to 1 so the join probe loop and the
-// semi-naive delta expansion take their parallel branches even on tiny
-// stores, results are identical for 1, 2 and 4 threads (and to the
-// stock serial engine) across random TriAL expressions, stars
-// included, on Zipf-skewed stores.
-// The threaded evaluations run through the plan executor directly —
-// plan::PlanExpr + plan::ExecutePlan, the code path the smart engine
-// shims to — so the invariance property is pinned to the plan layer.
-TEST(ParallelInvariance, PlanExecutorResultsAreThreadCountInvariant) {
-  auto eval_plan = [](const ExprPtr& e, const TripleStore& store,
-                      size_t threads) {
-    ExecLimits limits;
-    limits.exec.num_threads = threads;
-    limits.exec.min_parallel_items = 1;
-    plan::PlanPtr p = plan::PlanExpr(e, store);
-    return plan::ExecutePlan(*p, store, limits);
-  };
+// The plan executor, run directly — plan::PlanExpr + plan::ExecutePlan,
+// the code path the smart engine shims to — equals the smart engine
+// across random TriAL expressions, stars included, on Zipf-skewed
+// stores.
+TEST(PlanExecutorEquivalence, MatchesSmartEngineOnZipfStores) {
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     Rng rng(seed * 733 + 7);
     RandomStoreOptions opts;
@@ -199,26 +186,20 @@ TEST(ParallelInvariance, PlanExecutorResultsAreThreadCountInvariant) {
     opts.seed = seed * 19 + 3;
     TripleStore store = RandomTripleStore(opts);
 
-    auto serial = MakeSmartEvaluator();  // stock defaults: serial path
+    auto smart = MakeSmartEvaluator();
     for (int i = 0; i < 8; ++i) {
       ExprPtr e = RandomExpr(&rng, 3, /*allow_star=*/true);
-      auto r0 = serial->Eval(e, store);
-      auto r1 = eval_plan(e, store, 1);
-      auto r2 = eval_plan(e, store, 2);
-      auto r4 = eval_plan(e, store, 4);
+      auto r0 = smart->Eval(e, store);
+      plan::PlanPtr p = plan::PlanExpr(e, store);
+      auto r1 = plan::ExecutePlan(*p, store);
       ASSERT_TRUE(r0.ok()) << r0.status().ToString() << "\n" << e->ToString();
       ASSERT_TRUE(r1.ok()) << r1.status().ToString();
-      ASSERT_TRUE(r2.ok()) << r2.status().ToString();
-      ASSERT_TRUE(r4.ok()) << r4.status().ToString();
-      EXPECT_EQ(*r0, *r1) << "serial vs 1-thread on " << e->ToString();
-      EXPECT_EQ(*r1, *r2) << "1 vs 2 threads on " << e->ToString();
-      EXPECT_EQ(*r1, *r4) << "1 vs 4 threads on " << e->ToString();
+      EXPECT_EQ(*r0, *r1) << "smart vs plan on " << e->ToString();
     }
   }
 }
 
-// MinusOp's two strategies against the naive engine at 1, 2 and 4
-// threads.  The anti-probe never runs the right side: it keeps a left
+// MinusOp's two strategies against the naive engine.  The anti-probe never runs the right side: it keeps a left
 // triple unless every selection on the right chain holds on it and the
 // stored relation contains it, so the conditions are picked to hit
 // triples of the small left relation F both ways.  Every case pins
@@ -285,25 +266,18 @@ TEST(DifferenceStrategies, AntiProbeAndMergeMatchNaive) {
       EXPECT_LT(want->size(), f_size) << c.name;
       EXPECT_GT(want->size(), 0u) << c.name;
     }
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
-      ExecLimits limits;
-      limits.exec.num_threads = threads;
-      limits.exec.min_parallel_items = 1;
-      plan::PlanPtr p = plan::PlanExpr(c.expr, store);
-      auto got = plan::ExecutePlan(*p, store, limits);
-      ASSERT_TRUE(got.ok()) << c.name << ": " << got.status().ToString();
-      EXPECT_EQ(*want, *got) << c.name << ", " << threads << " threads\n"
-                             << plan::Explain(*p);
-      ASSERT_EQ(p->op, plan::PlanOp::kMinusOp) << c.name;
-      ASSERT_NE(p->runtime.strategy, nullptr) << c.name;
-      EXPECT_STREQ(p->runtime.strategy, c.strategy)
-          << c.name << "\n" << plan::Explain(*p);
-    }
+    plan::PlanPtr p = plan::PlanExpr(c.expr, store);
+    auto got = plan::ExecutePlan(*p, store);
+    ASSERT_TRUE(got.ok()) << c.name << ": " << got.status().ToString();
+    EXPECT_EQ(*want, *got) << c.name << "\n" << plan::Explain(*p);
+    ASSERT_EQ(p->op, plan::PlanOp::kMinusOp) << c.name;
+    ASSERT_NE(p->runtime.strategy, nullptr) << c.name;
+    EXPECT_STREQ(p->runtime.strategy, c.strategy)
+        << c.name << "\n" << plan::Explain(*p);
   }
 }
 
-// The hash join's flat table against the naive engine at 1, 2 and 4
-// threads.  The build side of every join is a fresh selection keyed on
+// The hash join's flat table against the naive engine.  The build side of every join is a fresh selection keyed on
 // its object column, so its permutation cannot be probed and the join
 // must hash.  The cases cover one key with 10,000 build rows next to
 // 500 singleton keys, an empty build side, a build side whose every row
@@ -411,27 +385,21 @@ TEST(HashJoinStrategies, FlatTableMatchesNaive) {
   for (const Case& c : cases) {
     auto want = naive->Eval(c.expr, store);
     ASSERT_TRUE(want.ok()) << c.name << ": " << want.status().ToString();
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
-      ExecLimits limits;
-      limits.exec.num_threads = threads;
-      limits.exec.min_parallel_items = 1;
-      plan::PlanPtr p = plan::PlanExpr(c.expr, store);
-      auto got = plan::ExecutePlan(*p, store, limits);
-      ASSERT_TRUE(got.ok()) << c.name << ": " << got.status().ToString();
-      EXPECT_EQ(*want, *got) << c.name << ", " << threads << " threads\n"
-                             << plan::Explain(*p);
-      if (c.kind == kStar) {
-        ASSERT_EQ(p->op, plan::PlanOp::kFixpointStar) << c.name;
-        EXPECT_GE(p->runtime.hash_rounds, 1u) << c.name;
-        continue;
-      }
-      ASSERT_NE(p->runtime.strategy, nullptr) << c.name;
-      EXPECT_STREQ(p->runtime.strategy, "hash")
-          << c.name << "\n" << plan::Explain(*p);
-      EXPECT_EQ(want->empty(), c.kind != kJoin) << c.name;
-      EXPECT_EQ(p->children[1]->runtime.actual_rows, c.build_rows)
-          << c.name << "\n" << plan::Explain(*p);
+    plan::PlanPtr p = plan::PlanExpr(c.expr, store);
+    auto got = plan::ExecutePlan(*p, store);
+    ASSERT_TRUE(got.ok()) << c.name << ": " << got.status().ToString();
+    EXPECT_EQ(*want, *got) << c.name << "\n" << plan::Explain(*p);
+    if (c.kind == kStar) {
+      ASSERT_EQ(p->op, plan::PlanOp::kFixpointStar) << c.name;
+      EXPECT_GE(p->runtime.hash_rounds, 1u) << c.name;
+      continue;
     }
+    ASSERT_NE(p->runtime.strategy, nullptr) << c.name;
+    EXPECT_STREQ(p->runtime.strategy, "hash")
+        << c.name << "\n" << plan::Explain(*p);
+    EXPECT_EQ(want->empty(), c.kind != kJoin) << c.name;
+    EXPECT_EQ(p->children[1]->runtime.actual_rows, c.build_rows)
+        << c.name << "\n" << plan::Explain(*p);
   }
 }
 

@@ -1,7 +1,7 @@
 // The physical plan layer: planner lowering and cost decisions (golden
 // tests on Zipf-skewed stores), the Explain renderer, the shared
 // scan/probe primitives, and the contract that plan execution is
-// byte-identical to the evaluators at every thread count.
+// byte-identical to the evaluators.
 
 #include <gtest/gtest.h>
 
@@ -596,8 +596,7 @@ TEST(CostRule, PreferIndexProbeCrossover) {
   EXPECT_FALSE(PreferIndexProbe(100000, 100000));
 }
 
-// ---- execution equivalence (the 1/2/4-thread property tests, pointed
-// ---- through the plan executor) ---------------------------------------
+// ---- execution equivalence (property tests through the plan executor) --
 
 ExprPtr RandomExpr(Rng* rng, int depth, bool allow_star) {
   auto rand_pos = [&] { return static_cast<Pos>(rng->Below(6)); };
@@ -642,10 +641,8 @@ ExprPtr RandomExpr(Rng* rng, int depth, bool allow_star) {
   }
 }
 
-// Plan execution must equal the serial smart engine for 1, 2 and 4
-// threads — with min_parallel_items forced to 1 so every parallel
-// kernel really takes its parallel branch.
-TEST(PlanExecEquivalence, ThreadCountInvariantOnZipfStores) {
+// Plan execution must equal the smart engine, and record its root rows.
+TEST(PlanExecEquivalence, MatchesSmartEngineOnZipfStores) {
   for (uint64_t seed = 1; seed <= 5; ++seed) {
     Rng rng(seed * 271 + 9);
     RandomStoreOptions opts;
@@ -661,25 +658,19 @@ TEST(PlanExecEquivalence, ThreadCountInvariantOnZipfStores) {
       ExprPtr e = RandomExpr(&rng, 3, /*allow_star=*/true);
       auto r0 = serial->Eval(e, store);
       ASSERT_TRUE(r0.ok()) << r0.status().ToString() << "\n" << e->ToString();
-      for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
-        ExecLimits limits;
-        limits.exec.num_threads = threads;
-        limits.exec.min_parallel_items = 1;
-        PlanPtr p = PlanExpr(e, store);
-        auto r = ExecutePlan(*p, store, limits);
-        ASSERT_TRUE(r.ok()) << r.status().ToString();
-        EXPECT_EQ(*r0, *r) << threads << " threads on " << e->ToString()
-                           << "\n" << Explain(*p);
-        RecordRootRows(*p, *r);
-        EXPECT_EQ(p->runtime.actual_rows, r->size());
-      }
+      PlanPtr p = PlanExpr(e, store);
+      auto r = ExecutePlan(*p, store);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(*r0, *r) << e->ToString() << "\n" << Explain(*p);
+      RecordRootRows(*p, *r);
+      EXPECT_EQ(p->runtime.actual_rows, r->size());
     }
   }
 }
 
 // Result identity of the reordered + merge plans: random 3–5-relation
-// join expressions over Zipf stores must match the naive evaluator at
-// every thread count.  This is the reorderer's contract test — bushy
+// join expressions over Zipf stores must match the naive evaluator.
+// This is the reorderer's contract test — bushy
 // orders, spanning key atoms, predicate placement and the merge kernel
 // all have to agree with the written order's semantics.
 TEST(PlanExecEquivalence, ReorderedMultiJoinsMatchNaive) {
@@ -735,16 +726,10 @@ TEST(PlanExecEquivalence, ReorderedMultiJoinsMatchNaive) {
       ExprPtr e = std::move(nodes[0]);
       auto r0 = naive->Eval(e, store);
       ASSERT_TRUE(r0.ok()) << r0.status().ToString() << "\n" << e->ToString();
-      for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
-        ExecLimits limits;
-        limits.exec.num_threads = threads;
-        limits.exec.min_parallel_items = 1;
-        PlanPtr p = PlanExpr(e, store);
-        auto r = ExecutePlan(*p, store, limits);
-        ASSERT_TRUE(r.ok()) << r.status().ToString();
-        EXPECT_EQ(*r0, *r) << threads << " threads on " << e->ToString()
-                           << "\n" << Explain(*p);
-      }
+      PlanPtr p = PlanExpr(e, store);
+      auto r = ExecutePlan(*p, store);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(*r0, *r) << e->ToString() << "\n" << Explain(*p);
     }
   }
 }
@@ -815,9 +800,8 @@ ExprPtr RandomCombine(Rng* rng, ExprPtr a, ExprPtr b) {
 }
 
 // Expressions that reuse subexpressions (DAGs) plan each shared node
-// once and match the naive evaluator, which unfolds them, at 1, 2 and
-// 4 threads.
-TEST(SharedSubplans, DagsMatchNaiveAtEveryThreadCount) {
+// once and match the naive evaluator, which unfolds them.
+TEST(SharedSubplans, DagsMatchNaive) {
   auto naive = MakeNaiveEvaluator();
   size_t shared_plans = 0;
   for (uint64_t seed = 1; seed <= 4; ++seed) {
@@ -837,20 +821,14 @@ TEST(SharedSubplans, DagsMatchNaiveAtEveryThreadCount) {
                                 RandomCombine(&rng, t, s));
       auto want = naive->Eval(e, store);
       ASSERT_TRUE(want.ok()) << want.status().ToString();
-      for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
-        ExecLimits limits;
-        limits.exec.num_threads = threads;
-        limits.exec.min_parallel_items = 1;
-        PlanPtr p = PlanExpr(e, store);
-        std::set<int> placed;
-        const size_t scans = CheckSharedOrder(*p, &placed);
-        EXPECT_GE(scans, placed.size()) << Explain(*p);
-        if (threads == 1) shared_plans += placed.size();
-        auto r = ExecutePlan(*p, store, limits);
-        ASSERT_TRUE(r.ok()) << r.status().ToString() << "\n" << Explain(*p);
-        EXPECT_EQ(*want, *r) << threads << " threads on " << e->ToString()
-                             << "\n" << Explain(*p);
-      }
+      PlanPtr p = PlanExpr(e, store);
+      std::set<int> placed;
+      const size_t scans = CheckSharedOrder(*p, &placed);
+      EXPECT_GE(scans, placed.size()) << Explain(*p);
+      shared_plans += placed.size();
+      auto r = ExecutePlan(*p, store);
+      ASSERT_TRUE(r.ok()) << r.status().ToString() << "\n" << Explain(*p);
+      EXPECT_EQ(*want, *r) << e->ToString() << "\n" << Explain(*p);
     }
   }
   EXPECT_GT(shared_plans, 0u);
@@ -920,22 +898,17 @@ TEST(SharedSubplans, DifferenceRunsAShareHeldOnItsRight) {
   ASSERT_TRUE(want.ok()) << want.status().ToString();
   for (const ExprPtr& e : {shared, copies}) {
     const bool is_shared = e == shared;
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
-      ExecLimits limits;
-      limits.exec.num_threads = threads;
-      limits.exec.min_parallel_items = 1;
-      PlanPtr p = PlanExpr(e, store);
-      ASSERT_EQ(p->op, PlanOp::kUnionOp);
-      const PlanNode& diff = *p->children[0];
-      ASSERT_EQ(diff.op, PlanOp::kMinusOp) << Explain(*p);
-      EXPECT_EQ(diff.children[1]->share_id >= 0, is_shared) << Explain(*p);
-      EXPECT_EQ(p->children[1]->op == PlanOp::kSharedScan, is_shared);
-      auto r = ExecutePlan(*p, store, limits);
-      ASSERT_TRUE(r.ok()) << r.status().ToString() << "\n" << Explain(*p);
-      EXPECT_EQ(*want, *r) << threads << " threads\n" << Explain(*p);
-      EXPECT_STREQ(diff.runtime.strategy, is_shared ? "merge" : "anti-probe")
-          << Explain(*p);
-    }
+    PlanPtr p = PlanExpr(e, store);
+    ASSERT_EQ(p->op, PlanOp::kUnionOp);
+    const PlanNode& diff = *p->children[0];
+    ASSERT_EQ(diff.op, PlanOp::kMinusOp) << Explain(*p);
+    EXPECT_EQ(diff.children[1]->share_id >= 0, is_shared) << Explain(*p);
+    EXPECT_EQ(p->children[1]->op == PlanOp::kSharedScan, is_shared);
+    auto r = ExecutePlan(*p, store);
+    ASSERT_TRUE(r.ok()) << r.status().ToString() << "\n" << Explain(*p);
+    EXPECT_EQ(*want, *r) << Explain(*p);
+    EXPECT_STREQ(diff.runtime.strategy, is_shared ? "merge" : "anti-probe")
+        << Explain(*p);
   }
 }
 
@@ -951,6 +924,71 @@ TEST(PlanExecGuards, UniverseGuard) {
   auto r = ExecutePlan(*p, store, limits);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+}
+
+// Plans `e`, checks its root is `op`, and runs it twice: unguarded, then
+// with max_result_triples one below that result's size.  The root
+// operator emits at least as many rows as the result holds, so its own
+// guard must trip; no other operator in these plans checks the guard.
+// Returns the guarded run's root for the caller's strategy checks.
+PlanPtr ExpectRootGuardTrips(const TripleStore& store, const ExprPtr& e,
+                             PlanOp op) {
+  PlanPtr p = PlanExpr(e, store);
+  EXPECT_EQ(p->op, op) << Explain(*p);
+  auto full = ExecutePlan(*p, store);
+  EXPECT_TRUE(full.ok()) << full.status().ToString();
+  if (!full.ok()) return p;
+  EXPECT_GT(full->size(), 1u) << Explain(*p);
+  ExecLimits limits;
+  limits.max_result_triples = full->size() - 1;
+  auto r = ExecutePlan(*p, store, limits);
+  EXPECT_FALSE(r.ok()) << Explain(*p);
+  if (!r.ok()) {
+    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+  }
+  return p;
+}
+
+TEST(PlanExecGuards, ProbeJoinGuard) {
+  TripleStore store = SkewedStore(4096);
+  PlanPtr p = ExpectRootGuardTrips(
+      store,
+      CompositionJoin(
+          Expr::Select(Expr::Rel("E"), Where({EqConst(Pos::P3, 3)})),
+          Expr::Rel("E")),
+      PlanOp::kIndexProbeJoin);
+  EXPECT_STREQ(p->runtime.strategy, "probe") << Explain(*p);
+}
+
+TEST(PlanExecGuards, HashJoinGuard) {
+  // A data-value key has no index to probe or merge on.
+  TripleStore store = SkewedStore(256);
+  PlanPtr p = ExpectRootGuardTrips(
+      store,
+      Expr::Join(Expr::Rel("E"), Expr::Rel("E"),
+                 Spec(Pos::P1, Pos::P2, Pos::P3p, {},
+                      {DataEq(Pos::P3, Pos::P1p)})),
+      PlanOp::kHashJoin);
+  EXPECT_STREQ(p->runtime.strategy, "hash") << Explain(*p);
+}
+
+TEST(PlanExecGuards, MergeJoinGuard) {
+  TripleStore store = SkewedStore(4096);
+  PlanPtr p = ExpectRootGuardTrips(
+      store, CompositionJoin(Expr::Rel("E"), Expr::Rel("E")),
+      PlanOp::kMergeJoin);
+  EXPECT_STREQ(p->runtime.strategy, "merge") << Explain(*p);
+}
+
+TEST(PlanExecGuards, FixpointStarGuard) {
+  // Not a walk: the output takes the right side's predicate, so the
+  // star stays a semi-naive fixpoint.
+  TripleStore store = SkewedStore(256);
+  ExpectRootGuardTrips(
+      store,
+      Expr::StarRight(Expr::Rel("E"), Spec(Pos::P1, Pos::P2p, Pos::P3p,
+                                           {Eq(Pos::P3, Pos::P1p)})),
+      PlanOp::kFixpointStar);
 }
 
 }  // namespace

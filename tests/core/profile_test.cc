@@ -147,48 +147,32 @@ TEST(ProfileQError, MatchesPlannerEstimateComputationOnZipfStores) {
   }
 }
 
-// Bushy DP-reordered 3-relation plan, profiled at 1, 2 and 4 threads:
-// results stay byte-identical, and every trace satisfies the nesting
-// and monotonicity invariants (parallelism lives inside operator
-// kernels, so sibling spans never interleave).
-TEST(SpanTrace, NestsForDpReorderedPlanAcrossThreadCounts) {
+// Bushy DP-reordered 3-relation plan, profiled: the trace satisfies
+// the nesting and monotonicity invariants (operators run their
+// children in order, so sibling spans never interleave).
+TEST(SpanTrace, NestsForDpReorderedPlan) {
   TripleStore store = MultiJoinStore();
   ExprPtr e = CompositionJoin(
       CompositionJoin(Expr::Rel("E"), Expr::Rel("E1")), Expr::Rel("tiny"));
-  TripleSet serial_result;
-  size_t serial_spans = 0;
-  for (size_t threads : {1u, 2u, 4u}) {
-    ExecLimits limits;
-    limits.exec.num_threads = threads;
-    limits.exec.min_parallel_items = 16;  // force the parallel kernels
-    PlanPtr p = PlanExpr(e, store);
-    auto r = ExecutePlan(*p, store, limits, /*profile=*/true);
-    ASSERT_TRUE(r.ok()) << "threads " << threads;
-    if (threads == 1) {
-      serial_result = *r;
-    } else {
-      EXPECT_EQ(*r, serial_result) << "threads " << threads;
-    }
-    EXPECT_TRUE(p->runtime.profiled);
-    QueryTrace trace = CollectTrace(*p, "multi-join", threads);
-    EXPECT_EQ(trace.threads, threads);
-    // One span per plan node: the DP plan joins three scans.
-    EXPECT_EQ(trace.spans.size(), p->TreeSize());
-    EXPECT_GE(trace.spans.size(), 5u);
-    if (threads == 1) serial_spans = trace.spans.size();
-    EXPECT_EQ(trace.spans.size(), serial_spans) << "threads " << threads;
-    CheckSpanInvariants(trace);
-    // The JSON export nests one object per span.
-    std::string json = TraceToJson(trace);
-    size_t ops = 0;
-    for (size_t at = json.find("\"op\":"); at != std::string::npos;
-         at = json.find("\"op\":", at + 1)) {
-      ++ops;
-    }
-    EXPECT_EQ(ops, trace.spans.size());
-    EXPECT_NE(json.find("\"query\": \"multi-join\""), std::string::npos);
-    EXPECT_NE(json.find("\"children\": ["), std::string::npos);
+  PlanPtr p = PlanExpr(e, store);
+  auto r = ExecutePlan(*p, store, {}, /*profile=*/true);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(p->runtime.profiled);
+  QueryTrace trace = CollectTrace(*p, "multi-join");
+  // One span per plan node: the DP plan joins three scans.
+  EXPECT_EQ(trace.spans.size(), p->TreeSize());
+  EXPECT_GE(trace.spans.size(), 5u);
+  CheckSpanInvariants(trace);
+  // The JSON export nests one object per span.
+  std::string json = TraceToJson(trace);
+  size_t ops = 0;
+  for (size_t at = json.find("\"op\":"); at != std::string::npos;
+       at = json.find("\"op\":", at + 1)) {
+    ++ops;
   }
+  EXPECT_EQ(ops, trace.spans.size());
+  EXPECT_NE(json.find("\"query\": \"multi-join\""), std::string::npos);
+  EXPECT_NE(json.find("\"children\": ["), std::string::npos);
 }
 
 // The feedback path profiles like the plain one: ExecuteAdaptive runs
@@ -215,7 +199,7 @@ TEST(SpanTrace, AdaptiveExecutionNestsUnderOneClockOrigin) {
     child_cum += c->runtime.end_ns - c->runtime.start_ns;
   }
   EXPECT_GE(root.runtime.end_ns - root.runtime.start_ns, child_cum);
-  QueryTrace trace = CollectTrace(root, "adaptive", 1);
+  QueryTrace trace = CollectTrace(root, "adaptive");
   EXPECT_EQ(trace.spans.size(), root.TreeSize());
   EXPECT_EQ(trace.spans[0].start_ns, root.runtime.start_ns);
   CheckSpanInvariants(trace);
@@ -347,32 +331,26 @@ TEST(TraceSinkApi, InstalledSinkSeesEmittedTracesAndRestores) {
 // The per-operator actual-rows contract: whenever a node reports
 // rows_known, actual_rows is exactly the normalized (sorted-unique)
 // cardinality of the set that node produced — for every operator,
-// including a MergeJoin root executed through the parallel
-// range-partitioned path, and RecordRootRows assigns rather than
+// including a MergeJoin root, and RecordRootRows assigns rather than
 // accumulates (calling it again never double-counts).
-TEST(ActualRowsAudit, RootAndChildrenMatchResultAcrossThreadCounts) {
+TEST(ActualRowsAudit, RootAndChildrenMatchResult) {
   TripleStore store = SkewedStore(4096);
   ExprPtr e = CompositionJoin(Expr::Rel("E"), Expr::Rel("E"));
-  for (size_t threads : {1u, 4u}) {
-    ExecLimits limits;
-    limits.exec.num_threads = threads;
-    limits.exec.min_parallel_items = 16;
-    PlanPtr p = PlanExpr(e, store);
-    ASSERT_EQ(p->op, PlanOp::kMergeJoin) << Explain(*p);
-    auto r = ExecutePlan(*p, store, limits);
-    ASSERT_TRUE(r.ok());
-    ASSERT_STREQ(p->runtime.strategy, "merge") << Explain(*p);
-    RecordRootRows(*p, *r);
-    size_t first = p->runtime.actual_rows;
-    EXPECT_EQ(first, r->size()) << "threads " << threads;
-    // Idempotent: a second record (e.g. a caller printing twice) and a
-    // repeated size() read report the same count.
-    RecordRootRows(*p, *r);
-    EXPECT_EQ(p->runtime.actual_rows, first);
-    for (const PlanPtr& c : p->children) {
-      ASSERT_TRUE(c->runtime.rows_known);
-      EXPECT_EQ(c->runtime.actual_rows, store.FindRelation("E")->size());
-    }
+  PlanPtr p = PlanExpr(e, store);
+  ASSERT_EQ(p->op, PlanOp::kMergeJoin) << Explain(*p);
+  auto r = ExecutePlan(*p, store);
+  ASSERT_TRUE(r.ok());
+  ASSERT_STREQ(p->runtime.strategy, "merge") << Explain(*p);
+  RecordRootRows(*p, *r);
+  size_t first = p->runtime.actual_rows;
+  EXPECT_EQ(first, r->size());
+  // Idempotent: a second record (e.g. a caller printing twice) and a
+  // repeated size() read report the same count.
+  RecordRootRows(*p, *r);
+  EXPECT_EQ(p->runtime.actual_rows, first);
+  for (const PlanPtr& c : p->children) {
+    ASSERT_TRUE(c->runtime.rows_known);
+    EXPECT_EQ(c->runtime.actual_rows, store.FindRelation("E")->size());
   }
 }
 
@@ -383,11 +361,8 @@ TEST(ActualRowsAudit, ProfiledRootCountAgreesWithRecordRootRows) {
   TripleStore store = MultiJoinStore();
   ExprPtr e = CompositionJoin(
       CompositionJoin(Expr::Rel("E"), Expr::Rel("E1")), Expr::Rel("tiny"));
-  ExecLimits limits;
-  limits.exec.num_threads = 4;
-  limits.exec.min_parallel_items = 16;
   PlanPtr p = PlanExpr(e, store);
-  auto r = ExecutePlan(*p, store, limits, /*profile=*/true);
+  auto r = ExecutePlan(*p, store, {}, /*profile=*/true);
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(p->runtime.rows_known);
   size_t profiled = p->runtime.actual_rows;
@@ -518,7 +493,7 @@ TEST(AntiProbeDifference, ReportsOnEverySurface) {
   EXPECT_EQ(Occurrences(text, " actual=-"), 2u) << text;
   EXPECT_EQ(Occurrences(text, " self="), 3u) << text;
 
-  QueryTrace trace = CollectTrace(*p, "anti-probe", 1);
+  QueryTrace trace = CollectTrace(*p, "anti-probe");
   EXPECT_EQ(trace.spans.size(), p->TreeSize() - 2);
   CheckSpanInvariants(trace);
   const TraceSpan& root = trace.spans[0];

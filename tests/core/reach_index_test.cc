@@ -43,19 +43,6 @@ using reach::DijkstraShortestPath;
 using reach::ReachIndex;
 using reach::ShortestPathResult;
 
-ExecOptions Threads(size_t n) {
-  ExecOptions exec;
-  exec.num_threads = n;
-  exec.min_parallel_items = 1;  // force the parallel paths on tiny inputs
-  return exec;
-}
-
-ExecLimits Limits(size_t threads) {
-  ExecLimits limits;
-  limits.exec = Threads(threads);
-  return limits;
-}
-
 // Reference reachability: iterative DFS over the projected graph.
 std::vector<ObjId> BruteReachable(const TripleSet& base, ObjId src) {
   std::vector<ObjId> stack{src}, out;
@@ -275,7 +262,7 @@ TEST(ReachIndexCache, AppendRebuildsTheIndexAndExtendsTheWalk) {
   ASSERT_NE(old_index, nullptr);
   PlanPtr warm = PlanExpr(star, store);
   ASSERT_EQ(warm->op, PlanOp::kReachIndexScan) << Explain(*warm);
-  ASSERT_TRUE(ExecutePlan(*warm, store, Limits(2)).ok());
+  ASSERT_TRUE(ExecutePlan(*warm, store).ok());
 
   // An edge out of a reached node to a fresh one extends every path
   // through that node.  It lands in the relation's delta, on a new
@@ -292,11 +279,9 @@ TEST(ReachIndexCache, AppendRebuildsTheIndexAndExtendsTheWalk) {
   EXPECT_TRUE(want->Contains(Triple{first.s, first.p, fresh}));
   PlanPtr p = PlanExpr(star, store);
   ASSERT_EQ(p->op, PlanOp::kReachIndexScan) << Explain(*p);
-  for (size_t threads : {1u, 2u, 4u}) {
-    auto got = ExecutePlan(*p, store, Limits(threads));
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_EQ(*got, *want) << threads << " threads";
-  }
+  auto got = ExecutePlan(*p, store);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, *want);
   auto rebuilt = ReachIndex::Cached(rel);
   ASSERT_NE(rebuilt, nullptr);
   EXPECT_NE(rebuilt, old_index);
@@ -322,7 +307,7 @@ TEST(ReachIndexPlan, WarmIndexRoutesToIndexScan) {
   EXPECT_DOUBLE_EQ(warm->est_rows,
                    static_cast<double>(idx->star_output_rows()));
 
-  auto r = ExecutePlan(*warm, store, Limits(2));
+  auto r = ExecutePlan(*warm, store);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(*r, StarReachAnyPath(*store.FindRelation("E")));
   EXPECT_STREQ(warm->runtime.strategy, "interval-index");
@@ -345,11 +330,9 @@ TEST(ReachIndexPlan, ExecutionWarmsTheStoreRelation) {
   PlanPtr p = PlanExpr(ReachAnyPath(Expr::Rel("E")), store);
   ASSERT_EQ(p->op, PlanOp::kReachIndexScan) << Explain(*p);
   ASSERT_EQ(ReachIndex::Cached(*store.FindRelation("E")), nullptr);
-  for (size_t threads : {1u, 2u, 4u}) {
-    auto r = ExecutePlan(*p, store, Limits(threads));
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(*r, StarReachAnyPath(*store.FindRelation("E")));
-  }
+  auto r = ExecutePlan(*p, store);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(*r, StarReachAnyPath(*store.FindRelation("E")));
   EXPECT_NE(ReachIndex::Cached(*store.FindRelation("E")), nullptr);
 }
 
@@ -362,11 +345,9 @@ TEST(ReachIndexPlan, FixpointStarOnReachSpecMatchesAnyPathKernel) {
   ASSERT_NE(idx, nullptr);
   PlanPtr p = PlanExpr(ReachAnyPath(Expr::Rel("E")), store);
   p->op = PlanOp::kFixpointStar;  // bypass the routing, keep spec + child
-  for (size_t threads : {1u, 4u}) {
-    auto r = ExecutePlan(*p, store, Limits(threads));
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(*r, StarReachAnyPath(*store.FindRelation("E")));
-  }
+  auto r = ExecutePlan(*p, store);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(*r, StarReachAnyPath(*store.FindRelation("E")));
 }
 
 // ---- weighted shortest paths ------------------------------------------
@@ -448,7 +429,7 @@ TEST(Dijkstra, PlanShortestPathEndToEnd) {
   TripleStore store = WeightedDiamond();
   PlanPtr p = PlanShortestPath(store, "E", "city0", "city2");
   ASSERT_EQ(p->op, PlanOp::kDijkstraScan);
-  auto r = ExecutePlan(*p, store, Limits(1));
+  auto r = ExecutePlan(*p, store);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->size(), 2u);
   EXPECT_TRUE(p->runtime.sp_reached);
@@ -460,7 +441,7 @@ TEST(Dijkstra, PlanShortestPathEndToEnd) {
 
   // Unknown names surface as NotFound at execution, not planning.
   PlanPtr bad = PlanShortestPath(store, "E", "city0", "nope");
-  auto br = ExecutePlan(*bad, store, Limits(1));
+  auto br = ExecutePlan(*bad, store);
   ASSERT_FALSE(br.ok());
   EXPECT_EQ(br.status().code(), StatusCode::kNotFound);
 }
@@ -829,9 +810,9 @@ reach::ReachGraph GraphFor(const WalkShapeCase& w) {
                        : reach::ReachGraph::kSubjectObject;
 }
 
-// Every walk shape over relation E of `store`, stored and derived, at
-// 1/2/4 threads, through the plan and straight off a fresh index, equal
-// to the naive fixpoint; the result guard trips mid-walk.
+// Every walk shape over relation E of `store`, stored and derived,
+// through the plan and straight off a fresh index, equal to the naive
+// fixpoint; the result guard trips mid-walk.
 void ExpectWalksMatchNaive(const TripleStore& store) {
   auto naive = MakeNaiveEvaluator();
   const TripleSet& rel = *store.FindRelation("E");
@@ -856,17 +837,15 @@ void ExpectWalksMatchNaive(const TripleStore& store) {
     EXPECT_DOUBLE_EQ(p->est_rows,
                      static_cast<double>(warm->walk_output_rows(w.col)));
     EXPECT_GE(p->est_rows, static_cast<double>(want->size()));
-    for (size_t threads : {1u, 2u, 4u}) {
-      auto got = ExecutePlan(*p, store, Limits(threads));
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      EXPECT_EQ(*got, *want) << threads << " threads";
-      // The guard trips mid-walk.
-      ExecLimits capped = Limits(threads);
-      capped.max_result_triples = want->size() / 2;
-      auto over = ExecutePlan(*p, store, capped);
-      ASSERT_FALSE(over.ok()) << threads << " threads";
-      EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
-    }
+    auto got = ExecutePlan(*p, store);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, *want);
+    // The guard trips mid-walk.
+    ExecLimits capped;
+    capped.max_result_triples = want->size() / 2;
+    auto over = ExecutePlan(*p, store, capped);
+    ASSERT_FALSE(over.ok());
+    EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
     // A fresh index, built and expanded directly.
     auto fresh = ReachIndex::Build(rel, GraphFor(w));
     auto direct = fresh->EmitWalk(rel, w.col, 50'000'000);
@@ -885,16 +864,14 @@ void ExpectWalksMatchNaive(const TripleStore& store) {
     ASSERT_EQ(dp->op, PlanOp::kReachIndexScan) << Explain(*dp);
     EXPECT_EQ(dp->walk_col, w.col);
     EXPECT_EQ(dp->reach_same_middle, w.same_middle);
-    for (size_t threads : {1u, 2u, 4u}) {
-      auto got = ExecutePlan(*dp, store, Limits(threads));
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      EXPECT_EQ(*got, *dwant) << threads << " threads, derived";
-      ExecLimits capped = Limits(threads);
-      capped.max_result_triples = dwant->size() / 2;
-      auto over = ExecutePlan(*dp, store, capped);
-      ASSERT_FALSE(over.ok()) << threads << " threads, derived";
-      EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
-    }
+    auto dgot = ExecutePlan(*dp, store);
+    ASSERT_TRUE(dgot.ok()) << dgot.status().ToString();
+    EXPECT_EQ(*dgot, *dwant) << "derived";
+    ExecLimits dcapped;
+    dcapped.max_result_triples = dwant->size() / 2;
+    auto dover = ExecutePlan(*dp, store, dcapped);
+    ASSERT_FALSE(dover.ok()) << "derived";
+    EXPECT_EQ(dover.status().code(), StatusCode::kResourceExhausted);
     auto idx = ReachIndex::Build(*derived, GraphFor(w));
     auto ddirect = idx->EmitWalk(*derived, w.col, 50'000'000);
     ASSERT_TRUE(ddirect.ok());

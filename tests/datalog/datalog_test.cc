@@ -182,39 +182,6 @@ TEST(DatalogEval, SimLiteralComparesDataValues) {
   EXPECT_TRUE(r->Contains(t));
 }
 
-// Parallel rule evaluation (chunked leading-atom matching with
-// in-order merge of per-chunk derivations): every IDB predicate is
-// identical for 1, 2 and 4 threads, through recursive fixpoints and
-// negation, with min_parallel_items forced to 1 so the parallel branch
-// engages on a small store.
-TEST(DatalogEval, ParallelEvaluationIsThreadCountInvariant) {
-  RandomStoreOptions sopts;
-  sopts.num_objects = 15;
-  sopts.num_triples = 120;
-  sopts.zipf_o = 0.9;
-  sopts.seed = 11;
-  TripleStore store = RandomTripleStore(sopts);
-  Program p = MustParse(R"(
-    reach(X, P, Z) :- E(X, P, Z).
-    reach(X, P, W) :- reach(X, P, Z), E(Z, Q, W).
-    ans(X, P, Z) :- reach(X, P, Z), not E(Z, P, X).
-  )");
-  auto serial = EvalProgramAll(p, store, DatalogOptions{});
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  for (size_t threads : std::vector<size_t>{1, 2, 4}) {
-    DatalogOptions opts;
-    opts.exec.num_threads = threads;
-    opts.exec.min_parallel_items = 1;
-    auto par = EvalProgramAll(p, store, opts);
-    ASSERT_TRUE(par.ok()) << par.status().ToString();
-    ASSERT_EQ(par->size(), serial->size());
-    for (const auto& [pred, value] : *serial) {
-      EXPECT_EQ(par->at(pred), value) << pred << " @ " << threads
-                                      << " threads";
-    }
-  }
-}
-
 TEST(DatalogEval, UnknownPredicateReported) {
   TripleStore store = TransportStore();
   Program p = MustParse("ans(X, Y, Z) :- nosuch(X, Y, Z).");
@@ -319,7 +286,7 @@ std::vector<TripleStore> BatteryStores() {
 
 // Every routable program takes the plan route (no fallback), and its
 // answer is byte-identical to the direct engine's and to the naive
-// engine on the translation, at 1, 2 and 4 threads.
+// engine on the translation.
 TEST(DatalogPlanRoute, MatchesDirectEngineAndNaiveEvaluator) {
   MetricsOn metrics;
   auto naive = MakeNaiveEvaluator();
@@ -335,17 +302,11 @@ TEST(DatalogPlanRoute, MatchesDirectEngineAndNaiveEvaluator) {
       auto direct = DirectAnswer(p, store, "ans");
       ASSERT_TRUE(direct.ok()) << direct.status().ToString();
       EXPECT_EQ(*direct, *oracle) << text;
-      for (size_t threads : {1u, 2u, 4u}) {
-        DatalogOptions opts;
-        opts.exec.num_threads = threads;
-        opts.exec.min_parallel_items = 1;
-        const uint64_t before = Fallbacks();
-        auto planned = EvalProgram(p, store, "ans", opts);
-        ASSERT_TRUE(planned.ok()) << planned.status().ToString();
-        EXPECT_EQ(Fallbacks(), before) << text;
-        EXPECT_EQ(planned->triples(), direct->triples())
-            << text << " @ " << threads << " threads";
-      }
+      const uint64_t before = Fallbacks();
+      auto planned = EvalProgram(p, store, "ans");
+      ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+      EXPECT_EQ(Fallbacks(), before) << text;
+      EXPECT_EQ(planned->triples(), direct->triples()) << text;
     }
   }
 }
@@ -429,8 +390,6 @@ TEST(DatalogPlanRoute, ChainedReuseRunsEachPredicateOnce) {
   for (bool adaptive : {false, true}) {
     DatalogOptions opts;
     opts.adaptive = adaptive;
-    opts.exec.num_threads = 2;
-    opts.exec.min_parallel_items = 1;
     const uint64_t before = Fallbacks();
     auto r = EvalProgram(p, store, "ans", opts);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -478,15 +437,11 @@ TEST(DatalogPlanRoute, ReachKernelStopsAtTheCap) {
   auto full = plan::ExecutePlan(**pl, store);
   ASSERT_TRUE(full.ok()) << full.status().ToString();
   ASSERT_GT(full->size(), 2u);
-  for (size_t threads : {1u, 4u}) {
-    ExecLimits limits;
-    limits.max_result_triples = 2;
-    limits.exec.num_threads = threads;
-    limits.exec.min_parallel_items = 1;
-    auto r = plan::ExecutePlan(**pl, store, limits);
-    ASSERT_FALSE(r.ok()) << threads << " threads";
-    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
-  }
+  ExecLimits limits;
+  limits.max_result_triples = 2;
+  auto r = plan::ExecutePlan(**pl, store, limits);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
 }
 
 // On the plan route, the Datalog metrics describe the answer.

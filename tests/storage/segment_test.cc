@@ -1,5 +1,5 @@
 // The on-disk segment store: snapshot round trips (byte-identical
-// query results at every thread count), open-is-lazy observables,
+// query results), open-is-lazy observables,
 // copy-on-write promotion, the frozen dictionary, and a deliberate
 // corruption battery — a damaged snapshot must always produce a clear
 // diagnostic, never a crash or a silently wrong answer.
@@ -441,7 +441,7 @@ TEST(SnapshotOpen, InternAfterOpen) {
   EXPECT_TRUE(opened->Value(fresh).is_null());
 }
 
-// ---- byte-identical queries at 1/2/4 threads ---------------------------
+// ---- byte-identical queries on the snapshot ----------------------------
 
 TEST(SnapshotProperty, ZipfRoundTripQueriesByteIdentical) {
   for (uint64_t seed = 1; seed <= 4; ++seed) {
@@ -452,21 +452,15 @@ TEST(SnapshotProperty, ZipfRoundTripQueriesByteIdentical) {
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
 
     Rng rng(seed * 977 + 5);
-    auto serial = MakeSmartEvaluator();
+    auto smart = MakeSmartEvaluator();
     for (int i = 0; i < 6; ++i) {
       ExprPtr e = RandomExpr(&rng, 3, /*allow_star=*/true);
-      auto want = serial->Eval(e, store);
+      auto want = smart->Eval(e, store);
       ASSERT_TRUE(want.ok()) << want.status().ToString();
-      for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
-        ExecLimits limits;
-        limits.exec.num_threads = threads;
-        limits.exec.min_parallel_items = 1;
-        plan::PlanPtr p = plan::PlanExpr(e, *opened);
-        auto got = plan::ExecutePlan(*p, *opened, limits);
-        ASSERT_TRUE(got.ok()) << got.status().ToString();
-        EXPECT_EQ(*want, *got)
-            << threads << " threads on " << e->ToString();
-      }
+      plan::PlanPtr p = plan::PlanExpr(e, *opened);
+      auto got = plan::ExecutePlan(*p, *opened);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(*want, *got) << e->ToString();
     }
   }
 }
@@ -485,14 +479,9 @@ TEST(SnapshotProperty, DatalogOnSnapshotMatchesInMemory) {
   ASSERT_TRUE(program.ok()) << program.status().ToString();
   auto want = datalog::EvalProgram(*program, store);
   ASSERT_TRUE(want.ok()) << want.status().ToString();
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
-    datalog::DatalogOptions opts;
-    opts.exec.num_threads = threads;
-    opts.exec.min_parallel_items = 1;
-    auto got = datalog::EvalProgram(*program, *opened, "ans", opts);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_EQ(*want, *got) << threads << " threads";
-  }
+  auto got = datalog::EvalProgram(*program, *opened);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*want, *got);
 }
 
 // ---- the corruption battery --------------------------------------------

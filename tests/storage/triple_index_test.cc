@@ -231,46 +231,9 @@ TEST(ZipfStores, SkewConcentratesOnLowRanks) {
   EXPECT_GT(st.distinct[0], 50u);  // subjects stayed uniform
 }
 
-// ---- partition API (the parallel kernels' input splitting) ------------
+// ---- Materialize -----------------------------------------------------
 
-TEST(Partitions, SlicesConcatenateToScanInOrder) {
-  Rng rng(77);
-  TripleSet s = RandomSet(&rng, 500, 40);
-  for (IndexOrder order :
-       {IndexOrder::kSPO, IndexOrder::kPOS, IndexOrder::kOSP}) {
-    TripleRange full = s.Scan(order);
-    for (size_t parts : std::vector<size_t>{1, 2, 3, 7, 1000}) {
-      std::vector<TripleRange> ps = s.Partitions(order, parts);
-      EXPECT_LE(ps.size(), std::max<size_t>(parts, 1));
-      const Triple* expect = full.begin();
-      for (const TripleRange& r : ps) {
-        EXPECT_EQ(r.begin(), expect);  // contiguous, in scan order
-        expect = r.end();
-      }
-      EXPECT_EQ(expect, full.end());
-    }
-  }
-}
-
-TEST(Partitions, PartitionAwareScanMatchesPartitions) {
-  Rng rng(78);
-  TripleSet s = RandomSet(&rng, 300, 30);
-  for (IndexOrder order :
-       {IndexOrder::kSPO, IndexOrder::kPOS, IndexOrder::kOSP}) {
-    const size_t parts = 5;
-    TripleRange full = s.Scan(order);
-    const Triple* expect = full.begin();
-    for (size_t p = 0; p < parts; ++p) {
-      TripleRange r = s.Scan(order, p, parts);
-      EXPECT_EQ(r.begin(), expect);
-      expect = r.end();
-    }
-    EXPECT_EQ(expect, full.end());
-    EXPECT_TRUE(s.Scan(order, parts, parts).empty());  // part out of range
-  }
-}
-
-TEST(Partitions, MaterializeBuildsTheOrder) {
+TEST(Materialize, BuildsTheOrder) {
   Rng rng(79);
   TripleSet s = RandomSet(&rng, 50, 10);
   EXPECT_FALSE(s.IndexReady(IndexOrder::kPOS));
