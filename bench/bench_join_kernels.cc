@@ -1,7 +1,7 @@
 // Micro-benchmarks of the evaluator kernels (google-benchmark): the
-// hash-join vs nested-loop join, the semi-naive star vs the Procedure
-// 3/4 reachability fast paths, the triple sort kernel, and set
-// operations on TripleSets.
+// hash-join vs nested-loop join, the semi-naive star, selective probe
+// joins, the galloping merge join against the probe and hash kernels,
+// the triple sort kernel, and set operations on TripleSets.
 //
 // When TRIAL_BENCH_JSON names a file, the google-benchmark JSON
 // reporter writes the results there (the same mechanism as
@@ -19,7 +19,7 @@
 
 #include "core/builder.h"
 #include "core/eval.h"
-#include "core/fast_reach.h"
+#include "core/plan/plan.h"
 #include "graph/generators.h"
 #include "storage/triple_index.h"
 #include "util/rng.h"
@@ -85,16 +85,6 @@ void BM_SemiNaiveStar(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SemiNaiveStar)->Range(128, 2048);
-
-void BM_ReachFastPath(benchmark::State& state) {
-  TripleStore store = MakeStore(static_cast<size_t>(state.range(0)));
-  const TripleSet& base = *store.FindRelation("E");
-  for (auto _ : state) {
-    TripleSet r = StarReachAnyPath(base);
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_ReachFastPath)->Range(128, 16384);
 
 // ---- selective single-column joins ------------------------------------
 //
@@ -173,6 +163,75 @@ void BM_IndexedSelect(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_IndexedSelect)->Range(1024, 65536)->Complexity();
+
+// ---- the galloping merge join ---------------------------------------------
+//
+// σ_{2=c}(S) ⋈^{1,2,3'}_{3=1'} E.  E is a 2^20-row SPO run over 2^18
+// subjects; S is |E|/ratio rows of the single predicate c, so the
+// selection is a whole POS range, born sorted on its object, and a
+// quarter of its objects are E subjects.  The first argument is the
+// ratio (1 to 256).  The second picks the kernel: 0 = the planned
+// MergeJoin (via=OSP/SPO), whose cursors gallop; 1 = the same plan run
+// as a HashJoin node, whose executor probes E's SPO run once per row or
+// hashes E, whichever its size rule (PreferIndexProbe) picks; the
+// "probe" counter says which.
+
+TripleStore MakeMergeStore(size_t ratio) {
+  constexpr ObjId kRows = ObjId{1} << 20;
+  constexpr ObjId kSubjects = ObjId{1} << 18;
+  constexpr ObjId kPred = 7;
+  Rng rng(151);
+  TripleStore store;
+  const RelId e = store.AddRelation("E");
+  const RelId s = store.AddRelation("S");
+  std::vector<Triple> rows(kRows);
+  for (Triple& t : rows) {
+    t = Triple{static_cast<ObjId>(rng.Below(kSubjects)),
+               static_cast<ObjId>(rng.Below(64)),
+               static_cast<ObjId>(rng.Below(kRows))};
+  }
+  store.BulkAppend(e, std::move(rows));
+  std::vector<Triple> sel(kRows / ratio);
+  for (Triple& t : sel) {
+    t = Triple{static_cast<ObjId>(rng.Below(kRows)), kPred,
+               static_cast<ObjId>(rng.Below(4 * kSubjects))};
+  }
+  store.BulkAppend(s, std::move(sel));
+  store.FindRelation("E")->triples();
+  store.FindRelation("S")->Materialize(IndexOrder::kPOS);
+  return store;
+}
+
+void BM_GallopMergeJoin(benchmark::State& state) {
+  const size_t ratio = static_cast<size_t>(state.range(0));
+  const bool merge = state.range(1) == 0;
+  TripleStore store = MakeMergeStore(ratio);
+  ExprPtr e = Expr::Join(
+      Expr::Select(Expr::Rel("S"), Where({EqConst(Pos::P2, 7)})),
+      Expr::Rel("E"),
+      Spec(Pos::P1, Pos::P2, Pos::P3p, {Eq(Pos::P3, Pos::P1p)}));
+  plan::PlanPtr p = plan::PlanExpr(e, store);
+  if (p->op != plan::PlanOp::kMergeJoin) {
+    state.SkipWithError("the planner did not choose a merge join");
+    return;
+  }
+  if (!merge) p->op = plan::PlanOp::kHashJoin;
+  for (auto _ : state) {
+    auto r = plan::ExecutePlan(*p, store);
+    benchmark::DoNotOptimize(r);
+  }
+  // Counted outside the timed loop: size() sorts the staged output.
+  auto r = plan::ExecutePlan(*p, store);
+  state.counters["rows"] = r.ok() ? static_cast<double>(r->size()) : -1;
+  state.counters["probe"] =
+      p->runtime.strategy != nullptr &&
+              std::string(p->runtime.strategy) == "probe"
+          ? 1
+          : 0;
+}
+BENCHMARK(BM_GallopMergeJoin)
+    ->ArgsProduct({{1, 4, 16, 64, 256}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 // ---- the triple sort kernel ----------------------------------------------
 //

@@ -77,7 +77,10 @@ Result<TripleSet> MaterializeUniverse(const TripleStore& store,
 /// Selection σ_{cond}(in) with index pushdown, shared by the engines:
 /// equality-to-constant θ atoms bind columns, which route through the
 /// access-path API (TripleSet::Lookup / LookupPair) instead of a linear
-/// scan; the full condition is re-verified on every candidate.
+/// scan; the full condition is re-verified on every candidate.  The
+/// result is born in the order its candidates came in, unsorted: OSP
+/// for a POS range with only p pinned, SPO for every other range, the
+/// scanned order for a scan.  SPO is sorted only if a reader needs it.
 /// Pre: `cond` is unary (ValidateExpr enforces this).
 /// `strategy_out`, when non-null, receives the route actually taken —
 /// "index" (range probe), "scan" (linear filter) or "empty"

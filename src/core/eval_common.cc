@@ -114,27 +114,35 @@ TripleSet SelectIndexed(const TripleSet& in, const CondSet& cond,
   }
   // A selection probes its input exactly once, so only take the index
   // route when the needed permutation is free or its build amortizes
-  // (store-backed input); for a fresh intermediate a linear scan is
-  // cheaper than a one-shot copy+sort.  Two (or three) bound columns
-  // probe the pair; a third constant is caught by the HoldsUnary
-  // re-verification.
+  // (store-backed input); for a fresh intermediate a linear scan of an
+  // order it already has is cheaper than a one-shot copy+sort.  Two (or
+  // three) bound columns probe the pair; a third constant is caught by
+  // the HoldsUnary re-verification.
   AccessPath path = PlanAccess(bind[0], bind[1], bind[2]);
   const bool indexed = a >= 0 && in.IndexAmortized(path.order);
   if (indexed && strategy_out != nullptr) *strategy_out = "index";
-  TripleRange range = !indexed ? in.Scan(IndexOrder::kSPO)
-                      : b < 0  ? in.Lookup(a, val[a])
-                               : in.LookupPair(a, val[a], b, val[b]);
+  // The result keeps the order its rows come in, so nothing is sorted
+  // here.  A POS range with only p pinned is sorted on (o, s): with p
+  // fixed, that is OSP order.  Every other range fixes the leading
+  // columns of its order and is sorted on the rest, which is SPO order.
+  // The scan keeps the order it reads.
+  IndexOrder order = IndexOrder::kSPO;
+  TripleRange range;
+  if (!indexed) {
+    order = in.ReadyOrder();
+    range = in.Scan(order);
+  } else if (b < 0) {
+    if (path.order == IndexOrder::kPOS) order = IndexOrder::kOSP;
+    range = in.Lookup(a, val[a]);
+  } else {
+    range = in.LookupPair(a, val[a], b, val[b]);
+  }
   std::vector<Triple> out;
   out.reserve(range.size());
   for (const Triple& t : range) {
     if (cond.HoldsUnary(t, store)) out.push_back(t);
   }
-  // The scan and SPO ranges already emit in SPO order; a POS or OSP
-  // range needs one sort.  Either way the rows are unique.
-  if (indexed && path.order != IndexOrder::kSPO) {
-    SortTriples(&out, IndexOrder::kSPO);
-  }
-  return TripleSet::FromSortedUnique(std::move(out));
+  return TripleSet::FromSortedUnique(std::move(out), order);
 }
 
 std::vector<std::pair<ObjId, ObjId>> ProjectSO(const TripleSet& set) {

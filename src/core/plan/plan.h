@@ -26,14 +26,20 @@
 // set); every later use is a SharedScan leaf with the same share_id,
 // which the executor serves from the result the sub-plan kept.
 //
-// Ordering property: every operator's output, once normalized, is
-// sorted on its own column 0 (the TripleSet representation *is* the SPO
-// permutation), and an IndexScan can additionally serve any column as a
-// sorted run through the store-shared POS/OSP permutations.  The DP
-// join reorderer (reorder.cc) propagates exactly this property — a
-// merge join needs its key class in column 0 of an intermediate, or any
-// column of a base relation — and the executor re-verifies it through
-// TripleSet::IndexAmortized before walking the runs.
+// Ordering property: every operator's output can be read sorted on its
+// own column 0 (the SPO permutation: a join's output is sorted into it
+// when first read), and two kinds of leaf have more orders free.  An
+// IndexScan serves any column as a sorted run through the store-shared
+// POS/OSP permutations.  A SelectFilter pinning only p on an IndexScan
+// reads a POS range, which is sorted on (o, s): its result is born in
+// OSP order, so column 2 is free, and SPO is sorted from it only if a
+// consumer reads it.  The DP join reorderer (reorder.cc) propagates
+// exactly this property — a merge join needs its key class in column 0
+// of an intermediate, column 0 or 2 of such a selection, or any column
+// of a base relation — and the executor re-verifies it through
+// TripleSet::IndexAmortized before walking the runs.  A lazily built
+// order is paid by the operator that first reads it, and EXPLAIN
+// ANALYZE charges it there (profile.h).
 //
 // Each node carries the planner's cardinality estimate and access-path
 // choice; the executor (plan_exec.cc) fills in actual row counts and
@@ -322,8 +328,9 @@ struct PlanNode {
   /// kMergeJoin: the key columns the two sorted runs are walked on.
   /// The left run is Scan(IndexOrder(merge_lcol)) — the permutation
   /// whose leading column is the key — and likewise for the right; the
-  /// executor falls back to probe/hash when either run's permutation is
-  /// not amortized (see the ordering property in the file comment).
+  /// cursor that is behind gallops to the other's key.  The executor
+  /// falls back to probe/hash only when either run's permutation is not
+  /// amortized (see the ordering property in the file comment).
   int merge_lcol = 0;
   int merge_rcol = 0;
 

@@ -29,6 +29,15 @@
 //                          per-operator estimate-vs-actual q-error is
 //                          the signal an estimator regression shows in.
 //
+// Attribution of lazy storage work: a set builds an order it lacks on
+// first read (TripleBody::Permutation; storage.perm_builds counts the
+// in-memory sorts), so the sort lands in the self time of the operator
+// that first reads that order, not the one that made the rows.  A
+// p-pinned SelectFilter, for one, is born in OSP order; a consumer
+// reading it in SPO (a column-0 merge, a union, a difference) pays
+// that sort in its own span.  An operator's staged output is still
+// normalized inside its own span.
+//
 // Q-error convention: QError(est, actual) = max(est/actual, actual/est)
 // with both sides clamped to >= 1 first, so empty results and zero
 // estimates stay finite.  For the positive cardinalities the planner

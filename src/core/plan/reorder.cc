@@ -27,9 +27,14 @@
 // column 0 of the intermediate, which is the interesting order: a
 // normalized TripleSet is sorted on column 0, so a parent merge join is
 // free exactly when its key is the lead of both children (base-relation
-// leaves can serve any column through the store-shared permutations).
-// Costs: merge |L|+|R|, hash |L|+2|R|, probe |L|·log₂|R| (build side
-// must be a stored relation), each plus the estimated output.
+// leaves can serve any column through the store-shared permutations,
+// and a selection pinning only p on one serves column 2 too: it is
+// born in OSP order, and serves column 0 through an SPO sort).
+// Costs: a galloping merge min(|L|,|R|)·log₂(max/min + 2), plus 2|S|
+// for each such selection S it reads through that sort; hash |L|+2|R|;
+// probe |L|·log₂|R| (build side must be a stored relation); each plus
+// the estimated output.  A merge needing no sort is never dearer than
+// the other two.
 // Equi-join selectivity comes from the aggregated projections
 // (EstimateEquiJoinRows) when both key occurrences trace to relations
 // with exact stats, the independence heuristic otherwise.
@@ -60,6 +65,13 @@ double DefaultDistinct(double rows) {
   return rows <= 1 ? rows : std::pow(rows, 2.0 / 3.0);
 }
 
+// Key compares of a galloping merge of runs of a and b rows: each row
+// of the smaller run gallops into the larger one, O(log gap) apiece.
+double GallopMergeCost(double a, double b) {
+  const double lo = std::min(a, b), hi = std::max(a, b);
+  return lo <= 0 ? 0.0 : lo * std::log2(hi / lo + 2.0);
+}
+
 struct UnionFind {
   std::vector<int> parent;
   int Make() {
@@ -83,6 +95,9 @@ struct Leaf {
   PlanPtr plan;
   int cls[3] = {0, 0, 0};
   bool index_scan = false;
+  // A selection of a stored relation pinning only p: a POS range, so
+  // its result is born sorted on column 2 (SelectIndexed).
+  bool p_range = false;
   const TripleSetStats* stats = nullptr;  // exact stats incl. top-k, or null
   std::vector<ObjConstraint> theta;       // leaf-local positions (1,2,3)
   std::vector<DataConstraint> eta;
@@ -104,7 +119,8 @@ struct Predicate {
 // One DP table entry: a plan for the leaf subset `mask` whose output
 // schema is `schema` (class per column).  `cap` flags the columns that
 // can serve as a sorted merge run: bit 0 for every entry (column 0 is
-// the normalized sort key), all three for base-relation leaves.
+// the normalized sort key), all three for base-relation leaves, and
+// bit 2 as well for a p-pinned selection of one (Leaf::p_range).
 struct Entry {
   int schema[3] = {-1, -1, -1};
   uint8_t cap = 0x1;
@@ -163,6 +179,12 @@ class Reorderer {
         if (const TripleSet* rel = store_.FindRelation(leaf.plan->rel_name)) {
           leaf.stats = rel->CachedStats();
         }
+      }
+      // The planner predicts a POS access only over a stored relation.
+      if (leaf.plan != nullptr && leaf.plan->op == PlanOp::kSelectFilter &&
+          leaf.plan->access.order == IndexOrder::kPOS &&
+          leaf.plan->access.prefix == 1) {
+        leaf.p_range = true;
       }
       if (leaf.plan == nullptr) ok_ = false;
       if (hints_.feedback != nullptr && FeedbackKeyable(e)) {
@@ -366,7 +388,7 @@ class Reorderer {
         e.schema[c] = leaf.cls[c];
         e.dist[c] = leaf.plan->est_distinct[c];
       }
-      e.cap = leaf.index_scan ? 0x7 : 0x1;
+      e.cap = leaf.index_scan ? 0x7 : leaf.p_range ? 0x5 : 0x1;
       e.rows = leaf.plan->est_rows;
       double obs = FeedbackRows(1u << l);
       if (obs >= 0) {
@@ -509,7 +531,9 @@ class Reorderer {
       int cl = SchemaCol(le, shared[i]), cr = SchemaCol(re, shared[i]);
       if (cl < 0 || cr < 0) continue;
       if ((le.cap >> cl) & 1 && (re.cap >> cr) & 1) {
-        cands[ncands++] = {PlanOp::kMergeJoin, lc + rc + ln + rn + rows,
+        cands[ncands++] = {PlanOp::kMergeJoin,
+                           lc + rc + GallopMergeCost(ln, rn) +
+                               SortCost(le, cl) + SortCost(re, cr) + rows,
                            shared[i]};
         break;
       }
@@ -568,6 +592,15 @@ class Reorderer {
         Offer(out, e);
       }
     }
+  }
+
+  // What a merge pays to read `e` sorted on column `col`: a p-pinned
+  // selection is born in OSP order, so its column-0 run is an SPO sort,
+  // priced like a hash build over the same rows.  Every other
+  // advertised run is free.
+  double SortCost(const Entry& e, int col) const {
+    return e.leaf >= 0 && leaves_[e.leaf].p_range && col == 0 ? 2 * e.rows
+                                                               : 0.0;
   }
 
   static int FirstLeaf(uint32_t mask) {

@@ -1,11 +1,12 @@
 #include "storage/triple_index.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
-#include <functional>
 #include <memory>
 
 #include "storage/segment/segment_source.h"
+#include "util/metrics.h"
 
 namespace trial {
 namespace {
@@ -165,23 +166,6 @@ AccessPath PlanAccess(bool bind_s, bool bind_p, bool bind_o) {
 
 namespace {
 
-// The first element of [lo, end) not less than t, found by galloping
-// from lo: O(log d) compares for a distance d, so k ordered searches
-// over n elements cost O(k log(n/k)) — a few rows into a long run and
-// two runs of equal length alike.
-template <typename Less>
-const Triple* Gallop(const Triple* lo, const Triple* end, const Triple& t,
-                     Less less) {
-  size_t step = 1;
-  const Triple* hi = lo;
-  while (hi != end && less(*hi, t)) {
-    lo = hi + 1;
-    hi = static_cast<size_t>(end - lo) > step ? lo + step : end;
-    step *= 2;
-  }
-  return std::lower_bound(lo, hi, t, less);
-}
-
 // a ∪ b for two runs sorted and duplicate-free in `order`.  a's
 // stretches between b's rows are copied whole, so merging a delta into
 // a body costs little more than one copy of the body.
@@ -195,7 +179,8 @@ std::vector<Triple> MergeRuns(const std::vector<Triple>& a,
   const Triple* lo = a.data();
   const Triple* end = lo + a.size();
   for (const Triple& t : b) {
-    const Triple* hi = Gallop(lo, end, t, less);
+    const Triple* hi =
+        Gallop(lo, end, [&](const Triple& x) { return less(x, t); });
     out.insert(out.end(), lo, hi);
     lo = hi;
     if (hi == end || less(t, *hi)) out.push_back(t);
@@ -213,7 +198,7 @@ std::vector<Triple> Minus(const std::vector<Triple>& rows,
   const Triple* lo = set.data();
   const Triple* end = lo + set.size();
   for (const Triple& t : rows) {
-    lo = Gallop(lo, end, t, std::less<Triple>());
+    lo = Gallop(lo, end, [&t](const Triple& x) { return x < t; });
     if (lo == end || *lo != t) out.push_back(t);
   }
   return out;
@@ -232,7 +217,11 @@ const std::shared_ptr<TripleBody>& EmptyBody() {
 }  // namespace
 
 size_t TripleBody::size() const {
-  return source != nullptr ? source->num_triples() : perm[0].size();
+  if (source != nullptr) return source->num_triples();
+  for (int i = 0; i < 3; ++i) {
+    if (built[i]) return perm[i].size();
+  }
+  return 0;
 }
 
 const std::vector<Triple>& TripleBody::Permutation(IndexOrder order) {
@@ -243,16 +232,26 @@ const std::vector<Triple>& TripleBody::Permutation(IndexOrder order) {
     // sticky diagnostic on the source is the truth, and re-decoding a
     // corrupt segment on every probe would only repeat the failure.
     (void)source->Decode(order, &perm[i]);
-  } else if (order == IndexOrder::kPOS) {
-    perm[i] = perm[0];  // already sorted by s, POS's last key column
-    SortTriples(&perm[i], order);
-  } else {
-    // Built from POS when it is ready: sorted by p, OSP's last key
-    // column, so only the s and o passes run.
-    perm[i] = built[1] ? perm[1] : perm[0];
-    SortTriples(&perm[i], order);
+    built[i] = true;
+    return perm[i];
   }
+  const bool metrics = MetricsEnabled();
+  const uint64_t t0 = metrics ? MonotonicNanos() : 0;
+  // The order after this one leads with this order's last two key
+  // columns (POS for SPO, OSP for POS, SPO for OSP), so SortTriples runs
+  // only the leading column's passes.  The order before it leads with
+  // this order's last key column, which saves that column's passes.
+  const int next = (i + 1) % 3;
+  const int from = built[next] ? next : (i + 2) % 3;
+  assert(built[from]);
+  perm[i] = perm[from];
+  SortTriples(&perm[i], order);
   built[i] = true;
+  if (metrics) {
+    MetricsRegistry& reg = MetricsRegistry::Global();
+    reg.GetCounter("storage.perm_builds")->Increment();
+    reg.GetHistogram("storage.perm_build_ns")->Observe(MonotonicNanos() - t0);
+  }
   return perm[i];
 }
 
@@ -373,10 +372,10 @@ void SortEveryOrder(std::vector<Triple> rows, std::vector<Triple> (&out)[3]) {
 
 }  // namespace
 
-TripleBlock::TripleBlock(std::vector<Triple> spo)
+TripleBlock::TripleBlock(std::vector<Triple> rows, IndexOrder order)
     : body(std::make_shared<TripleBody>()) {
-  body->perm[0] = std::move(spo);
-  body->built[0] = true;
+  body->perm[static_cast<int>(order)] = std::move(rows);
+  body->built[static_cast<int>(order)] = true;
 }
 
 const TripleSetStats& TripleBlock::Stats() {
@@ -394,7 +393,9 @@ std::shared_ptr<TripleBlock> TripleBlock::Write(
     const std::shared_ptr<TripleBlock>& old, std::vector<Triple> batch) {
   if (batch.empty()) return old;
   // The common case, an operator's whole output: adopt the batch.
-  if (old->size() == 0) return std::make_shared<TripleBlock>(std::move(batch));
+  if (old->size() == 0) {
+    return std::make_shared<TripleBlock>(std::move(batch), IndexOrder::kSPO);
+  }
   // Rows already in the delta are no news; the rest may still be in the
   // body.
   if (old->HasDelta()) batch = Minus(batch, old->delta[0]);

@@ -11,8 +11,10 @@
 //   bound {o}         -> OSP prefix      bound {o, s} -> OSP prefix
 //
 // Storage is x-RDF-3X's differential-index design.  A TripleBody is an
-// immutable sorted run: its SPO vector plus POS/OSP built lazily (copy
-// + SortTriples) or, for a snapshot, decoded lazily from the segment.
+// immutable sorted run: the order it was born in (SPO for most sets,
+// OSP for a selection served by a POS range with only p pinned), the
+// other orders built lazily from a built one (copy + SortTriples) or,
+// for a snapshot, decoded lazily from the segment.
 // A TripleBlock is one published state of a set: a shared body plus a
 // small sorted delta disjoint from it, kept in all three orders.  Reads
 // that find their range in only one of the two return it in place; the
@@ -29,6 +31,7 @@
 #ifndef TRIAL_STORAGE_TRIPLE_INDEX_H_
 #define TRIAL_STORAGE_TRIPLE_INDEX_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -66,6 +69,23 @@ constexpr size_t kSortTriplesRadixMinRows = 512;
 /// from the SPO body never sorts on s).  One scratch buffer of n
 /// triples is freed before returning.
 void SortTriples(std::vector<Triple>* v, IndexOrder order);
+
+/// The first element of [lo, end) for which `before` is false, where
+/// `before` holds on a prefix of the range, found by galloping from lo:
+/// O(log d) tests for a distance d, so k ordered searches over n
+/// elements cost O(k log(n/k)) — a few rows into a long run and two
+/// runs of equal length alike.
+template <typename Before>
+const Triple* Gallop(const Triple* lo, const Triple* end, Before before) {
+  size_t step = 1;
+  const Triple* hi = lo;
+  while (hi != end && before(*hi)) {
+    lo = hi + 1;
+    hi = static_cast<size_t>(end - lo) > step ? lo + step : end;
+    step *= 2;
+  }
+  return std::partition_point(lo, hi, before);
+}
 
 /// A contiguous range of triples inside one permutation.  Iteration
 /// yields full triples (the permutations store whole triples, not key
@@ -160,25 +180,30 @@ double EstimateEquiJoinRows(const TripleSetStats& l, int lcol,
 class TripleSegmentSource;
 
 /// One immutable sorted, duplicate-free run of triples: a TripleSet's
-/// body.  In memory it is given its SPO vector and sorts POS and OSP
-/// from it on first use; snapshot-backed it decodes each order from the
-/// segment source on first use (O(n), the segments were written
-/// sorted).  Its triples never change after it is published — lazy
-/// builds only fill in orders — so blocks share it behind a shared_ptr.
+/// body.  In memory it is born with one order built — SPO, or whichever
+/// order its producer emitted — and sorts each other order from a built
+/// one on first use, SPO included; snapshot-backed it decodes each order
+/// from the segment source on first use (O(n), the segments were
+/// written sorted).  Its triples never change after it is published —
+/// lazy builds only fill in orders — so blocks share it behind a
+/// shared_ptr.
 struct TripleBody {
   std::vector<Triple> perm[3];  // by IndexOrder
   bool built[3] = {false, false, false};
   // Snapshot backing; null for in-memory bodies.
   std::shared_ptr<const TripleSegmentSource> source;
 
-  /// The triple count; a snapshot body reads it from the metadata.
+  /// The triple count: a built order's length, or for a snapshot body
+  /// the metadata's count.
   size_t size() const;
   bool Built(IndexOrder order) const {
     return built[static_cast<int>(order)];
   }
-  /// The run in `order`, built or decoded on first use.  A corrupt
-  /// segment decodes to an empty vector and leaves its sticky
-  /// diagnostic on the source.
+  /// The run in `order`, built or decoded on first use.  An in-memory
+  /// build sorts a copy of the built order that leaves the fewest radix
+  /// passes, and counts as storage.perm_builds / storage.perm_build_ns
+  /// when metrics are on.  A corrupt segment decodes to an empty vector
+  /// and leaves its sticky diagnostic on the source.
   const std::vector<Triple>& Permutation(IndexOrder order);
 };
 
@@ -193,8 +218,9 @@ struct TripleBlock {
   static constexpr size_t kReachSlots = 2;
 
   TripleBlock();
-  /// A block whose body is `spo`, sorted and duplicate-free.
-  explicit TripleBlock(std::vector<Triple> spo);
+  /// A block whose body is `rows`, sorted and duplicate-free in `order`,
+  /// with that order alone built.
+  TripleBlock(std::vector<Triple> rows, IndexOrder order);
 
   std::shared_ptr<TripleBody> body;  // never null
   // The rows not in the body, in every order (SPO, POS, OSP); small.

@@ -22,8 +22,8 @@ TripleSet TripleSet::FromSnapshot(
   return r;
 }
 
-TripleSet TripleSet::FromBody(std::vector<Triple> spo) {
-  return TripleSet(std::make_shared<TripleBlock>(std::move(spo)));
+TripleSet TripleSet::FromBody(std::vector<Triple> rows, IndexOrder order) {
+  return TripleSet(std::make_shared<TripleBlock>(std::move(rows), order));
 }
 
 Status TripleSet::SnapshotHealth() const {
@@ -113,13 +113,26 @@ TripleRange TripleSet::Scan(IndexOrder order) const {
   return {v.data(), v.data() + v.size()};
 }
 
+IndexOrder TripleSet::ReadyOrder() const {
+  const TripleBlock& b = Block();
+  for (IndexOrder order :
+       {IndexOrder::kSPO, IndexOrder::kOSP, IndexOrder::kPOS}) {
+    if (b.Ready(order)) return order;
+  }
+  return IndexOrder::kSPO;
+}
+
 const TripleSetStats& TripleSet::Stats() const { return Block().Stats(); }
 
-TripleSet TripleSet::FromSortedUnique(std::vector<Triple> triples) {
-  assert(std::is_sorted(triples.begin(), triples.end()));
+TripleSet TripleSet::FromSortedUnique(std::vector<Triple> triples,
+                                      IndexOrder order) {
+  assert(std::is_sorted(triples.begin(), triples.end(),
+                        [order](const Triple& a, const Triple& b) {
+                          return IndexLess(order, a, b);
+                        }));
   assert(std::adjacent_find(triples.begin(), triples.end()) ==
          triples.end());
-  return FromBody(std::move(triples));
+  return FromBody(std::move(triples), order);
 }
 
 TripleSet TripleSet::Union(const TripleSet& a, const TripleSet& b) {

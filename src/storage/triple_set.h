@@ -2,8 +2,9 @@
 // TriAL operator (the algebra is closed, Section 3).
 //
 // Representation: one shared, immutable TripleBlock (triple_index.h) —
-// a sorted, duplicate-free body whose SPO vector doubles as the SPO
-// index, lazily-built POS and OSP permutations, and a small sorted
+// a sorted, duplicate-free body born in one permutation order (SPO, or
+// OSP for a selection that kept a POS range's order) with the other
+// orders, SPO included, built lazily on first read, and a small sorted
 // delta of rows written since the body was made — plus a per-copy
 // staging area.  Insertion stages; the first read normalizes: it sorts
 // and dedups the batch and publishes a new block (triple_index.h,
@@ -90,7 +91,8 @@ class TripleSet {
 
   /// Sorted (s,p,o) view.  Stable until the next Insert.  For a
   /// snapshot-backed set this decodes the SPO segment on first use;
-  /// with a pending delta it builds the merged view (a linear merge).
+  /// for a set born in another order it sorts SPO on first use; with a
+  /// pending delta it builds the merged view (a linear merge).
   const std::vector<Triple>& triples() const {
     return Block().View(IndexOrder::kSPO);
   }
@@ -121,6 +123,13 @@ class TripleSet {
   /// The full set in the given permutation order.
   TripleRange Scan(IndexOrder order) const;
 
+  /// An order whose full view Scan serves without a build: SPO when it
+  /// is ready, else OSP or POS when one is, else SPO (built by the first
+  /// read).  For consumers whose result does not depend on the order
+  /// they read the rows in (hash builds, probe loops, filters that keep
+  /// their input's order).
+  IndexOrder ReadyOrder() const;
+
   /// Forces normalization plus the build of `order`'s full view (the
   /// body's permutation, and the merged view when a delta is pending),
   /// so subsequent const reads (Lookup / LookupPair / Scan on that
@@ -129,19 +138,24 @@ class TripleSet {
   /// concurrent reads after materialization are safe.
   void Materialize(IndexOrder order) const { (void)Scan(order); }
 
+  /// True while inserts are staged: the next read sorts them in.
+  bool HasStaged() const { return !staged_.empty(); }
+
   /// True when `order` can be probed without a build (already built, or
-  /// the SPO base).  Pending staged inserts make every order not-ready;
-  /// a snapshot-backed set's SPO is not ready until its first decode,
-  /// and with a delta an order is ready once its merged view is built.
+  /// the order the body was born in).  Pending staged inserts make every
+  /// order not-ready; a snapshot-backed set's SPO is not ready until its
+  /// first decode, and with a delta an order is ready once its merged
+  /// view is built.
   bool IndexReady(IndexOrder order) const {
     return staged_.empty() && block_ != nullptr && block_->Ready(order);
   }
 
   /// True when probing `order` is free or its build will be amortized:
-  /// the SPO base, an already-built permutation, or a block or body
-  /// shared with another set (e.g. the store's relation, which every
-  /// later copy then probes for free).  A fresh intermediate result
-  /// returns false for POS/OSP — its block dies with it, so a one-shot
+  /// SPO (every set has it, or gets it from the one sort its producer
+  /// deferred), an already-built permutation, or a block or body shared
+  /// with another set (e.g. the store's relation, which every later copy
+  /// then probes for free).  A fresh intermediate result returns false
+  /// for an unbuilt POS/OSP — its block dies with it, so a one-shot
   /// caller is better off with a linear scan.
   bool IndexAmortized(IndexOrder order) const;
 
@@ -181,11 +195,13 @@ class TripleSet {
     block_->reach[slot] = std::move(index);
   }
 
-  /// Adopts an already sorted, duplicate-free vector as the set's SPO
-  /// body without re-sorting (debug-asserted).  For operators that
-  /// produce output in globally sorted order, this skips the
-  /// O(n log n) normalize sort that Insert-then-read would pay.
-  static TripleSet FromSortedUnique(std::vector<Triple> triples);
+  /// Adopts a vector already sorted in `order` and duplicate-free
+  /// (debug-asserted) as the set's body, with that order alone built.
+  /// For operators that produce output in a permutation's order, this
+  /// skips the O(n log n) normalize sort that Insert-then-read would
+  /// pay; a set born in OSP or POS sorts SPO only if something reads it.
+  static TripleSet FromSortedUnique(std::vector<Triple> triples,
+                                    IndexOrder order = IndexOrder::kSPO);
 
   /// True while the set reads straight through an on-disk snapshot
   /// segment: no write has landed since it was opened.
@@ -241,8 +257,10 @@ class TripleSet {
   TripleRange Find(IndexOrder order, Probe probe) const;
   explicit TripleSet(std::shared_ptr<TripleBlock> block)
       : block_(std::move(block)) {}
-  /// A set whose body is `spo`, already sorted and duplicate-free.
-  static TripleSet FromBody(std::vector<Triple> spo);
+  /// A set whose body is `rows`, already sorted in `order` and
+  /// duplicate-free.
+  static TripleSet FromBody(std::vector<Triple> rows,
+                            IndexOrder order = IndexOrder::kSPO);
 
   mutable std::vector<Triple> staged_;  // pending inserts
   // Shared with copies; replaced by a write.  Never null except after

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -274,6 +276,94 @@ TEST(DifferenceStrategies, AntiProbeAndMergeMatchNaive) {
     ASSERT_NE(p->runtime.strategy, nullptr) << c.name;
     EXPECT_STREQ(p->runtime.strategy, c.strategy)
         << c.name << "\n" << plan::Explain(*p);
+  }
+}
+
+// The galloping merge join against the naive engine.  A selection
+// pinning only p is born sorted on its object, so joined on that
+// column it merges with E's SPO run, or with another such selection.
+// The predicates are picked by frequency, so the runs meet at ratios
+// from 1:1 to over 1:1024 with the small run on either side — past
+// 1:1024 the long run's cursor searches the whole run instead of
+// galloping — and Zipf-skewed objects make keys many-to-many.  Every
+// case must run as a merge.
+TEST(MergeJoinStrategies, GallopingMergeMatchesNaive) {
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    RandomStoreOptions opts;
+    opts.num_objects = 600;
+    opts.num_triples = 3000;
+    opts.zipf_p = 1.3;
+    opts.zipf_o = 0.8;
+    opts.seed = seed * 37 + 1;
+    TripleStore store = RandomTripleStore(opts);
+    const TripleSet& e = *store.FindRelation("E");
+    std::map<ObjId, size_t> freq;
+    for (const Triple& t : e) ++freq[t.p];
+    ObjId hot = 0, mid = 0, rare = 0, absent = 0;
+    size_t hot_n = 0, rare_n = SIZE_MAX, mid_gap = SIZE_MAX;
+    for (const auto& [pred, n] : freq) {
+      if (n > hot_n) hot = pred, hot_n = n;
+      if (n < rare_n) rare = pred, rare_n = n;
+      const size_t gap = n > e.size() / 16 ? n - e.size() / 16 : e.size() / 16 - n;
+      if (gap < mid_gap) mid = pred, mid_gap = gap;
+    }
+    while (freq.count(absent) > 0) ++absent;
+    ASSERT_LT(rare_n * 1024, e.size()) << "seed " << seed;
+    auto sel = [](ObjId pred) {
+      return Expr::Select(Expr::Rel("E"), Where({EqConst(Pos::P2, pred)}));
+    };
+    auto on = [](std::vector<ObjConstraint> theta) {
+      return Spec(Pos::P1, Pos::P2, Pos::P3p, std::move(theta));
+    };
+    const ObjConstraint obj_subj = Eq(Pos::P3, Pos::P1p);
+    const ObjConstraint subj_obj = Eq(Pos::P1, Pos::P3p);
+    const ExprPtr E = Expr::Rel("E");
+    struct Case {
+      const char* name;
+      ExprPtr expr;
+    };
+    const Case cases[] = {
+        {"sparse left", Expr::Join(sel(rare), E, on({obj_subj}))},
+        {"sparse right", Expr::Join(E, sel(rare), on({subj_obj}))},
+        {"mid left", Expr::Join(sel(mid), E, on({obj_subj}))},
+        {"dense left", Expr::Join(sel(hot), E, on({obj_subj}))},
+        {"dense right", Expr::Join(E, sel(hot), on({subj_obj}))},
+        {"both stored", Expr::Join(E, E, on({obj_subj}))},
+        {"many-to-many objects",
+         Expr::Join(sel(hot), sel(mid),
+                    Spec(Pos::P1, Pos::P2p, Pos::P1p,
+                         {Eq(Pos::P3, Pos::P3p)}))},
+        {"residual atom",
+         Expr::Join(sel(mid), E, on({obj_subj, Neq(Pos::P1, Pos::P3p)}))},
+        {"right one-sided filter",
+         Expr::Join(sel(mid), E, on({obj_subj, Neq(Pos::P1p, Pos::P3p)}))},
+        {"right one-sided constant",
+         Expr::Join(sel(mid), E, on({obj_subj, EqConst(Pos::P2p, hot)}))},
+        {"empty side", Expr::Join(sel(absent), E, on({obj_subj}))},
+    };
+    auto naive = MakeNaiveEvaluator();
+    bool left_sparse = false, right_sparse = false;
+    for (const Case& c : cases) {
+      const std::string name = std::string(c.name) + ", seed " +
+                               std::to_string(seed);
+      auto want = naive->Eval(c.expr, store);
+      ASSERT_TRUE(want.ok()) << name << ": " << want.status().ToString();
+      plan::PlanPtr p = plan::PlanExpr(c.expr, store);
+      auto got = plan::ExecutePlan(*p, store);
+      ASSERT_TRUE(got.ok()) << name << ": " << got.status().ToString();
+      EXPECT_EQ(*want, *got) << name << "\n" << plan::Explain(*p);
+      ASSERT_EQ(p->op, plan::PlanOp::kMergeJoin)
+          << name << "\n" << plan::Explain(*p);
+      ASSERT_NE(p->runtime.strategy, nullptr) << name;
+      EXPECT_STREQ(p->runtime.strategy, "merge")
+          << name << "\n" << plan::Explain(*p);
+      const size_t ln = p->children[0]->runtime.actual_rows;
+      const size_t rn = p->children[1]->runtime.actual_rows;
+      left_sparse = left_sparse || (ln > 0 && ln * 1024 < rn);
+      right_sparse = right_sparse || (rn > 0 && rn * 1024 < ln);
+    }
+    EXPECT_TRUE(left_sparse) << "seed " << seed;
+    EXPECT_TRUE(right_sparse) << "seed " << seed;
   }
 }
 

@@ -135,6 +135,73 @@ TEST(PlannerGolden, SelectionAccessPathTracksBoundColumns) {
   EXPECT_EQ(q->access.prefix, 0);
 }
 
+// A selection pinning only p on a stored relation reads a POS range,
+// which is sorted on (o, s): its result is born in OSP order, with no
+// sort, and sorts SPO only when something reads it.  A selection
+// pinning o reads an OSP range sorted on (s, p), born in SPO order.
+TEST(PlannerGolden, PinnedPredicateSelectionIsBornInOsp) {
+  TripleStore store = SkewedStore(2048);
+  const TripleSet& e = *store.FindRelation("E");
+  PlanPtr p = PlanExpr(
+      Expr::Select(Expr::Rel("E"), Where({EqConst(Pos::P2, 2)})), store);
+  auto r = ExecutePlan(*p, store);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_STREQ(p->runtime.strategy, "index") << Explain(*p);
+  EXPECT_TRUE(r->IndexReady(IndexOrder::kOSP));
+  EXPECT_FALSE(r->IndexReady(IndexOrder::kSPO));
+  EXPECT_FALSE(r->IndexReady(IndexOrder::kPOS));
+  std::vector<Triple> want;
+  for (const Triple& t : e.Scan(IndexOrder::kOSP)) {
+    if (t.p == 2) want.push_back(t);
+  }
+  ASSERT_FALSE(want.empty());
+  TripleRange osp = r->Scan(IndexOrder::kOSP);
+  EXPECT_EQ(std::vector<Triple>(osp.begin(), osp.end()), want);
+  EXPECT_FALSE(r->IndexReady(IndexOrder::kSPO));
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(r->triples(), want);
+
+  PlanPtr q = PlanExpr(
+      Expr::Select(Expr::Rel("E"), Where({EqConst(Pos::P3, 3)})), store);
+  auto o = ExecutePlan(*q, store);
+  ASSERT_TRUE(o.ok()) << o.status().ToString();
+  EXPECT_STREQ(q->runtime.strategy, "index") << Explain(*q);
+  EXPECT_TRUE(o->IndexReady(IndexOrder::kSPO));
+}
+
+// That order is visible to the reorderer: σ[2=p](E) joined on its
+// object merges E's SPO run on the selection's OSP run (the pred_join
+// shape), where it used to probe or hash.  Joined on their subjects
+// (the subject_star shape), two such selections would each need an SPO
+// sort before a merge, so they hash, reading the order they have.
+TEST(PlannerGolden, PinnedPredicateJoinMergesOnOsp) {
+  TripleStore store = SkewedStore(4096);
+  PlanPtr star = PlanExpr(
+      Expr::Join(
+          Expr::Select(Expr::Rel("E"), Where({EqConst(Pos::P2, 2)})),
+          Expr::Select(Expr::Rel("E"), Where({EqConst(Pos::P2, 5)})),
+          Spec(Pos::P1, Pos::P2, Pos::P3p, {Eq(Pos::P1, Pos::P1p)})),
+      store);
+  EXPECT_EQ(star->op, PlanOp::kHashJoin) << Explain(*star);
+  for (ObjId pred : {ObjId{2}, ObjId{5}}) {
+    ExprPtr e = CompositionJoin(
+        Expr::Select(Expr::Rel("E"), Where({EqConst(Pos::P2, pred)})),
+        Expr::Rel("E"));
+    PlanPtr p = PlanExpr(e, store);
+    ASSERT_EQ(p->op, PlanOp::kMergeJoin) << Explain(*p);
+    EXPECT_EQ(p->merge_lcol, 2) << Explain(*p);
+    EXPECT_EQ(p->merge_rcol, 0) << Explain(*p);
+    EXPECT_NE(Explain(*p).find("via=OSP/SPO"), std::string::npos)
+        << Explain(*p);
+    auto r = ExecutePlan(*p, store);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_STREQ(p->runtime.strategy, "merge") << Explain(*p);
+    auto want = MakeNaiveEvaluator()->Eval(e, store);
+    ASSERT_TRUE(want.ok());
+    EXPECT_EQ(*r, *want);
+  }
+}
+
 TEST(PlannerGolden, ReachStarsLowerToIndexScan) {
   TripleStore store = SkewedStore(512);
   // A store-backed any-path star runs on the interval index, built cold.
@@ -978,6 +1045,36 @@ TEST(PlanExecGuards, MergeJoinGuard) {
       store, CompositionJoin(Expr::Rel("E"), Expr::Rel("E")),
       PlanOp::kMergeJoin);
   EXPECT_STREQ(p->runtime.strategy, "merge") << Explain(*p);
+}
+
+// The galloping merge trips the guard from its sparse side too: a
+// p-pinned selection a small share of E's size gallops into E's SPO
+// run, and its output still counts row by row.
+TEST(PlanExecGuards, SparseMergeJoinGuard) {
+  TripleStore store = SkewedStore(4096);
+  const TripleSet& e = *store.FindRelation("E");
+  std::map<ObjId, size_t> freq;
+  for (const Triple& t : e) ++freq[t.p];
+  ExprPtr pick;
+  for (const auto& [pred, n] : freq) {
+    if (n < 4 || n * 32 > e.size()) continue;
+    ExprPtr cand = CompositionJoin(
+        Expr::Select(Expr::Rel("E"), Where({EqConst(Pos::P2, pred)})),
+        Expr::Rel("E"));
+    auto r = MakeNaiveEvaluator()->Eval(cand, store);
+    ASSERT_TRUE(r.ok());
+    if (r->size() >= 2) {
+      pick = cand;
+      break;
+    }
+  }
+  ASSERT_NE(pick, nullptr) << "no sparse predicate with a 2-row join";
+  PlanPtr p = ExpectRootGuardTrips(store, pick, PlanOp::kMergeJoin);
+  EXPECT_STREQ(p->runtime.strategy, "merge") << Explain(*p);
+  EXPECT_EQ(p->merge_lcol, 2) << Explain(*p);
+  EXPECT_LT(p->children[0]->runtime.actual_rows * 32,
+            p->children[1]->runtime.actual_rows)
+      << Explain(*p);
 }
 
 TEST(PlanExecGuards, FixpointStarGuard) {

@@ -267,22 +267,28 @@ TEST(ProfileOff, DefaultExecutionRecordsNoProfilingState) {
 // result comes back with the same pending normalization either way and
 // the sort stays with the caller's first read.  A union result is
 // normalized by its merge, a join result is not; the join's count is
-// observed by RecordRootRows instead.
+// observed by RecordRootRows instead.  A p-pinned selection is born in
+// OSP order: its count is free though its SPO order is not built.
 TEST(MetricsOn, ExecutorLeavesPendingNormalizationToTheCaller) {
   TripleStore store = SkewedStore(512);
   const ExprPtr join = CompositionJoin(Expr::Rel("E"), Expr::Rel("E"));
-  const ExprPtr queries[] = {Expr::Union(join, Expr::Rel("E")), join};
+  const ExprPtr queries[] = {
+      Expr::Union(join, Expr::Rel("E")), join,
+      Expr::Select(Expr::Rel("E"), Where({EqConst(Pos::P2, 2)}))};
   Histogram* rows = MetricsRegistry::Global().GetHistogram("exec.result_rows");
   const bool was = MetricsEnabled();
-  bool ready[2][2];  // [query][metrics on]
-  for (int q = 0; q < 2; ++q) {
+  bool ready[3][2];  // [query][metrics on]: the count is free
+  for (int q = 0; q < 3; ++q) {
     for (bool on : {false, true}) {
       SetMetricsEnabled(on);
       PlanPtr p = PlanExpr(queries[q], store);
       const uint64_t before = rows->count();
       auto r = ExecutePlan(*p, store);
       ASSERT_TRUE(r.ok());
-      ready[q][on] = r->IndexReady(IndexOrder::kSPO);
+      ready[q][on] = !r->HasStaged();
+      if (q == 2) {
+        EXPECT_FALSE(r->IndexReady(IndexOrder::kSPO));
+      }
       const uint64_t at_exec = rows->count();
       RecordRootRows(*p, *r);
       RecordRootRows(*p, *r);  // a second read observes nothing more
@@ -292,9 +298,11 @@ TEST(MetricsOn, ExecutorLeavesPendingNormalizationToTheCaller) {
     EXPECT_EQ(ready[q][false], ready[q][true]) << q;
   }
   SetMetricsEnabled(was);
-  // Both shapes are covered: the union merged, the join still pending.
+  // Every shape is covered: the union merged, the join still pending,
+  // the selection born sorted.
   EXPECT_TRUE(ready[0][false]);
   EXPECT_FALSE(ready[1][false]);
+  EXPECT_TRUE(ready[2][false]);
 }
 
 class RecordingSink : public TraceSink {

@@ -403,6 +403,59 @@ TEST(TripleSetDelta, MaterializedDeltaBlockReadsConcurrently) {
   EXPECT_EQ(mismatches, std::vector<int>(4, 0));
 }
 
+// A set born in OSP order (a selection that kept its POS range's
+// order) answers every access path exactly like the same rows born in
+// SPO order — before any write, after a small one that lands in the
+// delta, and after one past the compaction point — and size() never
+// sorts SPO.
+TEST(TripleSetBornOrder, OspBornMatchesSpoBorn) {
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    Rng rng(seed * 13 + 3);
+    const std::vector<Triple> spo = RandomBase(&rng, 1500);
+    std::vector<Triple> osp = spo;
+    SortTriples(&osp, IndexOrder::kOSP);
+    const std::string label = "seed " + std::to_string(seed);
+
+    TripleSet born = TripleSet::FromSortedUnique(osp, IndexOrder::kOSP);
+    EXPECT_EQ(born.size(), spo.size());
+    EXPECT_TRUE(born.IndexReady(IndexOrder::kOSP));
+    EXPECT_FALSE(born.IndexReady(IndexOrder::kSPO));
+    EXPECT_FALSE(born.IndexReady(IndexOrder::kPOS));
+    EXPECT_EQ(born.ReadyOrder(), IndexOrder::kOSP);
+    EXPECT_EQ(Rows(born.Scan(IndexOrder::kOSP)), osp);
+    ExpectSameSet(born, spo, label + " unwritten");
+    EXPECT_EQ(born.ReadyOrder(), IndexOrder::kSPO);  // built by the reads
+
+    std::set<Triple> model(spo.begin(), spo.end());
+    TripleSet small = TripleSet::FromSortedUnique(osp, IndexOrder::kOSP);
+    std::vector<Triple> batch;
+    for (int i = 0; i < 4; ++i) batch.push_back(RandomTriple(&rng));
+    model.insert(batch.begin(), batch.end());
+    small.InsertBatch(batch);
+    ExpectSameSet(small, std::vector<Triple>(model.begin(), model.end()),
+                  label + " small write");
+
+    model = std::set<Triple>(spo.begin(), spo.end());
+    TripleSet big = TripleSet::FromSortedUnique(osp, IndexOrder::kOSP);
+    batch.clear();
+    for (size_t i = 0; i < spo.size() / 2; ++i) {
+      batch.push_back(RandomTriple(&rng));
+    }
+    model.insert(batch.begin(), batch.end());
+    ASSERT_GT((model.size() - spo.size()) * TripleBlock::kCompactDivisor,
+              spo.size());
+    big.InsertBatch(batch);
+    EXPECT_EQ(big.size(), model.size());
+    // Compaction merged every order the body had built (SPO, for the
+    // write's own membership test, and OSP) and left no delta.
+    EXPECT_TRUE(big.IndexReady(IndexOrder::kSPO));
+    EXPECT_TRUE(big.IndexReady(IndexOrder::kOSP));
+    EXPECT_FALSE(big.IndexReady(IndexOrder::kPOS));
+    ExpectSameSet(big, std::vector<Triple>(model.begin(), model.end()),
+                  label + " compacting write");
+  }
+}
+
 TEST(Fixtures, MarioNetworkMatchesPaper) {
   TripleStore store = MarioSocialNetwork();
   EXPECT_EQ(store.TotalTriples(), 3u);

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "storage/triple_set.h"
 #include "util/metrics.h"
 
 namespace trial {
@@ -132,6 +133,32 @@ TEST(MetricsTimer, ScopedTimerObservesOnlyWhenEnabledAtConstruction) {
   SetMetricsEnabled(true);
   { ScopedTimer t(h); }
   EXPECT_EQ(h->count(), before + 1);
+  SetMetricsEnabled(was);
+}
+
+// An in-memory permutation build is counted once, when it sorts; a
+// cached order and a run with metrics off count nothing.
+TEST(MetricsStorage, PermutationBuildsAreCounted) {
+  bool was = MetricsEnabled();
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  Counter* builds = reg.GetCounter("storage.perm_builds");
+  Histogram* ns = reg.GetHistogram("storage.perm_build_ns");
+  const std::vector<Triple> spo = {{0, 2, 1}, {1, 0, 2}, {2, 1, 0}};
+  SetMetricsEnabled(true);
+  uint64_t builds0 = builds->value();
+  uint64_t ns0 = ns->count();
+  TripleSet s = TripleSet::FromSortedUnique(spo);
+  s.Materialize(IndexOrder::kSPO);  // born built: no build
+  s.Materialize(IndexOrder::kPOS);
+  s.Materialize(IndexOrder::kPOS);  // cached
+  s.Materialize(IndexOrder::kOSP);
+  EXPECT_EQ(builds->value(), builds0 + 2);
+  EXPECT_EQ(ns->count(), ns0 + 2);
+  SetMetricsEnabled(false);
+  TripleSet t = TripleSet::FromSortedUnique(spo);
+  t.Materialize(IndexOrder::kOSP);
+  EXPECT_EQ(builds->value(), builds0 + 2);
+  EXPECT_EQ(ns->count(), ns0 + 2);
   SetMetricsEnabled(was);
 }
 
