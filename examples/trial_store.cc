@@ -60,10 +60,9 @@
 //                    the snapshot save_ms / open_ms / store_bytes fields)
 //
 // --query, --program and --sp-src are exclusive, so --trace and --json
-// describe one answer.  datalog::EvalProgram runs nonrecursive and reach
-// programs without negated atoms as the plan of their TriAL(*)
-// translation (Proposition 2 / Theorem 2), and every other program on
-// the direct engine, which has no plan to explain or trace.
+// describe one answer.  Every program runs as a plan
+// (datalog::PlanProgram), so --explain, --analyze and --trace work for
+// general recursion and negated atoms too.
 
 #include <cerrno>
 #include <cmath>
@@ -450,9 +449,8 @@ const char* kDemoProgram = R"(
   ans(X, C, Z)  :- opr(X, C, Z), C != part_of.
 )";
 
-// --program (or --demo's built-in program): the plan of its TriAL(*)
-// translation through RunPlan under --explain/--analyze, else
-// datalog::EvalProgram, which picks the same route itself.
+// --program (or --demo's built-in program): PlanProgram's plan through
+// RunPlan under --explain/--analyze, else datalog::EvalProgram.
 Status RunProgram(const TripleStore& store, const Args& args,
                   RunStats* out) {
   std::string text = kDemoProgram;
@@ -473,18 +471,10 @@ Status RunProgram(const TripleStore& store, const Args& args,
                         : "general recursive");
   const std::string answer = args.answer.empty() ? "ans" : args.answer;
   out->label = prog.ToString();
-  plan::PlanPtr pl;
-  if (args.explain || args.analyze) {
-    Result<plan::PlanPtr> planned = datalog::PlanProgram(prog, store, answer);
-    if (planned.ok()) {
-      pl = std::move(*planned);
-    } else {
-      std::printf("no plan, direct engine: %s\n",
-                  planned.status().ToString().c_str());
-    }
-  }
   Result<TripleSet> result = TripleSet();
-  if (pl != nullptr) {
+  if (args.explain || args.analyze) {
+    TRIAL_ASSIGN_OR_RETURN(plan::PlanPtr pl,
+                           datalog::PlanProgram(prog, store, answer));
     result = RunPlan(*pl, store, args, out);
   } else {
     Timer t;
@@ -493,9 +483,6 @@ Status RunProgram(const TripleStore& store, const Args& args,
   }
   if (!result.ok()) return result.status();
   PrintAnswer(store, answer, *result, out);
-  if (pl == nullptr && !args.trace.empty()) {
-    return Status::Unimplemented("no trace: the direct engine runs no plan");
-  }
   return Status::OK();
 }
 

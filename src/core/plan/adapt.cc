@@ -107,10 +107,12 @@ bool FeedbackKeyable(const Expr& e) {
 
 Result<TripleSet> ExecuteAdaptive(const ExprPtr& e, const TripleStore& store,
                                   const ExecLimits& limits, bool profile,
-                                  AdaptiveResult* out, FeedbackCache* fb) {
+                                  AdaptiveResult* out, FeedbackCache* fb,
+                                  const std::vector<FixpointDef>* fixpoints) {
   if (fb == nullptr) fb = &FeedbackCache::Global();
   PlanningHints hints;
   hints.feedback = fb;
+  hints.fixpoints = fixpoints;
   PlanPtr plan = PlanExpr(e, store, hints);
   Result<TripleSet> result = ExecutePlan(*plan, store, limits, profile);
   if (result.ok()) {

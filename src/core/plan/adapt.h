@@ -104,11 +104,14 @@ struct AdaptiveResult {
 /// ExecutePlan(PlanExpr(e, store)).  `out` may be
 /// null; `fb` null means FeedbackCache::Global().  Metrics are those of
 /// ExecutePlan: exec.query_ns times the execution, not the planning.
+/// `fixpoints` as in PlanningHints.
 Result<TripleSet> ExecuteAdaptive(const ExprPtr& e, const TripleStore& store,
                                   const ExecLimits& limits = {},
                                   bool profile = false,
                                   AdaptiveResult* out = nullptr,
-                                  FeedbackCache* fb = nullptr);
+                                  FeedbackCache* fb = nullptr,
+                                  const std::vector<FixpointDef>* fixpoints =
+                                      nullptr);
 
 }  // namespace plan
 }  // namespace trial

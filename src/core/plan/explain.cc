@@ -83,8 +83,15 @@ void AppendNodeSummary(const PlanNode& n, std::string* out) {
       out->append(" [").append(n.spec.ToString()).append("]");
       break;
     case PlanOp::kFixpointStar:
+      if (!n.rel_name.empty()) {  // a Datalog predicate's fixpoint
+        out->append(" ").append(n.rel_name);
+        break;
+      }
       out->append(n.star_right ? " right" : " left");
       out->append(" [").append(n.spec.ToString()).append("]");
+      break;
+    case PlanOp::kDelta:
+      if (n.reads_acc) out->append(" acc");
       break;
     case PlanOp::kReachIndexScan:
       out->append(" walk pos=").append(std::to_string(n.walk_col + 1));

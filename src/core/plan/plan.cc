@@ -41,14 +41,14 @@ bool PreferAntiProbe(double left_rows, double base_size, double right_est) {
   return left_rows * std::log2(base_size + 2.0) < right_est;
 }
 
-double EstimateBoundMatches(const TripleSetStats& stats, const bool bound[3]) {
-  double est = static_cast<double>(stats.num_triples);
-  for (int c = 0; c < 3; ++c) {
-    if (bound[c] && stats.distinct[c] > 0) {
-      est /= static_cast<double>(stats.distinct[c]);
-    }
-  }
-  return est;
+JoinSpec MirrorSpec(const JoinSpec& spec) {
+  // A constant term's unused position flips too; nothing reads it.
+  auto flip = [](Pos& p) { p = static_cast<Pos>((PosIndex(p) + 3) % 6); };
+  JoinSpec m = spec;
+  for (Pos& p : m.out) flip(p);
+  for (ObjConstraint& c : m.cond.theta) flip(c.lhs.pos), flip(c.rhs.pos);
+  for (DataConstraint& c : m.cond.eta) flip(c.lhs.pos), flip(c.rhs.pos);
+  return m;
 }
 
 double ConstEqSelectivity(const TripleSet* rel, int column, ObjId v,
@@ -129,14 +129,14 @@ uint64_t JoinPlan::KeyHashRight(const Triple& t,
   return h;
 }
 
-ProbePlan ProbePlan::Build(const JoinPlan& plan, bool build_right) {
+ProbePlan ProbePlan::Build(const JoinPlan& plan) {
   int cols[3];
   Pos pos[3];
   int n = 0;
   for (const JoinPlan::KeyComp& k : plan.key) {
     if (k.data) continue;  // ρ-value keys hash; objects probe exactly
-    int bc = PosColumn(build_right ? k.rpos : k.lpos);
-    Pos pp = build_right ? k.lpos : k.rpos;
+    int bc = PosColumn(k.rpos);
+    Pos pp = k.lpos;
     bool dup = false;
     for (int i = 0; i < n; ++i) dup = dup || cols[i] == bc;
     if (!dup && n < 3) {
@@ -186,6 +186,7 @@ const char* PlanOpName(PlanOp op) {
     case PlanOp::kReachIndexScan: return "ReachIndexScan";
     case PlanOp::kDijkstraScan: return "DijkstraScan";
     case PlanOp::kSharedScan: return "SharedScan";
+    case PlanOp::kDelta: return "Delta";
   }
   return "?";
 }

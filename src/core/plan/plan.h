@@ -12,7 +12,9 @@
 //   HashJoin        e ⋈ e            (per-call hash table on key columns)
 //   MergeJoin       e ⋈ e            (walk two key-sorted runs in step)
 //   UnionOp/MinusOp e ∪ e, e − e
-//   FixpointStar    (e ⋈)*, (⋈ e)*   (semi-naive delta iteration)
+//   FixpointStar    (e ⋈)*, (⋈ e)*,  (semi-naive: a seed, then a step
+//                   Datalog recursion per round)
+//   Delta           a step's round input
 //   ReachIndexScan  walk stars       (interval reachability indexes;
 //                                     reachTA= stars included)
 //   DijkstraScan    shortest paths   (weights from rho; PlanShortestPath)
@@ -41,6 +43,17 @@
 // order is paid by the operator that first reads it, and EXPLAIN
 // ANALYZE charges it there (profile.h).
 //
+// A FixpointStar runs its first child (the seed) and middle children
+// (the step's round-invariant inputs, read through SharedScan) once,
+// then its last child (the step) per round, each Delta leaf bound to
+// the last round's new rows (reads_acc: all rows so far), until a round
+// adds nothing.  A TriAL star that is no walk is the one-rule case:
+// seed e, step Δ ⋈θ e.  Datalog's general recursion is a FixpointDef.
+//
+// A join with a complement input U − e never materializes U: e runs
+// once, and per row of the other input only the complement columns no
+// key or constant pins are enumerated over the active domain.
+//
 // Each node carries the planner's cardinality estimate and access-path
 // choice; the executor (plan_exec.cc) fills in actual row counts and
 // the strategy it really ran, so Explain() (explain.cc) can render
@@ -48,8 +61,7 @@
 // probe-vs-hash cost rule that used to live inline in smart_eval.cc is
 // exported here (JoinPlan / ProbePlan / PreferIndexProbe), next to the
 // difference's anti-probe-vs-merge rule (PreferAntiProbe), making the
-// decisions unit-testable and shared with the Datalog engine's
-// leading-atom matcher (BoundProbe / EstimateBoundMatches).
+// decisions unit-testable.
 //
 // Contract: executing the plan of an expression produces the same
 // normalized result set as the naive evaluator on every store.  Join
@@ -77,6 +89,17 @@ class FeedbackCache;  // core/plan/adapt.h — learned cardinality cache
 
 // ---- planning hints ----------------------------------------------------
 
+/// A semi-naive fixpoint with no TriAL* expression (a general-recursive
+/// Datalog predicate, datalog/to_trial.h), told to PlanExpr by
+/// placeholder Rel leaves, matched by address.  Every use of `self`
+/// lowers to one shared FixpointStar; inside seed and step, `acc` reads
+/// the rows so far and `delta` the last round's.
+struct FixpointDef {
+  ExprPtr self, acc, delta, seed, step;
+  /// Round-invariant subexpressions `step` reads, planned once.
+  std::vector<ExprPtr> inputs;
+};
+
 /// Optional inputs threaded through PlanExpr / ReorderJoinRegion.  The
 /// default-constructed value plans from statistics alone.  Pointees
 /// must outlive the planning call.
@@ -84,6 +107,8 @@ struct PlanningHints {
   /// Observed cardinalities from prior executions, consulted before
   /// statistics (adapt.h).
   const FeedbackCache* feedback = nullptr;
+  /// The fixpoints whose placeholders the expression may read.
+  const std::vector<FixpointDef>* fixpoints = nullptr;
 };
 
 // ---- shared access / cost primitives ----------------------------------
@@ -107,12 +132,6 @@ bool PreferIndexProbe(double probe_count, double build_size);
 /// estimate, so deciding forces no stats and no permutation build.
 bool PreferAntiProbe(double left_rows, double base_size, double right_est);
 
-/// Expected rows of a probe that pins the columns flagged in `bound`:
-/// the relation size shrunk by each bound column's distinct count (the
-/// independence assumption used for the greedy Datalog atom order and
-/// the planner's selectivity math alike).
-double EstimateBoundMatches(const TripleSetStats& stats, const bool bound[3]);
-
 /// Selectivity of the constant equality column = v on a relation with
 /// `distinct` values in that column.  When `rel` is the stored relation
 /// itself, it is priced from what `rel` already holds, without building
@@ -124,38 +143,6 @@ double EstimateBoundMatches(const TripleSetStats& stats, const bool bound[3]);
 /// aggregated projection) it is the uniform 1 / max(distinct, 1).
 double ConstEqSelectivity(const TripleSet* rel, int column, ObjId v,
                           double distinct);
-
-/// A bound-column access: up to three columns pinned to values, the
-/// Datalog atom matcher's scan/probe primitive (datalog/eval.cc).  Any
-/// one or two bound columns are served as a contiguous permutation
-/// range (PlanAccess); a third is left to the caller's verification.
-struct BoundProbe {
-  int ncols = 0;
-  int col[3] = {0, 0, 0};
-  ObjId val[3] = {0, 0, 0};
-
-  void Bind(int column, ObjId v) {
-    col[ncols] = column;
-    val[ncols] = v;
-    ++ncols;
-  }
-
-  /// The access path serving the bound columns.
-  AccessPath Path() const {
-    bool b[3] = {false, false, false};
-    for (int i = 0; i < ncols && i < 3; ++i) b[col[i]] = true;
-    return PlanAccess(b[0], b[1], b[2]);
-  }
-
-  /// The matching range of `rel`: a full SPO scan when nothing is
-  /// bound, a Lookup / LookupPair prefix otherwise (a third bound
-  /// column is re-verified by the caller, never probed).
-  TripleRange Range(const TripleSet& rel) const {
-    if (ncols == 0) return rel.Scan(IndexOrder::kSPO);
-    if (ncols == 1) return rel.Lookup(col[0], val[0]);
-    return rel.LookupPair(col[0], val[0], col[1], val[1]);
-  }
-};
 
 /// A join execution plan: one-sided filters + cross equality key
 /// columns, split out of the (θ, η) condition.
@@ -208,8 +195,8 @@ struct ProbePlan {
   int build_col[2] = {0, 0};              // column on the indexed side
   Pos probe_pos[2] = {Pos::P1, Pos::P1};  // value source on the probe side
 
-  /// `build_right`: the right join argument is the indexed side.
-  static ProbePlan Build(const JoinPlan& plan, bool build_right);
+  /// The right join argument is the indexed side.
+  static ProbePlan Build(const JoinPlan& plan);
 
   /// The permutation this plan probes on the build side.
   IndexOrder Order() const {
@@ -240,7 +227,7 @@ enum class PlanOp : uint8_t {
   kMergeJoin,       ///< child ⋈ child, both sides walked as sorted runs
   kUnionOp,         ///< child ∪ child
   kMinusOp,         ///< child − child — merge, or anti-probe a stored right
-  kFixpointStar,    ///< (child ⋈)* / (⋈ child)* — semi-naive iteration
+  kFixpointStar,    ///< semi-naive iteration: seed, then step per round
   /// Never planned (walk stars, reachTA= ones included, lower to
   /// kReachIndexScan); kept only as a name perfbench's per-operator
   /// metrics enumerate.  The executor rejects it with kInternal.
@@ -248,6 +235,7 @@ enum class PlanOp : uint8_t {
   kReachIndexScan,  ///< walk star via an interval reachability index
   kDijkstraScan,    ///< weighted shortest path / SSSP tree over rho
   kSharedScan,      ///< a shared sub-plan's kept result (share_id)
+  kDelta,           ///< the enclosing fixpoint's round input
 };
 
 const char* PlanOpName(PlanOp op);
@@ -272,8 +260,8 @@ struct PlanRuntime {
   /// operator has no strategy choice.
   const char* strategy = nullptr;
   size_t rounds = 0;        ///< fixpoint rounds until saturation
-  size_t probe_rounds = 0;  ///< rounds whose delta probed the index
-  size_t hash_rounds = 0;   ///< rounds that fell back to the hash table
+  size_t probe_rounds = 0;  ///< rounds whose step joins hashed nothing
+  size_t hash_rounds = 0;   ///< rounds in which a step join hashed
   /// Root only: metrics were on, but the result was not yet normalized
   /// when ExecutePlan returned, so exec.result_rows is left to
   /// RecordRootRows — and stays unobserved when nobody calls it.
@@ -310,9 +298,11 @@ using PlanPtr = std::unique_ptr<PlanNode>;
 struct PlanNode {
   PlanOp op = PlanOp::kEmptyRel;
 
-  std::string rel_name;     ///< kIndexScan: the relation
+  std::string rel_name;  ///< kIndexScan; kFixpointStar: Datalog predicate
   JoinSpec spec;            ///< joins + stars; selections use spec.cond
   bool star_right = true;   ///< kFixpointStar: (e ⋈)* vs (⋈ e)*
+  /// kDelta: read the accumulated relation, not the last round's rows.
+  bool reads_acc = false;
   /// kReachIndexScan: the walk is partitioned by label (served by the
   /// label-product index).
   bool reach_same_middle = false;
@@ -365,6 +355,10 @@ struct PlanNode {
 };
 
 // ---- entry points ------------------------------------------------------
+
+/// The spec of the join with its inputs swapped:
+/// MirrorSpec(s).Output(r, l) == s.Output(l, r).
+JoinSpec MirrorSpec(const JoinSpec& spec);
 
 /// Lowers a (validated) expression into a physical plan against
 /// `store`.  Never fails: an unknown relation plans as a zero-estimate

@@ -14,6 +14,7 @@
 // the strategy really taken, and fixpoint round counts.
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <unordered_map>
 #include <unordered_set>
@@ -62,6 +63,8 @@ class HashIndex {
     }
   }
 
+  bool built() const { return !offsets_.empty(); }
+
   // Calls fn(triple) for every row stored under key hash `h`.
   template <typename Fn>
   void ForEach(uint64_t h, const Fn& fn) const {
@@ -86,6 +89,24 @@ class HashIndex {
   std::vector<size_t> offsets_;
   std::vector<Entry> entries_;
 };
+
+// A running FixpointStar: its round state and its step's hash tables.
+struct Fixpoint {
+  TripleSet delta;    ///< the rows the last round added
+  TripleHashSet seen;  ///< every row so far
+  /// Shared results kept before the first round (the seed's and the
+  /// step's inputs'), which no round changes.
+  std::unordered_set<int> outer_shares;
+  std::unordered_map<const PlanNode*, HashIndex> hashes;  ///< by join
+  size_t hash_joins = 0;  ///< step joins that took the hash path
+};
+
+// True for U − e, unshared: a join with it as an input anti-probes e
+// instead of materializing U (ComplementJoin).
+bool IsComplement(const PlanNode& n) {
+  return n.op == PlanOp::kMinusOp && n.share_id < 0 &&
+         n.children[0]->op == PlanOp::kUniverseRel;
+}
 
 class Executor {
  public:
@@ -228,29 +249,36 @@ class Executor {
         return TripleSet::Difference(a, b);
       }
       case PlanOp::kIndexProbeJoin:
-      case PlanOp::kHashJoin: {
-        TRIAL_ASSIGN_OR_RETURN(TripleSet a, Exec(*n.children[0]));
-        TRIAL_ASSIGN_OR_RETURN(TripleSet b, Exec(*n.children[1]));
-        NoteRows(*n.children[0], a);
-        NoteRows(*n.children[1], b);
-        NotePeakInputs(n, a, b);
-        return Join(n, a, b);
-      }
+      case PlanOp::kHashJoin:
       case PlanOp::kMergeJoin: {
+        const bool comp_right = IsComplement(*n.children[1]);
+        if (comp_right || IsComplement(*n.children[0])) {
+          return ComplementJoin(n, comp_right);
+        }
         TRIAL_ASSIGN_OR_RETURN(TripleSet a, Exec(*n.children[0]));
         TRIAL_ASSIGN_OR_RETURN(TripleSet b, Exec(*n.children[1]));
         NoteRows(*n.children[0], a);
         NoteRows(*n.children[1], b);
         NotePeakInputs(n, a, b);
-        return MergeOrFallback(n, a, b);
+        return n.op == PlanOp::kMergeJoin ? MergeOrFallback(n, a, b)
+                                          : Join(n, a, b);
       }
       case PlanOp::kReachFastPath:
         return Status::Internal("no plan runs ReachFastPath: walk stars "
                                 "lower to ReachIndexScan");
       case PlanOp::kFixpointStar: {
-        TRIAL_ASSIGN_OR_RETURN(TripleSet base, Exec(*n.children[0]));
-        NoteRows(*n.children[0], base);
-        return SemiNaiveStar(n, base);
+        Fixpoint f;
+        fixpoints_.push_back(&f);
+        Result<TripleSet> result = SemiNaive(n, f);
+        fixpoints_.pop_back();
+        return result;
+      }
+      case PlanOp::kDelta: {
+        if (fixpoints_.empty()) {
+          return Status::Internal("Delta read outside a fixpoint");
+        }
+        const Fixpoint& f = *fixpoints_.back();
+        return n.reads_acc ? Accumulated(f) : f.delta;
       }
       case PlanOp::kReachIndexScan: {
         TRIAL_ASSIGN_OR_RETURN(TripleSet base, Exec(*n.children[0]));
@@ -363,7 +391,7 @@ class Executor {
     // dies with it, and a single probe pass never repays the sort.
     ProbePlan probe;
     if (PreferIndexProbe(l.size(), r.size())) {
-      probe = ProbePlan::Build(plan, /*build_right=*/true);
+      probe = ProbePlan::Build(plan);
       if (probe.n > 0 && !r.IndexAmortized(probe.Order())) probe.n = 0;
     }
     if (probe.n > 0) {
@@ -380,10 +408,21 @@ class Executor {
                        });
     }
     n.runtime.strategy = "hash";
-    HashIndex index;
-    index.Build(
-        r, [&](const Triple& b) { return plan.PassesRight(b, store_); },
-        [&](const Triple& b) { return plan.KeyHashRight(b, store_); });
+    // Under a fixpoint, a table on a round-invariant right side (stored,
+    // or kept before the first round) is built once.
+    Fixpoint* f = fixpoints_.empty() ? nullptr : fixpoints_.back();
+    const PlanNode& right = *n.children[1];
+    const bool keep = f != nullptr && (right.op == PlanOp::kIndexScan ||
+                                       (right.op == PlanOp::kSharedScan &&
+                                        f->outer_shares.count(right.share_id)));
+    if (f != nullptr) ++f->hash_joins;
+    HashIndex local;
+    HashIndex& index = keep ? f->hashes[&n] : local;
+    if (!index.built()) {
+      index.Build(
+          r, [&](const Triple& b) { return plan.PassesRight(b, store_); },
+          [&](const Triple& b) { return plan.KeyHashRight(b, store_); });
+    }
     return ProbeLoop(l, plan,
                      [&](const Triple& a, std::vector<Triple>* out) {
                        index.ForEach(plan.KeyHashLeft(a, store_),
@@ -515,103 +554,119 @@ class Executor {
     return TripleSet(std::move(out));
   }
 
-  // Semi-naive fixpoint: only the last round's delta re-joins the fixed
-  // base.  Correct because ⋈ distributes over ∪ in each argument, so the
-  // term sequence t_{n+1} = t_n ⋈ e is covered by delta ⋈ e.
-  Result<TripleSet> SemiNaiveStar(PlanNode& n, const TripleSet& base) {
-    const JoinSpec& spec = n.spec;
-    const bool right = n.star_right;
-    JoinPlan plan = JoinPlan::Build(spec.cond);
-    // The fixed side — the right join argument for right stars, the
-    // left one for left stars — is probed every round.  With exact
-    // object keys its permutation index serves directly (built once,
-    // shared with the store's relation); the hash table is built lazily,
-    // only for rounds whose delta is too large for probing to pay off.
-    ProbePlan probe = ProbePlan::Build(plan, /*build_right=*/right);
-    HashIndex index;
-    bool hash_built = false;
-    auto build_hash = [&] {
-      index.Build(
-          base,
-          [&](const Triple& b) {
-            return right ? plan.PassesRight(b, store_)
-                         : plan.PassesLeft(b, store_);
-          },
-          [&](const Triple& b) {
-            return right ? plan.KeyHashRight(b, store_)
-                         : plan.KeyHashLeft(b, store_);
-          });
-      hash_built = true;
-    };
+  // Semi-naive fixpoint (plan.h): for a star ⋈ distributes over ∪, so
+  // t_{n+1} = t_n ⋈ e is covered by Δ ⋈ e; for Datalog see to_trial.h.
+  // A join's unsorted output is deduplicated against the accumulator as
+  // it comes: only its new rows, the next Δ, are sorted, when read.
+  static TripleSet Accumulated(const Fixpoint& f) {
+    return TripleSet(std::vector<Triple>(f.seen.begin(), f.seen.end()));
+  }
 
-    TripleHashSet acc(base.begin(), base.end());
-    std::vector<Triple> delta(base.begin(), base.end());
-    std::vector<Triple> next;
-    // Candidate partners of one delta triple, pre-dedup: every
-    // fixed-side triple matching the join condition, in probe (or hash
-    // bucket) iteration order.
-    auto candidates = [&](const Triple& d, bool use_probe,
-                          std::vector<Triple>* out) {
-      bool pass = right ? plan.PassesLeft(d, store_)
-                        : plan.PassesRight(d, store_);
-      if (!pass) return;
-      auto emit = [&](const Triple& b) {
-        const Triple& lt = right ? d : b;
-        const Triple& rt = right ? b : d;
-        if (!spec.cond.Holds(lt, rt, store_)) return;
-        out->push_back(spec.Output(lt, rt));
-      };
-      if (use_probe) {
-        for (const Triple& b : probe.Probe(base, d)) emit(b);
-      } else {
-        index.ForEach(right ? plan.KeyHashLeft(d, store_)
-                            : plan.KeyHashRight(d, store_),
-                      emit);
-      }
-    };
-    // Folds candidate outputs into the accumulator in encounter order;
-    // false when the result-size guard trips.
-    auto fold = [&](const std::vector<Triple>& cand) {
-      for (const Triple& o : cand) {
-        if (acc.insert(o).second) {
-          next.push_back(o);
-          if (acc.size() > limits_.max_result_triples) return false;
-        }
-      }
-      return true;
-    };
-    std::vector<Triple> scratch;
-    for (size_t round = 0; round < limits_.max_rounds; ++round) {
-      next.clear();
-      bool use_probe =
-          probe.n > 0 && PreferIndexProbe(delta.size(), base.size());
-      if (!use_probe && !hash_built) build_hash();
-      n.runtime.rounds = round + 1;
-      if (use_probe) {
-        ++n.runtime.probe_rounds;
-      } else {
-        ++n.runtime.hash_rounds;
-      }
-      for (const Triple& d : delta) {
-        scratch.clear();
-        candidates(d, use_probe, &scratch);
-        if (!fold(scratch)) {
-          return Status::ResourceExhausted("star result too large");
-        }
-      }
-      if (profile_) {
-        // Peak intermediate = accumulator plus the round's live delta
-        // (both are held at once while the next round expands).
-        size_t live = acc.size() + delta.size();
-        if (live > n.runtime.peak_rows) n.runtime.peak_rows = live;
-      }
-      if (next.empty()) {
-        std::vector<Triple> v(acc.begin(), acc.end());
-        return TripleSet(std::move(v));
-      }
-      delta.swap(next);
+  Result<TripleSet> SemiNaive(PlanNode& n, Fixpoint& f) {
+    const size_t last = n.children.size() - 1;
+    for (size_t i = 0; i < last; ++i) {
+      TRIAL_ASSIGN_OR_RETURN(TripleSet in, Exec(*n.children[i]));
+      NoteRows(*n.children[i], in);
+      if (i == 0) f.delta = std::move(in);
     }
-    return Status::ResourceExhausted("star fixpoint exceeded round limit");
+    f.seen.insert(f.delta.begin(), f.delta.end());
+    for (const auto& kept : shared_) f.outer_shares.insert(kept.first);
+    PlanNode& step = *n.children[last];
+    for (size_t round = 0; round < limits_.max_rounds; ++round) {
+      const size_t hashed = f.hash_joins;
+      TRIAL_ASSIGN_OR_RETURN(TripleSet out, Exec(step));
+      n.runtime.rounds = round + 1;
+      ++(f.hash_joins == hashed ? n.runtime.probe_rounds
+                                : n.runtime.hash_rounds);
+      const bool raw = out.HasStaged();  // a join's output, unsorted
+      std::vector<Triple> taken = raw ? std::move(out).TakeRows()
+                                      : std::vector<Triple>();
+      std::vector<Triple> next;
+      for (const Triple& t : raw ? taken : out.triples()) {
+        if (!f.seen.insert(t).second) continue;
+        next.push_back(t);
+        if (f.seen.size() > limits_.max_result_triples) {
+          return Status::ResourceExhausted("fixpoint result too large");
+        }
+      }
+      if (profile_) {  // the accumulator and the live delta
+        n.runtime.peak_rows = std::max(n.runtime.peak_rows,
+                                       f.seen.size() + f.delta.size());
+      }
+      if (next.empty()) return Accumulated(f);
+      f.delta = raw ? TripleSet(std::move(next))
+                    : TripleSet::FromSortedUnique(std::move(next));
+    }
+    return Status::ResourceExhausted("fixpoint exceeded round limit");
+  }
+
+  // other ⋈ (U − e), or (U − e) ⋈ other through the mirrored spec,
+  // without materializing U (plan.h).  The complement node and U stay
+  // unexecuted.  Guarded like ProbeLoop.
+  Result<TripleSet> ComplementJoin(PlanNode& n, bool comp_right) {
+    PlanNode& other = *n.children[comp_right ? 0 : 1];
+    PlanNode& comp = *n.children[comp_right ? 1 : 0];
+    PlanNode& excluded = *comp.children[1];
+    ClearRuntime(comp);
+    TripleSet l, e;  // run in child order, as shared sub-plans expect
+    for (PlanNode* in : comp_right ? std::array{&other, &excluded}
+                                   : std::array{&excluded, &other}) {
+      TRIAL_ASSIGN_OR_RETURN(TripleSet rows, Exec(*in));
+      NoteRows(*in, rows);
+      (in == &other ? l : e) = std::move(rows);
+    }
+    NotePeakInputs(n, l, e);
+    n.runtime.strategy = "anti-probe";
+    if (active_.empty()) {
+      adom_ = ActiveObjects(store_);
+      active_.assign(store_.NumObjects(), false);
+      for (ObjId o : adom_) active_[o] = true;
+    }
+    const JoinSpec spec = comp_right ? n.spec : MirrorSpec(n.spec);
+    const JoinPlan plan = JoinPlan::Build(spec.cond);
+    // A right column is copied from a (an exact key), pinned to a
+    // constant, or enumerated; the condition re-checks each candidate.
+    enum { kFree = -1, kConst = -2 };
+    int from[3] = {kFree, kFree, kFree};
+    ObjId pinned[3] = {0, 0, 0};
+    for (const JoinPlan::KeyComp& k : plan.key) {
+      if (!k.data) from[PosColumn(k.rpos)] = PosColumn(k.lpos);
+    }
+    for (const ObjConstraint& c : plan.right_theta) {
+      if (!c.equal || c.lhs.is_pos == c.rhs.is_pos) continue;
+      const int col = PosColumn(c.lhs.is_pos ? c.lhs.pos : c.rhs.pos);
+      from[col] = kConst;
+      pinned[col] = c.lhs.is_pos ? c.rhs.constant : c.lhs.constant;
+    }
+    std::vector<Triple> out;
+    ObjId r[3] = {0, 0, 0};
+    // Fills right columns c.. for row a; false past the cap.
+    auto fill = [&](auto& self, const Triple& a, int c) -> bool {
+      if (c == 3) {
+        const Triple t{r[0], r[1], r[2]};
+        if (!spec.cond.Holds(a, t, store_) || e.Contains(t)) return true;
+        out.push_back(spec.Output(a, t));
+        return out.size() <= limits_.max_result_triples;
+      }
+      if (from[c] == kFree) {
+        for (ObjId v : adom_) {
+          r[c] = v;
+          if (!self(self, a, c + 1)) return false;
+        }
+        return true;
+      }
+      r[c] = from[c] == kConst ? pinned[c] : a[from[c]];
+      // Outside U: an object that occurs in no triple.
+      if (r[c] >= active_.size() || !active_[r[c]]) return true;
+      return self(self, a, c + 1);
+    };
+    for (const Triple& a : l.Scan(l.ReadyOrder())) {
+      if (!plan.PassesLeft(a, store_)) continue;
+      if (!fill(fill, a, 0)) {
+        return Status::ResourceExhausted("join result too large");
+      }
+    }
+    return TripleSet(std::move(out));
   }
 
   const TripleStore& store_;
@@ -619,6 +674,9 @@ class Executor {
   const bool profile_;
   const uint64_t origin_ns_;  ///< query-start clock origin (profiled only)
   std::unordered_map<int, TripleSet> shared_;  ///< by PlanNode::share_id
+  std::vector<Fixpoint*> fixpoints_;  ///< running fixpoints, innermost last
+  std::vector<ObjId> adom_;    ///< U's domain, loaded by ComplementJoin
+  std::vector<bool> active_;   ///< adom_ as a bitmap by ObjId
 };
 
 // Walks an executed tree bumping the per-strategy counters; called only

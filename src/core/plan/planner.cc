@@ -17,7 +17,7 @@
 //   inequalities          rows *= 1                      (non-selective)
 //   join key column       rows = |L|·|R| / max(d_L, d_R) per exact key
 //   union / minus         a + b  /  a
-//   (e ⋈)* fixpoint       rows = 4·|e|                   (crude growth)
+//   fixpoint, seed e      rows = 4·|e|                   (crude growth)
 //   walk star, cold       rows = |e|·sqrt(d_i)  — i the walked column;
 //                         the geometric middle between no growth (|e|)
 //                         and the complete closure (|e|·|O|); the
@@ -135,7 +135,15 @@ double SourceDistinct(Pos p, const Card& l, const Card& r) {
 class Planner {
  public:
   Planner(const TripleStore& store, const PlanningHints& hints)
-      : store_(store), hints_(hints) {}
+      : store_(store), hints_(hints) {
+    if (hints.fixpoints == nullptr) return;
+    for (const FixpointDef& d : *hints.fixpoints) {
+      placeholder_[d.self.get()] = {&d, Placeholder::kSelf};
+      placeholder_[d.acc.get()] = {&d, Placeholder::kAcc};
+      placeholder_[d.delta.get()] = {&d, Placeholder::kDelta};
+    }
+    placeholder_.erase(nullptr);
+  }
 
   // Lowers the whole expression, then moves each shared sub-plan to its
   // first use in execution order.
@@ -147,6 +155,58 @@ class Planner {
   }
 
  private:
+  // A FixpointDef's placeholder leaf, by role.
+  struct Placeholder {
+    const FixpointDef* def = nullptr;
+    enum Role { kSelf, kAcc, kDelta } role = kSelf;
+  };
+
+  const Placeholder* PlaceholderOf(const Expr& e) const {
+    auto it = placeholder_.find(&e);
+    return it == placeholder_.end() ? nullptr : &it->second;
+  }
+
+  // The fixpoint `e` computes, or null: a FixpointDef's, or that of a
+  // star that is no walk, made on first sight (a left star's step joins
+  // Δ on the left through the mirrored spec).
+  const FixpointDef* FixpointOf(const Expr& e) {
+    if (const Placeholder* ph = PlaceholderOf(e)) {
+      return ph->role == Placeholder::kSelf ? ph->def : nullptr;
+    }
+    const bool right = e.kind() == ExprKind::kStarRight;
+    WalkShape walk;
+    if ((!right && e.kind() != ExprKind::kStarLeft) ||
+        IsWalkSpec(e.join_spec(), right, &walk)) {
+      return nullptr;
+    }
+    auto [it, fresh] = stars_.try_emplace(&e);
+    FixpointDef& d = it->second;
+    if (fresh) {
+      d.delta = Expr::Rel("delta");
+      d.seed = e.left();
+      d.step = Expr::Join(d.delta, e.left(),
+                          right ? e.join_spec() : MirrorSpec(e.join_spec()));
+      placeholder_[d.delta.get()] = {&d, Placeholder::kDelta};
+    }
+    return &d;
+  }
+
+  // What lowering `e` lowers in turn, in execution order: its operands,
+  // or a fixpoint's seed, inputs and step.
+  std::vector<const Expr*> Operands(const Expr& e) {
+    std::vector<const Expr*> out;
+    if (const FixpointDef* d = FixpointOf(e)) {
+      out.push_back(d->seed.get());
+      for (const ExprPtr& in : d->inputs) out.push_back(in.get());
+      out.push_back(d->step.get());
+      return out;
+    }
+    for (const ExprPtr* c : {&e.left(), &e.right()}) {
+      if (*c != nullptr) out.push_back(c->get());
+    }
+    return out;
+  }
+
   // Numbers the non-leaf Exprs reachable along more than one parent
   // edge, in depth-first order.  A shared leaf is not worth it: a scan
   // of a stored relation costs no more than reading a kept copy.
@@ -159,11 +219,11 @@ class Planner {
       stack.pop_back();
       if (++uses[e] > 1) continue;
       order.push_back(e);
-      if (e->right() != nullptr) stack.push_back(e->right().get());
-      if (e->left() != nullptr) stack.push_back(e->left().get());
+      std::vector<const Expr*> ops = Operands(*e);
+      stack.insert(stack.end(), ops.rbegin(), ops.rend());
     }
     for (const Expr* e : order) {
-      if (uses[e] > 1 && e->left() != nullptr) {
+      if (uses[e] > 1 && !Operands(*e).empty()) {
         share_id_.emplace(e, static_cast<int>(share_id_.size()));
       }
     }
@@ -213,6 +273,27 @@ class Planner {
   // join is planned once, as a leaf of every region that uses it.
   bool IsShared(const Expr& e) const { return share_id_.count(&e) > 0; }
 
+  // A FixpointStar: seed, inputs, step.  The step's joins keep their
+  // written order — the round input on the left, the side the executor
+  // iterates — instead of a DP order.
+  PlanPtr LowerFixpoint(const Expr& e, const FixpointDef& def) {
+    PlanPtr node = std::make_unique<PlanNode>();
+    node->op = PlanOp::kFixpointStar;
+    if (def.self != nullptr) node->rel_name = def.self->rel_name();
+    for (const Expr* op : Operands(e)) {
+      const bool step = op == def.step.get();
+      if (step) seed_card_[&def] = CardOf(*node->children[0]);
+      const bool outer = in_step_;
+      in_step_ = step;
+      node->children.push_back(Lower(*op));
+      in_step_ = outer;
+    }
+    Card c = seed_card_[&def];
+    c.rows *= 4.0;
+    SetCard(node.get(), c);
+    return node;
+  }
+
   PlanPtr LowerUnshared(const Expr& e) {
     PlanPtr node = LowerImpl(e);
     // Learned cardinalities beat derived estimates: a prior execution
@@ -237,6 +318,15 @@ class Planner {
     PlanPtr node = std::make_unique<PlanNode>();
     switch (e.kind()) {
       case ExprKind::kRel: {
+        if (const Placeholder* ph = PlaceholderOf(e)) {
+          if (ph->role == Placeholder::kSelf) return LowerFixpoint(e, *ph->def);
+          node->op = PlanOp::kDelta;
+          node->reads_acc = ph->role == Placeholder::kAcc;
+          Card c = seed_card_[ph->def];  // empty while the seed lowers
+          if (node->reads_acc) c.rows *= 4.0;
+          SetCard(node.get(), c);
+          return node;
+        }
         node->op = PlanOp::kIndexScan;
         node->rel_name = e.rel_name();
         Card c;
@@ -338,11 +428,15 @@ class Planner {
         // Cost-based reordering first: flatten the maximal ⋈ region and
         // let the DP pick a bushy order with merge/probe/hash per node.
         // Falls back to the written order when the region is too large
-        // or its shape defeats the flattener (see reorder.cc).
-        if (PlanPtr reordered = ReorderJoinRegion(
-                e, store_, [this](const Expr& sub) { return Lower(sub); },
-                [this](const Expr& sub) { return IsShared(sub); }, hints_)) {
-          return reordered;
+        // or its shape defeats the flattener (see reorder.cc), and in a
+        // fixpoint's step.
+        if (!in_step_) {
+          if (PlanPtr reordered = ReorderJoinRegion(
+                  e, store_, [this](const Expr& sub) { return Lower(sub); },
+                  [this](const Expr& sub) { return IsShared(sub); },
+                  hints_)) {
+            return reordered;
+          }
         }
         node->spec = e.join_spec();
         PlanPtr l = Lower(*e.left());
@@ -372,7 +466,7 @@ class Planner {
         // filtering — so with exact estimates the prediction matches
         // the executed strategy, and an EXPLAIN mismatch indicates an
         // estimation error rather than a formula difference.
-        ProbePlan pp = ProbePlan::Build(jp, /*build_right=*/true);
+        ProbePlan pp = ProbePlan::Build(jp);
         bool probe = pp.n > 0 && PreferIndexProbe(cl.rows, cr.rows) &&
                      (pp.Order() == IndexOrder::kSPO ||
                       r->op == PlanOp::kIndexScan);
@@ -387,40 +481,38 @@ class Planner {
       case ExprKind::kStarLeft: {
         node->spec = e.join_spec();
         node->star_right = e.kind() == ExprKind::kStarRight;
+        if (const FixpointDef* def = FixpointOf(e)) {
+          PlanPtr fix = LowerFixpoint(e, *def);
+          fix->spec = node->spec;
+          fix->star_right = node->star_right;
+          return fix;
+        }
+        // Every walk runs on the interval reachability index — the s→o
+        // index, or the label-product index for a same-middle walk —
+        // built cold on any base, stored or derived.  A warm index on a
+        // stored relation prices the walk exactly; else the heuristic is
+        // the geometric middle between no growth and the complete
+        // closure of the walked column.
         PlanPtr base = Lower(*e.left());
         Card cb = CardOf(*base), c;
         WalkShape walk;
-        if (IsWalkSpec(node->spec, node->star_right, &walk)) {
-          // Every walk runs on the interval reachability index — the
-          // s→o index, or the label-product index for a same-middle
-          // walk — built cold on any base, stored or derived.  A warm
-          // index on a stored relation prices the walk exactly; else
-          // the heuristic is the geometric middle between no growth and
-          // the complete closure of the walked column.
-          node->op = PlanOp::kReachIndexScan;
-          node->walk_col = walk.col;
-          node->reach_same_middle = walk.same_middle;
-          const TripleSet* stored = base->op == PlanOp::kIndexScan
-                                        ? store_.FindRelation(base->rel_name)
-                                        : nullptr;
-          const reach::ReachGraph graph =
-              walk.same_middle ? reach::ReachGraph::kLabelProduct
-                               : reach::ReachGraph::kSubjectObject;
-          std::shared_ptr<const reach::ReachIndex> warm =
-              stored != nullptr ? reach::ReachIndex::Cached(*stored, graph)
-                                : nullptr;
-          c.rows = warm != nullptr
-                       ? static_cast<double>(warm->walk_output_rows(walk.col))
-                       : cb.rows * std::sqrt(std::max(
-                                       cb.distinct[walk.col], 1.0));
-        } else {
-          node->op = PlanOp::kFixpointStar;
-          // Probed permutation of the fixed side for small deltas.
-          JoinPlan jp = JoinPlan::Build(node->spec.cond);
-          ProbePlan pp = ProbePlan::Build(jp, node->star_right);
-          if (pp.n > 0) node->access = AccessPath{pp.Order(), pp.n};
-          c.rows = cb.rows * 4.0;
-        }
+        IsWalkSpec(node->spec, node->star_right, &walk);
+        node->op = PlanOp::kReachIndexScan;
+        node->walk_col = walk.col;
+        node->reach_same_middle = walk.same_middle;
+        const TripleSet* stored = base->op == PlanOp::kIndexScan
+                                      ? store_.FindRelation(base->rel_name)
+                                      : nullptr;
+        const reach::ReachGraph graph =
+            walk.same_middle ? reach::ReachGraph::kLabelProduct
+                             : reach::ReachGraph::kSubjectObject;
+        std::shared_ptr<const reach::ReachIndex> warm =
+            stored != nullptr ? reach::ReachIndex::Cached(*stored, graph)
+                              : nullptr;
+        c.rows = warm != nullptr
+                     ? static_cast<double>(warm->walk_output_rows(walk.col))
+                     : cb.rows * std::sqrt(
+                                     std::max(cb.distinct[walk.col], 1.0));
         for (int i = 0; i < 3; ++i) {
           double d = SourceDistinct(node->spec.out[i], cb, cb);
           c.distinct[i] = d > 0 ? d : DefaultDistinct(c.rows);
@@ -435,9 +527,13 @@ class Planner {
   }
 
   const TripleStore& store_;
-  const PlanningHints hints_;  // small, copied: one optional pointer
+  const PlanningHints hints_;  // small, copied: two optional pointers
   std::unordered_map<const Expr*, int> share_id_;
   std::vector<PlanPtr> shared_plans_;  // by id, until PlaceShared
+  std::unordered_map<const Expr*, Placeholder> placeholder_;
+  std::unordered_map<const Expr*, FixpointDef> stars_;  ///< by star Expr
+  std::unordered_map<const FixpointDef*, Card> seed_card_;
+  bool in_step_ = false;  ///< lowering a fixpoint's step
 };
 
 }  // namespace

@@ -702,8 +702,7 @@ class Reorderer {
       node->merge_rcol = SchemaCol(re, e.merge_cls);
       node->access = AccessPath{static_cast<IndexOrder>(node->merge_lcol), 1};
     } else if (e.op == PlanOp::kIndexProbeJoin) {
-      ProbePlan pp =
-          ProbePlan::Build(JoinPlan::Build(node->spec.cond), true);
+      ProbePlan pp = ProbePlan::Build(JoinPlan::Build(node->spec.cond));
       if (pp.n > 0) {
         node->access = AccessPath{pp.Order(), pp.n};
       } else {

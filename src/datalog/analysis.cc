@@ -52,7 +52,12 @@ Status CheckRule(size_t idx, const Rule& rule) {
   }
   std::set<std::string> bound = RelationalVars(rule);
   for (const Term& t : rule.head.args) {
-    if (t.is_var && bound.count(t.name) == 0) {
+    if (!t.is_var) {
+      return RuleError(idx,
+                       "head constants are not supported; bind the constant "
+                       "in the body with an equality instead");
+    }
+    if (bound.count(t.name) == 0) {
       return RuleError(idx, "unsafe head variable " + t.name);
     }
   }
@@ -185,6 +190,7 @@ Result<ProgramInfo> AnalyzeProgram(const Program& program) {
     }
     if (!reach_shaped) {
       info.cls = ProgramClass::kGeneralRecursive;
+      info.general_preds.insert(s);
     }
   }
   return info;

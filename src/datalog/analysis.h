@@ -40,6 +40,8 @@ struct ProgramInfo {
   std::map<std::string, std::vector<size_t>> rules_of;
   /// Predicates involved in recursion (self-dependent).
   std::set<std::string> recursive_preds;
+  /// The recursive predicates outside the reach shape.
+  std::set<std::string> general_preds;
 };
 
 /// Validates the program: arity exactly 3 everywhere, safety (head and

@@ -31,15 +31,6 @@ std::vector<const Literal*> Rule::RelationalLiterals() const {
   return out;
 }
 
-std::vector<std::string> Program::IdbPredicates() const {
-  std::set<std::string> seen;
-  std::vector<std::string> out;
-  for (const Rule& r : rules) {
-    if (seen.insert(r.head.pred).second) out.push_back(r.head.pred);
-  }
-  return out;
-}
-
 std::string Program::ToString() const {
   std::string out;
   for (const Rule& r : rules) {

@@ -68,9 +68,6 @@ struct Rule {
 struct Program {
   std::vector<Rule> rules;
 
-  /// Predicates appearing in some rule head.
-  std::vector<std::string> IdbPredicates() const;
-
   /// Pretty-printer (round-trips through the parser).
   std::string ToString() const;
 };

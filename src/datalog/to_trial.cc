@@ -1,5 +1,6 @@
 #include "datalog/to_trial.h"
 
+#include <algorithm>
 #include <array>
 #include <map>
 #include <optional>
@@ -20,13 +21,15 @@ struct RuleContext {
   const TripleStore* store;
   std::map<std::string, Pos> var_pos;  // variable -> representative position
   CondSet cond;
-  bool unsatisfiable = false;  // unknown constant in an equality
+  bool unsatisfiable = false;  // unknown constant in an equality or ~
 
   // Registers the arguments of an atom at the given side's positions,
-  // adding θ equalities for repeated variables and constant bindings.
-  void BindAtom(const Atom& atom, const Pos* side) {
+  // adding θ equalities for repeated variables and, unless `constants`
+  // is false, constant bindings.
+  void BindAtom(const Atom& atom, const Pos* side, bool constants = true) {
     for (int i = 0; i < 3; ++i) {
       const Term& t = atom.args[i];
+      if (!t.is_var && !constants) continue;
       if (t.is_var) {
         auto it = var_pos.find(t.name);
         if (it == var_pos.end()) {
@@ -90,22 +93,39 @@ struct RuleContext {
     std::optional<DataTerm> a = data_term(l.lhs);
     std::optional<DataTerm> b = data_term(l.rhs);
     if (!a.has_value() || !b.has_value()) {
-      return Status::InvalidArgument(
-          "~ literal references an object not present in the store");
+      unsatisfiable = true;  // no data value: it holds under neither sign
+      return Status::OK();
     }
     cond.eta.push_back(DataConstraint{*a, *b, l.positive});
     return Status::OK();
   }
 };
 
+// True when a constant argument of `atom` occurs in no triple of the
+// store, so no relation, stored or derived, holds a matching row.
+bool HasInactiveConstant(const Atom& atom, const TripleStore& store) {
+  for (const Term& t : atom.args) {
+    const ObjId id = t.is_var ? 0 : store.FindObject(t.name);
+    bool active = t.is_var;
+    for (RelId r = 0; r < store.NumRelations() && !active; ++r) {
+      for (int c = 0; c < 3 && !active; ++c) {
+        active = !store.Relation(r).Lookup(c, id).empty();
+      }
+    }
+    if (!active) return true;
+  }
+  return false;
+}
+
 class Translator {
  public:
   Translator(const Program& program, const TripleStore& store)
       : program_(program), store_(store) {}
 
-  Result<ExprPtr> Run(const std::string& answer_pred) {
+  Result<ProgramPlanInput> Run(const std::string& answer_pred,
+                               bool general_recursion) {
     TRIAL_ASSIGN_OR_RETURN(info_, AnalyzeProgram(program_));
-    if (info_.cls == ProgramClass::kGeneralRecursive) {
+    if (!general_recursion && info_.cls == ProgramClass::kGeneralRecursive) {
       return Status::Unimplemented(
           "general recursion is outside TriAL*: recursive predicates must "
           "follow the ReachTripleDatalog shape");
@@ -117,65 +137,60 @@ class Translator {
     if (it == built_.end()) {
       return Status::NotFound("program does not define " + answer_pred);
     }
-    return it->second;
+    return ProgramPlanInput{it->second, std::move(fixpoints_)};
   }
 
  private:
   // Expression computing a body predicate: an already-built IDB
-  // predicate or a stored relation.
-  Result<ExprPtr> PredExpr(const std::string& pred) {
+  // predicate, the accumulated value of the fixpoint being built, or a
+  // stored relation (an unknown one fails at execution, kNotFound).
+  ExprPtr PredExpr(const std::string& pred) {
+    if (building_ != nullptr && pred == building_->self->rel_name()) {
+      return building_->acc;
+    }
     auto it = built_.find(pred);
-    if (it != built_.end()) return it->second;
-    if (store_.FindRelation(pred) != nullptr) return Expr::Rel(pred);
-    return Status::NotFound("unknown predicate: " + pred);
-  }
-
-  Result<ExprPtr> AtomExpr(const Literal& lit) {
-    TRIAL_ASSIGN_OR_RETURN(ExprPtr e, PredExpr(lit.atom.pred));
-    return lit.positive ? e : Expr::Complement(e);
+    return it != built_.end() ? it->second : Expr::Rel(pred);
   }
 
   // Head output positions from the rule context.
-  Result<std::array<Pos, 3>> HeadSpec(const Rule& rule,
-                                      const RuleContext& ctx) {
+  static std::array<Pos, 3> HeadSpec(const Rule& rule,
+                                     const RuleContext& ctx) {
     std::array<Pos, 3> out = {Pos::P1, Pos::P2, Pos::P3};
     for (int i = 0; i < 3; ++i) {
-      const Term& t = rule.head.args[i];
-      if (!t.is_var) {
-        return Status::InvalidArgument(
-            "head constants are not supported; bind the constant in the "
-            "body with an equality instead");
-      }
-      out[i] = ctx.var_pos.at(t.name);
+      out[i] = ctx.var_pos.at(rule.head.args[i].name);
     }
     return out;
   }
 
-  // Proposition 2 construction: one join per rule.
-  Result<ExprPtr> RuleExpr(const Rule& rule) {
-    std::vector<const Literal*> rels = rule.RelationalLiterals();
+  // Proposition 2 construction: one join per rule.  `rels` are the
+  // rule's relational literals in join order; rels[i] reads reads[i],
+  // complemented when the literal is negated.
+  Result<ExprPtr> RuleExpr(const Rule& rule,
+                           const std::vector<const Literal*>& rels,
+                           const std::vector<ExprPtr>& reads) {
     RuleContext ctx{&store_, {}, {}, false};
-    ExprPtr left, right;
-    TRIAL_ASSIGN_OR_RETURN(left, AtomExpr(*rels[0]));
-    ctx.BindAtom(rels[0]->atom, kLeftPos);
-    if (rels.size() == 2) {
-      TRIAL_ASSIGN_OR_RETURN(right, AtomExpr(*rels[1]));
-      ctx.BindAtom(rels[1]->atom, kRightPos);
+    ExprPtr in[2];
+    for (size_t i = 0; i < rels.size(); ++i) {
+      const Literal& l = *rels[i];
+      const bool vacuous = !l.positive && HasInactiveConstant(l.atom, store_);
+      in[i] = l.positive ? reads[i]
+                         : Expr::Complement(vacuous ? Expr::Empty() : reads[i]);
+      ctx.BindAtom(l.atom, i == 0 ? kLeftPos : kRightPos, !vacuous);
     }
     for (const Literal& l : rule.body) {
       if (l.kind == Literal::Kind::kAtom) continue;
       TRIAL_RETURN_IF_ERROR(ctx.AddConstraint(l));
     }
     if (ctx.unsatisfiable) return Expr::Empty();
-    TRIAL_ASSIGN_OR_RETURN(auto out, HeadSpec(rule, ctx));
+    const std::array<Pos, 3> out = HeadSpec(rule, ctx);
     if (rels.size() == 1) {
       // Single-atom rule: every position is the atom's, so the condition
       // is unary.  A head in the atom's column order is a selection;
       // any other head joins the atom with itself on the identity.
       if (out == std::array<Pos, 3>{Pos::P1, Pos::P2, Pos::P3}) {
-        return ctx.cond.empty() ? left : Expr::Select(left, ctx.cond);
+        return ctx.cond.empty() ? in[0] : Expr::Select(in[0], ctx.cond);
       }
-      right = left;
+      in[1] = in[0];
       for (int i = 0; i < 3; ++i) {
         ctx.cond.theta.push_back(Eq(kLeftPos[i], kRightPos[i]));
       }
@@ -183,7 +198,7 @@ class Translator {
     JoinSpec spec;
     spec.out = out;
     spec.cond = std::move(ctx.cond);
-    return Expr::Join(left, right, spec);
+    return Expr::Join(in[0], in[1], spec);
   }
 
   // Theorem 2 construction: the two reach rules become one Kleene star.
@@ -199,8 +214,7 @@ class Translator {
       }
       (has_self ? step : base) = &r;
     }
-    TRIAL_ASSIGN_OR_RETURN(ExprPtr base_expr,
-                           PredExpr(base->body[0].atom.pred));
+    ExprPtr base_expr = PredExpr(base->body[0].atom.pred);
 
     std::vector<const Literal*> rels = step->RelationalLiterals();
     bool self_first = rels[0]->atom.pred == pred;
@@ -222,7 +236,7 @@ class Translator {
       TRIAL_RETURN_IF_ERROR(ctx.AddConstraint(l));
     }
     if (ctx.unsatisfiable) return base_expr;  // the step never fires
-    TRIAL_ASSIGN_OR_RETURN(auto out, HeadSpec(*step, ctx));
+    const std::array<Pos, 3> out = HeadSpec(*step, ctx);
     JoinSpec spec;
     spec.out = out;
     spec.cond = std::move(ctx.cond);
@@ -230,18 +244,66 @@ class Translator {
                       : Expr::StarLeft(base_expr, spec);
   }
 
+  // A nonrecursive predicate is the union of its rules' joins; a
+  // general-recursive one a fixpoint (to_trial.h).
   Status BuildPred(const std::string& pred) {
-    if (info_.recursive_preds.count(pred) > 0) {
+    if (info_.recursive_preds.count(pred) > 0 &&
+        info_.general_preds.count(pred) == 0) {
       TRIAL_ASSIGN_OR_RETURN(ExprPtr e, ReachExpr(pred));
       built_.emplace(pred, std::move(e));
       return Status::OK();
     }
-    ExprPtr acc;
-    for (size_t i : info_.rules_of[pred]) {
-      TRIAL_ASSIGN_OR_RETURN(ExprPtr e, RuleExpr(program_.rules[i]));
-      acc = acc == nullptr ? e : Expr::Union(acc, e);
+    plan::FixpointDef def;
+    if (info_.general_preds.count(pred) > 0) {
+      def.self = Expr::Rel(pred);
+      def.acc = Expr::Rel(pred);
+      def.delta = Expr::Rel("delta:" + pred);
+      building_ = &def;
     }
-    built_.emplace(pred, std::move(acc));
+    auto add = [](ExprPtr* acc, ExprPtr e) {
+      *acc = *acc == nullptr ? std::move(e) : Expr::Union(*acc, std::move(e));
+    };
+    for (size_t i : info_.rules_of[pred]) {
+      const Rule& rule = program_.rules[i];
+      // A positive literal first: the side the executor iterates.
+      std::vector<const Literal*> rels = rule.RelationalLiterals();
+      if (rels.size() == 2 && !rels[0]->positive) std::swap(rels[0], rels[1]);
+      std::vector<ExprPtr> reads;
+      for (const Literal* l : rels) reads.push_back(PredExpr(l->atom.pred));
+      bool recursive = false;
+      for (size_t k = 0; k < rels.size(); ++k) {
+        if (!rels[k]->positive || rels[k]->atom.pred != pred) continue;
+        recursive = true;
+        std::vector<const Literal*> r = rels;
+        std::vector<ExprPtr> in = reads;
+        std::swap(r[0], r[k]);
+        std::swap(in[0], in[k]);
+        in[0] = def.delta;
+        TRIAL_ASSIGN_OR_RETURN(ExprPtr e, RuleExpr(rule, r, in));
+        add(&def.step, std::move(e));
+      }
+      for (size_t k = 0; recursive && k < rels.size(); ++k) {
+        const std::string& p = rels[k]->atom.pred;
+        if (p != pred && built_.count(p) > 0 &&
+            std::find(def.inputs.begin(), def.inputs.end(), reads[k]) ==
+                def.inputs.end()) {
+          def.inputs.push_back(reads[k]);
+        }
+      }
+      if (!recursive) {
+        TRIAL_ASSIGN_OR_RETURN(ExprPtr e, RuleExpr(rule, rels, reads));
+        add(&def.seed, std::move(e));
+      }
+    }
+    building_ = nullptr;
+    if (def.delta == nullptr) {
+      built_.emplace(pred, std::move(def.seed));
+      return Status::OK();
+    }
+    if (def.seed == nullptr) def.seed = Expr::Empty();
+    if (def.step == nullptr) def.step = Expr::Empty();
+    built_.emplace(pred, def.self);
+    fixpoints_.push_back(std::move(def));
     return Status::OK();
   }
 
@@ -249,6 +311,8 @@ class Translator {
   const TripleStore& store_;
   ProgramInfo info_;
   std::map<std::string, ExprPtr> built_;
+  std::vector<plan::FixpointDef> fixpoints_;
+  const plan::FixpointDef* building_ = nullptr;  ///< fixpoint being built
 };
 
 }  // namespace
@@ -256,8 +320,15 @@ class Translator {
 Result<ExprPtr> ProgramToTriAL(const Program& program,
                                const TripleStore& store,
                                const std::string& answer_pred) {
-  Translator t(program, store);
-  return t.Run(answer_pred);
+  TRIAL_ASSIGN_OR_RETURN(ProgramPlanInput in,
+                         Translator(program, store).Run(answer_pred, false));
+  return in.answer;
+}
+
+Result<ProgramPlanInput> ProgramToPlanInput(const Program& program,
+                                            const TripleStore& store,
+                                            const std::string& answer_pred) {
+  return Translator(program, store).Run(answer_pred, true);
 }
 
 }  // namespace datalog

@@ -8,6 +8,11 @@ namespace trial {
 TripleSet::TripleSet(std::vector<Triple> triples)
     : staged_(std::move(triples)), block_(std::make_shared<TripleBlock>()) {}
 
+std::vector<Triple> TripleSet::TakeRows() && {
+  if (block_ != nullptr && block_->size() == 0) return std::move(staged_);
+  return triples();
+}
+
 TripleSet TripleSet::FromSnapshot(
     std::shared_ptr<const TripleSegmentSource> source) {
   TripleSet r;

@@ -138,6 +138,10 @@ class TripleSet {
   /// concurrent reads after materialization are safe.
   void Materialize(IndexOrder order) const { (void)Scan(order); }
 
+  /// Consumes the set for its rows: as inserted, repeats included, for a
+  /// set built from rows nothing has read (no sort), else sorted.
+  std::vector<Triple> TakeRows() &&;
+
   /// True while inserts are staged: the next read sorts them in.
   bool HasStaged() const { return !staged_.empty(); }
 

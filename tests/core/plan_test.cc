@@ -621,40 +621,24 @@ TEST(ExplainRender, FixpointRoundsAreReported) {
 
 // ---- shared primitives -------------------------------------------------
 
-TEST(BoundProbeTest, MatchesAccessPathApi) {
-  TripleStore store = SkewedStore(1024);
-  const TripleSet& rel = *store.FindRelation("E");
-  ObjId s = rel.begin()->s, p = rel.begin()->p;
-
-  BoundProbe none;
-  EXPECT_EQ(none.Range(rel).size(), rel.size());
-
-  BoundProbe one;
-  one.Bind(1, p);
-  EXPECT_EQ(one.Path().order, IndexOrder::kPOS);
-  TripleRange r1 = one.Range(rel);
-  EXPECT_EQ(r1.size(), rel.Lookup(1, p).size());
-
-  BoundProbe two;
-  two.Bind(0, s);
-  two.Bind(1, p);
-  EXPECT_EQ(two.Path().order, IndexOrder::kSPO);
-  EXPECT_EQ(two.Path().prefix, 2);
-  EXPECT_EQ(two.Range(rel).size(), rel.LookupPair(0, s, 1, p).size());
-}
-
-TEST(EstimateBoundMatchesTest, ShrinksByDistinctCounts) {
-  TripleSetStats stats;
-  stats.num_triples = 1000;
-  stats.distinct[0] = 100;
-  stats.distinct[1] = 10;
-  stats.distinct[2] = 500;
-  bool none[3] = {false, false, false};
-  EXPECT_DOUBLE_EQ(EstimateBoundMatches(stats, none), 1000.0);
-  bool p_only[3] = {false, true, false};
-  EXPECT_DOUBLE_EQ(EstimateBoundMatches(stats, p_only), 100.0);
-  bool sp[3] = {true, true, false};
-  EXPECT_DOUBLE_EQ(EstimateBoundMatches(stats, sp), 1.0);
+TEST(MirrorSpecTest, SwapsTheJoinInputs) {
+  TripleStore store = SkewedStore(256);
+  const JoinSpec spec = Spec(Pos::P1, Pos::P3p, Pos::P2,
+                             {Eq(Pos::P3, Pos::P1p), Neq(Pos::P2, Pos::P2p),
+                              EqConst(Pos::P2p, 0)},
+                             {DataEq(Pos::P1, Pos::P3p)});
+  const JoinSpec m = MirrorSpec(spec);
+  EXPECT_EQ(MirrorSpec(m), spec);
+  const TripleSet& e = *store.FindRelation("E");
+  size_t held = 0;
+  for (const Triple& l : e) {
+    for (const Triple& r : e.Lookup(0, l.o)) {
+      ASSERT_EQ(spec.cond.Holds(l, r, store), m.cond.Holds(r, l, store));
+      held += spec.cond.Holds(l, r, store);
+      EXPECT_EQ(spec.Output(l, r), m.Output(r, l));
+    }
+  }
+  EXPECT_GT(held, 0u);
 }
 
 TEST(CostRule, PreferIndexProbeCrossover) {
@@ -993,18 +977,13 @@ TEST(PlanExecGuards, UniverseGuard) {
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
 }
 
-// Plans `e`, checks its root is `op`, and runs it twice: unguarded, then
-// with max_result_triples one below that result's size.  The root
-// operator emits at least as many rows as the result holds, so its own
-// guard must trip; no other operator in these plans checks the guard.
-// Returns the guarded run's root for the caller's strategy checks.
-PlanPtr ExpectRootGuardTrips(const TripleStore& store, const ExprPtr& e,
-                             PlanOp op) {
-  PlanPtr p = PlanExpr(e, store);
-  EXPECT_EQ(p->op, op) << Explain(*p);
+// Runs `p` twice: unguarded, then with max_result_triples one below
+// that result's size.  The root operator emits at least as many rows as
+// the result holds, so its own guard must trip.
+void ExpectGuardTrips(const TripleStore& store, PlanNode* p) {
   auto full = ExecutePlan(*p, store);
   EXPECT_TRUE(full.ok()) << full.status().ToString();
-  if (!full.ok()) return p;
+  if (!full.ok()) return;
   EXPECT_GT(full->size(), 1u) << Explain(*p);
   ExecLimits limits;
   limits.max_result_triples = full->size() - 1;
@@ -1013,6 +992,16 @@ PlanPtr ExpectRootGuardTrips(const TripleStore& store, const ExprPtr& e,
   if (!r.ok()) {
     EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
   }
+}
+
+// Plans `e`, checks its root is `op` and that its guard trips (no other
+// operator in these plans checks the guard).  Returns the guarded run's
+// root for the caller's strategy checks.
+PlanPtr ExpectRootGuardTrips(const TripleStore& store, const ExprPtr& e,
+                             PlanOp op) {
+  PlanPtr p = PlanExpr(e, store);
+  EXPECT_EQ(p->op, op) << Explain(*p);
+  ExpectGuardTrips(store, p.get());
   return p;
 }
 
@@ -1086,6 +1075,112 @@ TEST(PlanExecGuards, FixpointStarGuard) {
       Expr::StarRight(Expr::Rel("E"), Spec(Pos::P1, Pos::P2p, Pos::P3p,
                                            {Eq(Pos::P3, Pos::P1p)})),
       PlanOp::kFixpointStar);
+}
+
+// A general fixpoint, as Datalog's general recursion reaches the
+// planner: E's triples, extended along E's edges in both directions
+// (s(X, Y, W) :- s(X, Y, Z), E(Z, P, W) and :- s(X, Y, Z), E(W, P, Z)).
+struct BothWays {
+  std::vector<FixpointDef> defs;
+  ExprPtr self;
+
+  BothWays() {
+    FixpointDef d;
+    d.self = Expr::Rel("s");
+    d.acc = Expr::Rel("s");
+    d.delta = Expr::Rel("delta:s");
+    d.seed = Expr::Rel("E");
+    d.step = Expr::Union(
+        Expr::Join(d.delta, Expr::Rel("E"),
+                   Spec(Pos::P1, Pos::P2, Pos::P3p, {Eq(Pos::P3, Pos::P1p)})),
+        Expr::Join(d.delta, Expr::Rel("E"),
+                   Spec(Pos::P1, Pos::P2, Pos::P1p, {Eq(Pos::P3, Pos::P3p)})));
+    self = d.self;
+    defs.push_back(std::move(d));
+  }
+
+  PlanPtr Plan(const TripleStore& store) const {
+    PlanningHints hints;
+    hints.fixpoints = &defs;
+    return PlanExpr(self, store, hints);
+  }
+};
+
+TEST(PlanExecGuards, GeneralFixpointGuard) {
+  TripleStore store = SkewedStore(64);
+  PlanPtr p = BothWays().Plan(store);
+  ASSERT_EQ(p->op, PlanOp::kFixpointStar) << Explain(*p);
+  EXPECT_EQ(p->rel_name, "s");
+  ExpectGuardTrips(store, p.get());
+}
+
+TEST(PlanExecGuards, GeneralFixpointRoundLimit) {
+  TripleStore store = SkewedStore(64);
+  PlanPtr p = BothWays().Plan(store);
+  auto full = ExecutePlan(*p, store);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  const size_t rounds = p->runtime.rounds;
+  ASSERT_GE(rounds, 2u) << Explain(*p);
+  EXPECT_NE(Explain(*p).find("FixpointStar s"), std::string::npos)
+      << Explain(*p);
+  ExecLimits limits;
+  limits.max_rounds = rounds - 1;
+  auto r = ExecutePlan(*p, store, limits);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+  limits.max_rounds = rounds;
+  auto again = ExecutePlan(*p, store, limits);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(*again, *full);
+}
+
+// Joins with a complement input anti-probe on either side and keep to
+// U: a constant that occurs in no triple pins no candidate.
+TEST(ComplementJoin, MatchesNaive) {
+  TripleStore store = SkewedStore(48);
+  const ObjId lonely = store.InternObject("lonely");
+  ExprPtr u_minus_e = Expr::Complement(Expr::Rel("E"));
+  const ExprPtr cases[] = {
+      Expr::Join(Expr::Rel("E"), u_minus_e,
+                 Spec(Pos::P1, Pos::P2, Pos::P3p,
+                      {Eq(Pos::P3, Pos::P1p), Eq(Pos::P2, Pos::P2p)})),
+      Expr::Join(u_minus_e, Expr::Rel("E"),
+                 Spec(Pos::P1, Pos::P2p, Pos::P3p,
+                      {Eq(Pos::P3, Pos::P1p), Eq(Pos::P1, Pos::P2p)})),
+      Expr::Join(Expr::Rel("E"), u_minus_e,
+                 Spec(Pos::P1, Pos::P2, Pos::P3p,
+                      {Eq(Pos::P3, Pos::P1p), EqConst(Pos::P2p, lonely)})),
+      Expr::Join(Expr::Rel("E"), u_minus_e,
+                 Spec(Pos::P1, Pos::P2p, Pos::P3p,
+                      {Eq(Pos::P3, Pos::P1p), Eq(Pos::P1p, Pos::P3p),
+                       Neq(Pos::P2, Pos::P2p)})),
+  };
+  for (const ExprPtr& e : cases) {
+    auto want = MakeNaiveEvaluator()->Eval(e, store);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    PlanPtr p = PlanExpr(e, store);
+    auto got = ExecutePlan(*p, store);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, *want) << e->ToString() << "\n" << Explain(*p);
+    EXPECT_STREQ(p->runtime.strategy, "anti-probe") << Explain(*p);
+  }
+}
+
+// E ⋈ (U − E): the complement is anti-probed, never materialized.
+TEST(PlanExecGuards, ComplementJoinGuard) {
+  TripleStore store = SkewedStore(64);
+  ExprPtr e = Expr::Join(
+      Expr::Rel("E"), Expr::Complement(Expr::Rel("E")),
+      Spec(Pos::P1, Pos::P2, Pos::P3p, {Eq(Pos::P3, Pos::P1p),
+                                        Eq(Pos::P2, Pos::P2p)}));
+  auto want = MakeNaiveEvaluator()->Eval(e, store);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  PlanPtr p = PlanExpr(e, store);
+  auto got = ExecutePlan(*p, store);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, *want) << Explain(*p);
+  ASSERT_STREQ(p->runtime.strategy, "anti-probe") << Explain(*p);
+  ExpectGuardTrips(store, p.get());
 }
 
 }  // namespace

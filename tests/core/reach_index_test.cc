@@ -34,9 +34,11 @@ namespace trial {
 namespace {
 
 using plan::ExecutePlan;
+using plan::FixpointDef;
 using plan::Explain;
 using plan::PlanExpr;
 using plan::PlanOp;
+using plan::PlanningHints;
 using plan::PlanPtr;
 using plan::PlanShortestPath;
 using reach::DijkstraShortestPath;
@@ -338,13 +340,21 @@ TEST(ReachIndexPlan, ExecutionWarmsTheStoreRelation) {
 
 TEST(ReachIndexPlan, FixpointStarOnReachSpecMatchesAnyPathKernel) {
   // The generic semi-naive fixpoint over a reach-A spec is
-  // byte-identical to Procedure 3.  With the index warm the planner
-  // routes such a star to ReachIndexScan, so force the fixpoint.
+  // byte-identical to Procedure 3.  The planner routes such a star to
+  // ReachIndexScan, so the fixpoint is defined by hand.
   TripleStore store = CyclicStore(17);
   auto idx = ReachIndex::GetOrBuild(*store.FindRelation("E"));
   ASSERT_NE(idx, nullptr);
-  PlanPtr p = PlanExpr(ReachAnyPath(Expr::Rel("E")), store);
-  p->op = PlanOp::kFixpointStar;  // bypass the routing, keep spec + child
+  ExprPtr walk = ReachAnyPath(Expr::Rel("E"));
+  std::vector<FixpointDef> defs(1);
+  defs[0].self = Expr::Rel("closure");
+  defs[0].delta = Expr::Rel("delta");
+  defs[0].seed = Expr::Rel("E");
+  defs[0].step = Expr::Join(defs[0].delta, defs[0].seed, walk->join_spec());
+  PlanningHints hints;
+  hints.fixpoints = &defs;
+  PlanPtr p = PlanExpr(defs[0].self, store, hints);
+  ASSERT_EQ(p->op, PlanOp::kFixpointStar) << Explain(*p);
   auto r = ExecutePlan(*p, store);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(*r, StarReachAnyPath(*store.FindRelation("E")));
