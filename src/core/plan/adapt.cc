@@ -35,7 +35,7 @@ void RecordRegion(const PlanNode& n, const std::string& region_sig,
   if (n.region_mask == 0) return;
   if (n.runtime.executed && n.runtime.rows_known) {
     fb.Record(store, RegionSubsetKey(region_sig, n.region_mask),
-              static_cast<double>(n.runtime.actual_rows));
+              RowsPerLoop(n.runtime));
   }
   if ((n.region_mask & (n.region_mask - 1)) == 0) return;
   for (const PlanPtr& c : n.children) RecordRegion(*c, region_sig, store, fb);

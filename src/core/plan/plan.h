@@ -281,14 +281,29 @@ struct PlanRuntime {
   // was about to do anyway).  The unprofiled path never reads the
   // clock — see the executor's fast path — so the committed bench
   // baselines measure the same code the pre-profiling engine ran.
+  //
+  // A fixpoint's step subtree runs once per round.  Its nodes sum over
+  // those executions (`loops`): actual_rows, cum_ns and self_ns are
+  // totals, and [start_ns, end_ns] runs from the first execution's
+  // start to the last one's end, so a looped node's spans interleave
+  // with its siblings'.
   bool profiled = false;
-  uint64_t start_ns = 0;  ///< operator start, relative to query start
-  uint64_t end_ns = 0;    ///< operator end; cumulative = end - start
-  uint64_t self_ns = 0;   ///< cumulative minus the children's spans
+  size_t loops = 0;       ///< executions in this query (profiled only)
+  uint64_t start_ns = 0;  ///< first start, relative to query start
+  uint64_t end_ns = 0;    ///< last end
+  uint64_t cum_ns = 0;    ///< time inside the operator, summed over loops
+  uint64_t self_ns = 0;   ///< cum_ns minus the children's cum_ns
   /// Largest intermediate this operator held: inputs and output for
   /// joins/set ops, the peak accumulator for fixpoints.
   size_t peak_rows = 0;
 };
+
+/// Actual rows of one execution: the mean over loops for a looped
+/// (profiled fixpoint-step) node, so it compares with est_rows.
+inline double RowsPerLoop(const PlanRuntime& r) {
+  const double rows = static_cast<double>(r.actual_rows);
+  return r.loops > 1 ? rows / static_cast<double>(r.loops) : rows;
+}
 
 struct PlanNode;
 using PlanPtr = std::unique_ptr<PlanNode>;

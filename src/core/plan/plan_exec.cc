@@ -118,8 +118,8 @@ class Executor {
         origin_ns_(profile ? MonotonicNanos() : 0) {}
 
   Result<TripleSet> Exec(PlanNode& n) {
-    n.runtime = PlanRuntime{};
     if (profile_) return ExecProfiled(n);
+    n.runtime = PlanRuntime{};
     // The unprofiled fast path: no clock reads, no size forcing — the
     // exact pre-profiling executor.  Zero-cost-when-off hinges on this
     // branch staying clock-free AND on the profiled path living in its
@@ -134,8 +134,19 @@ class Executor {
     return result;
   }
 
+  // Forgets an earlier execution's runtime on a subtree this execution
+  // skips, so a re-executed tree never reports stale rows or spans.
+  static void ClearRuntime(PlanNode& n) {
+    n.runtime = PlanRuntime{};
+    for (PlanPtr& c : n.children) ClearRuntime(*c);
+  }
+
  private:
   __attribute__((noinline)) Result<TripleSet> ExecProfiled(PlanNode& n) {
+    // Earlier rounds of this query, when n is in a fixpoint's step
+    // (the profiled entry clears the tree, so loops starts at 0).
+    const PlanRuntime earlier = n.runtime;
+    n.runtime = PlanRuntime{};
     n.runtime.profiled = true;
     n.runtime.start_ns = MonotonicNanos() - origin_ns_;
     Result<TripleSet> result = ExecNode(n);
@@ -144,26 +155,30 @@ class Executor {
     // made the rows, not to its parent (or, at the root, to no span).
     if (result.ok()) (void)result->size();
     n.runtime.end_ns = MonotonicNanos() - origin_ns_;
-    // Children execute strictly inside this node's span (operators run
-    // their children sequentially), so self time is the cumulative span
-    // minus the children's spans.
+    n.runtime.cum_ns = earlier.cum_ns + (n.runtime.end_ns - n.runtime.start_ns);
+    n.runtime.loops = earlier.loops + 1;
+    if (earlier.loops > 0) n.runtime.start_ns = earlier.start_ns;
+    // Children execute only inside this node's executions (operators
+    // run their children sequentially), so self time is the summed
+    // time minus the children's summed time.
     uint64_t child_ns = 0;
     for (const PlanPtr& c : n.children) {
-      if (c->runtime.profiled) {
-        child_ns += c->runtime.end_ns - c->runtime.start_ns;
-      }
+      if (c->runtime.profiled) child_ns += c->runtime.cum_ns;
     }
-    uint64_t cum = n.runtime.end_ns - n.runtime.start_ns;
+    const uint64_t cum = n.runtime.cum_ns;
     n.runtime.self_ns = cum > child_ns ? cum - child_ns : 0;
+    n.runtime.peak_rows = std::max(n.runtime.peak_rows, earlier.peak_rows);
     if (result.ok()) {
       n.runtime.executed = true;
       // ANALYZE counts every node, including the root: the caller asked
       // for the rows, so the normalize above is work the read was about
       // to pay anyway.
-      NoteRows(n, *result);
+      n.runtime.rows_known = true;
+      n.runtime.actual_rows = result->size();
       if (n.runtime.peak_rows < n.runtime.actual_rows) {
         n.runtime.peak_rows = n.runtime.actual_rows;
       }
+      n.runtime.actual_rows += earlier.actual_rows;
       if (n.share_id >= 0) KeepShared(n, *result);
     }
     return result;
@@ -181,8 +196,10 @@ class Executor {
   // the set.  size() normalizes, but the parent was about to do exactly
   // that (probe loops, hash builds and set operations all read the
   // sorted view), so no work is added that the pre-plan engine didn't
-  // pay at the same point.
-  static void NoteRows(PlanNode& n, const TripleSet& s) {
+  // pay at the same point.  The profiled path noted the rows (summed
+  // over loops) when the child ran.
+  void NoteRows(PlanNode& n, const TripleSet& s) {
+    if (profile_) return;
     n.runtime.rows_known = true;
     n.runtime.actual_rows = s.size();
   }
@@ -365,13 +382,6 @@ class Executor {
     }
     if (profile_) n.runtime.peak_rows = l.size();
     return TripleSet::FromSortedUnique(std::move(out));
-  }
-
-  // Forgets an earlier execution's runtime on a subtree this execution
-  // skips, so a re-executed tree never reports stale rows or spans.
-  static void ClearRuntime(PlanNode& n) {
-    n.runtime = PlanRuntime{};
-    for (PlanPtr& c : n.children) ClearRuntime(*c);
   }
 
   // Join: filter both sides by their one-sided atoms, locate candidate
@@ -696,7 +706,9 @@ void CountStrategies(const PlanNode& n, MetricsRegistry& reg) {
 // index scan), so force it too.
 Result<TripleSet> ExecVerified(PlanNode& root, const TripleStore& store,
                                const ExecLimits& limits, bool profile) {
-  Result<TripleSet> result = Executor(store, limits, profile).Exec(root);
+  Executor exec(store, limits, profile);
+  if (profile) exec.ClearRuntime(root);  // loops count this query only
+  Result<TripleSet> result = exec.Exec(root);
   if (result.ok()) TRIAL_RETURN_IF_ERROR(result->VerifyMaterialized());
   TRIAL_RETURN_IF_ERROR(store.SnapshotStatus());
   return result;

@@ -47,13 +47,14 @@ void Flatten(const PlanNode& n, int parent, int depth, QueryTrace* out) {
   AppendNodeSummary(n, &span.detail);
   span.start_ns = n.runtime.start_ns;
   span.end_ns = n.runtime.end_ns;
+  span.cum_ns = n.runtime.cum_ns;
   span.self_ns = n.runtime.self_ns;
+  span.loops = n.runtime.loops;
   span.rows_known = n.runtime.rows_known;
   span.rows = n.runtime.actual_rows;
   span.est_rows = n.est_rows;
   if (n.runtime.rows_known) {
-    span.q_error = QError(n.est_rows,
-                          static_cast<double>(n.runtime.actual_rows));
+    span.q_error = QError(n.est_rows, RowsPerLoop(n.runtime));
   }
   if (n.runtime.strategy != nullptr) span.strategy = n.runtime.strategy;
   span.rounds = n.runtime.rounds;
@@ -81,17 +82,20 @@ void JsonEscape(const std::string& s, std::string* out) {
 void RenderSpan(const QueryTrace& t, size_t i, int indent, std::string* out) {
   const TraceSpan& s = t.spans[i];
   std::string pad(static_cast<size_t>(indent) * 2, ' ');
-  char buf[160];
+  char buf[256];
   out->append(pad).append("{\n");
   out->append(pad).append("  \"op\": \"").append(s.op).append("\",\n");
   out->append(pad).append("  \"detail\": \"");
   JsonEscape(s.detail, out);
   out->append("\",\n");
   std::snprintf(buf, sizeof buf,
-                "  \"start_ns\": %llu, \"end_ns\": %llu, \"self_ns\": %llu,\n",
+                "  \"start_ns\": %llu, \"end_ns\": %llu, \"cum_ns\": %llu, "
+                "\"self_ns\": %llu, \"loops\": %llu,\n",
                 static_cast<unsigned long long>(s.start_ns),
                 static_cast<unsigned long long>(s.end_ns),
-                static_cast<unsigned long long>(s.self_ns));
+                static_cast<unsigned long long>(s.cum_ns),
+                static_cast<unsigned long long>(s.self_ns),
+                static_cast<unsigned long long>(s.loops));
   out->append(pad).append(buf);
   if (s.rows_known) {
     std::snprintf(buf, sizeof buf,
@@ -184,8 +188,7 @@ std::string ExplainAnalyze(const PlanNode& root) {
       if (n.runtime.executed && n.runtime.rows_known) {
         std::snprintf(buf, sizeof buf, " actual=%zu q=%.2f",
                       n.runtime.actual_rows,
-                      QError(n.est_rows,
-                             static_cast<double>(n.runtime.actual_rows)));
+                      QError(n.est_rows, RowsPerLoop(n.runtime)));
         out->append(buf);
       } else {
         out->append(n.runtime.executed ? " actual=?" : " actual=-");
@@ -195,10 +198,13 @@ std::string ExplainAnalyze(const PlanNode& root) {
       }
       if (n.runtime.profiled) {
         out->append(" self=").append(FmtNs(n.runtime.self_ns));
-        out->append(" cum=").append(
-            FmtNs(n.runtime.end_ns - n.runtime.start_ns));
+        out->append(" cum=").append(FmtNs(n.runtime.cum_ns));
         std::snprintf(buf, sizeof buf, " peak=%zu", n.runtime.peak_rows);
         out->append(buf);
+        if (n.runtime.loops > 1) {
+          std::snprintf(buf, sizeof buf, " loops=%zu", n.runtime.loops);
+          out->append(buf);
+        }
       }
       if (n.op == PlanOp::kFixpointStar && n.runtime.executed) {
         std::snprintf(buf, sizeof buf, " rounds=%zu (probe=%zu, hash=%zu)",

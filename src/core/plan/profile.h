@@ -20,9 +20,15 @@
 //                          overlap (operators execute their children
 //                          in order), so start/end pairs are monotone
 //                          along any root-to-leaf path and across
-//                          sibling order.  TraceToJson renders the
-//                          nested JSON exported by `trial_store
-//                          --analyze --trace=PATH`.
+//                          sibling order.  The exception is a
+//                          fixpoint's step subtree, which runs once
+//                          per round: its spans sum the rounds (rows,
+//                          cum_ns, self_ns; `loops` counts them) and
+//                          reach from the first round's start to the
+//                          last one's end, so siblings inside it
+//                          interleave.  TraceToJson renders the nested
+//                          JSON exported by `trial_store --analyze
+//                          --trace=PATH`.
 //
 //   TraceSink              the per-query consumption API: the future
 //                          trial_serve stats endpoint subscribes here —
@@ -68,13 +74,15 @@ struct TraceSpan {
   int depth = 0;
   std::string op;       ///< PlanOpName
   std::string detail;   ///< the Explain operator summary (spec, via=)
-  uint64_t start_ns = 0;  ///< relative to query start
-  uint64_t end_ns = 0;
-  uint64_t self_ns = 0;
+  uint64_t start_ns = 0;  ///< relative to query start; the first loop's
+  uint64_t end_ns = 0;    ///< the last loop's end
+  uint64_t cum_ns = 0;    ///< time inside the operator, summed over loops
+  uint64_t self_ns = 0;   ///< cum_ns minus the children's cum_ns
+  uint64_t loops = 0;     ///< executions (a fixpoint step: one per round)
   bool rows_known = false;
-  uint64_t rows = 0;
+  uint64_t rows = 0;      ///< summed over loops
   double est_rows = 0;
-  double q_error = 0;   ///< QError(est, rows); 0 when rows unknown
+  double q_error = 0;   ///< QError(est, rows per loop); 0 when unknown
   std::string strategy;  ///< empty when the operator has no choice
   uint64_t rounds = 0;
   uint64_t probe_rounds = 0;
@@ -96,17 +104,19 @@ QueryTrace CollectTrace(const PlanNode& root, std::string query = "");
 /// The nested-span JSON export:
 ///   {"query": "...", "wall_ns": 123456,
 ///    "root": {"op": "MergeJoin", "detail": "...", "start_ns": 0,
-///             "end_ns": ..., "self_ns": ..., "rows": ...,
+///             "end_ns": ..., "cum_ns": ..., "self_ns": ...,
+///             "loops": 1, "rows": ...,
 ///             "est_rows": ..., "q_error": ..., "strategy": "merge",
 ///             "children": [{...}, ...]}}
 /// Span nesting mirrors the operator tree; timestamps are nanoseconds
 /// from query start and each child's [start, end] lies inside its
-/// parent's, siblings in order without overlap.
+/// parent's, siblings in order without overlap unless they loop.
 std::string TraceToJson(const QueryTrace& trace);
 
 /// The EXPLAIN ANALYZE renderer: the stable Explain() tree, each line
 /// annotated with actual rows, q-error, strategy, self and cumulative
-/// wall time, and the operator's peak intermediate size:
+/// wall time, and the operator's peak intermediate size (plus loops=N
+/// on a fixpoint step's nodes, whose figures sum the N rounds):
 ///
 ///   MergeJoin [1,2,3'; 3=1'] via=OSP/SPO est=1200 actual=11873 q=9.89
 ///       (merge) self=1.23ms cum=4.56ms peak=11873

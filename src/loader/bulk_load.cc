@@ -1,6 +1,7 @@
 #include "loader/bulk_load.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -80,30 +81,80 @@ void RunOnWorkers(size_t workers, const Fn& fn) {
   for (std::thread& t : pool) t.join();
 }
 
+// Triples a worker collects before interning their terms as one
+// prefetched InternBatch.
+constexpr size_t kBatchTriples = 64;
+
+// Collects parsed triples whose terms are views into the document and
+// interns them a batch at a time.  A term the parser unescaped lives in
+// scratch storage valid for one callback only, so such a triple first
+// flushes the pending batch and is then interned on its own; either
+// way the ids are exactly those of per-triple interning.
+class ShardEncoder {
+ public:
+  ShardEncoder(std::string_view text, bool by_pred, Shard* shard)
+      : text_(text), by_pred_(by_pred), shard_(shard) {
+    if (!by_pred) shard->runs.emplace_back();
+  }
+
+  void Add(std::string_view s, std::string_view p, std::string_view o) {
+    if (InText(s) && InText(p) && InText(o)) {
+      terms_[n_++] = s;
+      terms_[n_++] = p;
+      terms_[n_++] = o;
+      if (n_ == kBatchTriples * 3) Flush();
+      return;
+    }
+    Flush();
+    StringInterner& dict = shard_->dict;
+    Route(Triple{dict.Intern(s), dict.Intern(p), dict.Intern(o)});
+  }
+
+  void Flush() {
+    shard_->dict.InternBatch(terms_, n_, ids_);
+    for (size_t k = 0; k < n_; k += 3) {
+      Route(Triple{ids_[k], ids_[k + 1], ids_[k + 2]});
+    }
+    n_ = 0;
+  }
+
+ private:
+  bool InText(std::string_view term) const {
+    auto at = reinterpret_cast<uintptr_t>(term.data());
+    auto begin = reinterpret_cast<uintptr_t>(text_.data());
+    return at >= begin && at + term.size() <= begin + text_.size();
+  }
+
+  void Route(const Triple& t) {
+    size_t rel = 0;
+    if (by_pred_) {
+      std::vector<uint32_t>& rel_of_pred = shard_->rel_of_pred;
+      if (t.p >= rel_of_pred.size()) rel_of_pred.resize(t.p + 1, kNoRel);
+      if (rel_of_pred[t.p] == kNoRel) {
+        rel_of_pred[t.p] = static_cast<uint32_t>(shard_->runs.size());
+        shard_->pred_of_rel.push_back(t.p);
+        shard_->runs.emplace_back();
+      }
+      rel = rel_of_pred[t.p];
+    }
+    shard_->runs[rel].push_back(t);
+  }
+
+  std::string_view text_;
+  bool by_pred_;
+  Shard* shard_;
+  std::string_view terms_[kBatchTriples * 3];
+  InternId ids_[kBatchTriples * 3];
+  size_t n_ = 0;
+};
+
 void ParseChunksIntoShard(std::string_view text,
                           const std::vector<Chunk>& chunks, size_t worker,
                           size_t stride, const BulkLoadOptions& opts,
                           Shard* shard) {
-  const bool by_pred = opts.relation_per_predicate;
-  if (!by_pred) shard->runs.emplace_back();
-  auto sink = [shard, by_pred](std::string_view s, std::string_view p,
-                               std::string_view o) {
-    Triple t{shard->dict.Intern(s), shard->dict.Intern(p),
-             shard->dict.Intern(o)};
-    size_t rel = 0;
-    if (by_pred) {
-      if (t.p >= shard->rel_of_pred.size()) {
-        shard->rel_of_pred.resize(t.p + 1, kNoRel);
-      }
-      if (shard->rel_of_pred[t.p] == kNoRel) {
-        shard->rel_of_pred[t.p] = static_cast<uint32_t>(shard->runs.size());
-        shard->pred_of_rel.push_back(t.p);
-        shard->runs.emplace_back();
-      }
-      rel = shard->rel_of_pred[t.p];
-    }
-    shard->runs[rel].push_back(t);
-  };
+  ShardEncoder encoder(text, opts.relation_per_predicate, shard);
+  auto sink = [&encoder](std::string_view s, std::string_view p,
+                         std::string_view o) { encoder.Add(s, p, o); };
   for (size_t c = worker; c < chunks.size(); c += stride) {
     const Chunk& chunk = chunks[c];
     Status st = ParseNTriplesChunk(text.substr(chunk.offset, chunk.length),
@@ -115,6 +166,7 @@ void ParseChunksIntoShard(std::string_view text,
       return;
     }
   }
+  encoder.Flush();
 }
 
 }  // namespace
@@ -151,12 +203,16 @@ Result<TripleStore> BulkLoadNTriples(std::string_view text,
   if (failed != nullptr) return failed->status;
 
   // ---- global dictionary remap ---------------------------------------
+  // Worker 0's dictionary becomes the store's (its local ids are the
+  // global ids); the other workers' dictionaries merge into it.
   Timer merge_timer;
   TripleStore store;
   size_t distinct_upper = 0;
   for (const Shard& s : shards) distinct_upper += s.dict.size();
+  store.AdoptDictionary(std::move(shards[0].dict));
   store.ReserveObjects(distinct_upper);
 
+  // remaps[0] stays empty: worker 0's ids need no rewrite.
   std::vector<std::vector<ObjId>> remaps(threads);
   // global_rel[w][local_rel] = RelId in the store.
   std::vector<std::vector<RelId>> global_rel(threads);
@@ -165,11 +221,12 @@ Result<TripleStore> BulkLoadNTriples(std::string_view text,
     for (size_t w = 0; w < threads; ++w) global_rel[w].assign(1, target);
   }
   for (size_t w = 0; w < threads; ++w) {
-    remaps[w] = store.MergeDictionary(shards[w].dict);
+    if (w > 0) remaps[w] = store.MergeDictionary(shards[w].dict);
     if (opts.relation_per_predicate) {
       global_rel[w].reserve(shards[w].pred_of_rel.size());
       for (InternId pred : shards[w].pred_of_rel) {
-        global_rel[w].push_back(store.AddRelation(shards[w].dict.Get(pred)));
+        ObjId global = w == 0 ? pred : remaps[w][pred];
+        global_rel[w].push_back(store.AddRelation(store.ObjectName(global)));
       }
     }
   }
@@ -180,8 +237,10 @@ Result<TripleStore> BulkLoadNTriples(std::string_view text,
   RunOnWorkers(threads, [&](size_t w) {
     const std::vector<ObjId>& remap = remaps[w];
     for (std::vector<Triple>& run : shards[w].runs) {
-      for (Triple& t : run) {
-        t = Triple{remap[t.s], remap[t.p], remap[t.o]};
+      if (w > 0) {
+        for (Triple& t : run) {
+          t = Triple{remap[t.s], remap[t.p], remap[t.o]};
+        }
       }
       SortTriples(&run, IndexOrder::kSPO);
       run.erase(std::unique(run.begin(), run.end()), run.end());

@@ -10,15 +10,20 @@
 //                                       deterministic in the thread count
 //        --> parse + shard encoding     each worker runs the zero-copy
 //                                       N-Triples core and interns terms
-//                                       into a private shard dictionary,
-//                                       emitting local-id triples into
-//                                       per-relation runs
-//        --> global dictionary remap    shard dictionaries are merged
-//                                       sequentially into the store's
-//                                       interner (StringInterner::
-//                                       MergeFrom); workers then rewrite
-//                                       their runs through the remap and
-//                                       sort them in parallel
+//                                       into a private shard dictionary
+//                                       ~64 triples at a time (one
+//                                       prefetched StringInterner::
+//                                       InternBatch), emitting local-id
+//                                       triples into per-relation runs
+//        --> global dictionary remap    worker 0's dictionary becomes
+//                                       the store's (TripleStore::
+//                                       AdoptDictionary; its runs keep
+//                                       their ids); the other shards
+//                                       merge into it sequentially
+//                                       (StringInterner::MergeFrom);
+//                                       workers then rewrite their runs
+//                                       through the remap and sort them
+//                                       in parallel
 //        --> staged run merge           sorted runs are appended with
 //                                       TripleStore::BulkAppend and
 //                                       folded in through TripleSet's

@@ -9,6 +9,7 @@
 #include "storage/segment/segment_format.h"
 #include "storage/segment/segment_io.h"
 #include "storage/segment/segment_source.h"
+#include "util/interner.h"
 #include "util/metrics.h"
 
 namespace trial {
@@ -296,7 +297,9 @@ Result<TripleStore> OpenStoreSnapshot(const std::string& path,
   frozen.bytes = reinterpret_cast<const char*>(reader.SectionData(db));
   frozen.offsets = offsets;
   frozen.count = num_objects;
-  store.AdoptFrozenDictionary(std::move(frozen));
+  StringInterner dict;
+  dict.AdoptFrozen(std::move(frozen));
+  store.AdoptDictionary(std::move(dict));
 
   // Relation directory -> one lazily-decoded source per relation.
   const uint8_t* p = reader.SectionData(dr);

@@ -481,25 +481,67 @@ double EstimateEquiJoinRows(const TripleSetStats& l, int lcol,
   const double avg_tl = tdl > 0 ? tail_l / tdl : 0.0;
   const double avg_tr = tdr > 0 ? tail_r / tdr : 0.0;
 
+  // Match the two heads by value: sort (value, position) keys of each
+  // and walk them together.  match[i] is the first position in hr with
+  // hl[i]'s value (or kNone); shared[j] says hr[j]'s value is in hl.
+  constexpr uint32_t kNone = UINT32_MAX;
+  const size_t nhl = hl.size(), nhr = hr.size();
+  // Stack buffers for the usual kAggTopK-capped lists; heap otherwise.
+  uint64_t small_keys[2 * TripleSetStats::kAggTopK];
+  uint32_t small_marks[2 * TripleSetStats::kAggTopK];
+  std::vector<uint64_t> large_keys;
+  std::vector<uint32_t> large_marks;
+  uint64_t* kl = small_keys;
+  uint32_t* match = small_marks;
+  if (nhl + nhr > 2 * TripleSetStats::kAggTopK) {
+    large_keys.resize(nhl + nhr);
+    large_marks.resize(nhl + nhr);
+    kl = large_keys.data();
+    match = large_marks.data();
+  }
+  uint64_t* kr = kl + nhl;
+  uint32_t* shared = match + nhl;
+  for (size_t i = 0; i < nhl; ++i) {
+    kl[i] = static_cast<uint64_t>(hl[i].value) << 32 | i;
+  }
+  for (size_t j = 0; j < nhr; ++j) {
+    kr[j] = static_cast<uint64_t>(hr[j].value) << 32 | j;
+  }
+  std::sort(kl, kl + nhl);
+  std::sort(kr, kr + nhr);
+  std::fill(match, match + nhl, kNone);
+  std::fill(shared, shared + nhr, 0);
+  for (size_t i = 0, j = 0; i < nhl && j < nhr;) {
+    const uint64_t vl = kl[i] >> 32, vr = kr[j] >> 32;
+    if (vl < vr) {
+      ++i;
+    } else if (vr < vl) {
+      ++j;
+    } else {
+      // kr[j] is the value's first position in hr.
+      const auto first = static_cast<uint32_t>(kr[j]);
+      for (; i < nhl && kl[i] >> 32 == vl; ++i) {
+        match[static_cast<uint32_t>(kl[i])] = first;
+      }
+      for (; j < nhr && kr[j] >> 32 == vr; ++j) {
+        shared[static_cast<uint32_t>(kr[j])] = 1;
+      }
+    }
+  }
+
   double rows = 0;
   // Head x head: exact frequency products over the shared values.
   // Head-only values (present in one head, absent from the other's) are
   // matched against the other side's tail average — the other side
-  // either lacks the value or carries it at tail frequency.
-  for (const ValueFreq& a : hl) {
-    const ValueFreq* b = nullptr;
-    for (const ValueFreq& c : hr) {
-      if (c.value == a.value) { b = &c; break; }
-    }
-    rows += static_cast<double>(a.count) *
-            (b != nullptr ? static_cast<double>(b->count) : avg_tr);
+  // either lacks the value or carries it at tail frequency.  Summed in
+  // list order, so the estimate does not depend on the matching method.
+  for (size_t i = 0; i < nhl; ++i) {
+    rows += static_cast<double>(hl[i].count) *
+            (match[i] != kNone ? static_cast<double>(hr[match[i]].count)
+                               : avg_tr);
   }
-  for (const ValueFreq& b : hr) {
-    bool shared = false;
-    for (const ValueFreq& a : hl) {
-      if (a.value == b.value) { shared = true; break; }
-    }
-    if (!shared) rows += static_cast<double>(b.count) * avg_tl;
+  for (size_t j = 0; j < nhr; ++j) {
+    if (!shared[j]) rows += static_cast<double>(hr[j].count) * avg_tl;
   }
   // Tail x tail under the containment assumption: the smaller tail
   // domain is contained in the larger, so each of its values matches.

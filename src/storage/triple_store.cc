@@ -1,5 +1,7 @@
 #include "storage/triple_store.h"
 
+#include <cassert>
+
 namespace trial {
 namespace {
 
@@ -19,6 +21,13 @@ std::vector<ObjId> TripleStore::MergeDictionary(const StringInterner& shard) {
   std::vector<ObjId> remap = objects_.MergeFrom(shard);
   if (objects_.size() > rho_.size()) rho_.resize(objects_.size());
   return remap;
+}
+
+void TripleStore::AdoptDictionary(StringInterner dict) {
+  assert(objects_.empty() && "AdoptDictionary requires a store without objects");
+  ++epoch_;
+  objects_ = std::move(dict);
+  if (objects_.size() > rho_.size()) rho_.resize(objects_.size());
 }
 
 void TripleStore::SetValue(ObjId id, DataValue v) {
@@ -43,13 +52,6 @@ RelId TripleStore::AddRelation(std::string_view name) {
   rel_index_.emplace(rel_names_.back(), id);
   relations_.emplace_back();
   return id;
-}
-
-void TripleStore::AdoptFrozenDictionary(FrozenStrings frozen) {
-  ++epoch_;
-  size_t count = frozen.count;
-  objects_.AdoptFrozen(std::move(frozen));
-  if (count > rho_.size()) rho_.resize(count);
 }
 
 RelId TripleStore::AddSnapshotRelation(

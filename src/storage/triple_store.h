@@ -40,6 +40,12 @@ class TripleStore {
   /// remap[shard_id] = global ObjId.  rho for new objects is null.
   std::vector<ObjId> MergeDictionary(const StringInterner& shard);
 
+  /// Adopts a whole dictionary as the store's objects, ids unchanged,
+  /// with null rho for each: the bulk loader's first shard (its triples
+  /// need no remap) or a snapshot's frozen block.  Pre: the store is
+  /// empty of objects.
+  void AdoptDictionary(StringInterner dict);
+
   /// Id of an existing object or kInvalidIntern.
   ObjId FindObject(std::string_view name) const {
     return objects_.TryGet(name);
@@ -73,11 +79,6 @@ class TripleStore {
   RelId AddRelation(std::string_view name);
 
   // ---- snapshot open hooks (see storage/segment/store_snapshot.h) ----
-
-  /// Adopts a frozen (mmap-backed) dictionary block as object ids
-  /// [0, frozen.count), with null rho for each.  Pre: the store is
-  /// empty of objects.
-  void AdoptFrozenDictionary(FrozenStrings frozen);
 
   /// Creates relation `name` backed by a snapshot segment source (no
   /// triple data decoded).  Pre: the relation does not exist yet.

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
@@ -16,7 +17,10 @@
 #include "core/plan/adapt.h"
 #include "core/plan/plan.h"
 #include "core/plan/profile.h"
+#include "datalog/eval.h"
+#include "datalog/parser.h"
 #include "graph/generators.h"
+#include "rdf/ntriples.h"
 #include "util/metrics.h"
 #include "util/rng.h"
 
@@ -67,8 +71,9 @@ ExprPtr CompositionJoin(ExprPtr l, ExprPtr r) {
 
 // Checks every span-tree invariant the exporter documents: child
 // intervals nest inside the parent's, siblings are ordered and
-// non-overlapping (children execute sequentially), and self time is
-// cumulative minus the children's spans.
+// non-overlapping (children execute sequentially) unless they loop
+// (a fixpoint step runs once per round), a single execution's time is
+// its span, and self time is the summed time minus the children's.
 void CheckSpanInvariants(const QueryTrace& trace) {
   ASSERT_FALSE(trace.spans.empty());
   EXPECT_EQ(trace.spans[0].parent, -1);
@@ -76,19 +81,29 @@ void CheckSpanInvariants(const QueryTrace& trace) {
   for (size_t i = 0; i < trace.spans.size(); ++i) {
     const TraceSpan& s = trace.spans[i];
     EXPECT_LE(s.start_ns, s.end_ns) << "span " << i;
+    EXPECT_GE(s.loops, 1u) << "span " << i;
+    if (s.loops == 1) {
+      EXPECT_EQ(s.cum_ns, s.end_ns - s.start_ns) << "span " << i;
+    } else {
+      EXPECT_LE(s.cum_ns, s.end_ns - s.start_ns) << "span " << i;
+    }
     uint64_t child_ns = 0;
     uint64_t prev_end = s.start_ns;
     for (size_t c = i + 1; c < trace.spans.size(); ++c) {
       if (trace.spans[c].parent != static_cast<int>(i)) continue;
       const TraceSpan& child = trace.spans[c];
       EXPECT_EQ(child.depth, s.depth + 1);
-      // Nested inside the parent, after the previous sibling.
-      EXPECT_GE(child.start_ns, prev_end) << "span " << c;
+      // Nested inside the parent; after the previous sibling unless the
+      // parent ran several times, interleaving its children's loops.
+      EXPECT_GE(child.start_ns, s.start_ns) << "span " << c;
       EXPECT_LE(child.end_ns, s.end_ns) << "span " << c;
-      prev_end = child.end_ns;
-      child_ns += child.end_ns - child.start_ns;
+      if (s.loops == 1) {
+        EXPECT_GE(child.start_ns, prev_end) << "span " << c;
+        prev_end = child.end_ns;
+      }
+      child_ns += child.cum_ns;
     }
-    EXPECT_EQ(s.self_ns, (s.end_ns - s.start_ns) - child_ns) << "span " << i;
+    EXPECT_EQ(s.self_ns, s.cum_ns - child_ns) << "span " << i;
     EXPECT_TRUE(s.rows_known) << "span " << i;
     EXPECT_GE(s.q_error, 1.0) << "span " << i;
   }
@@ -449,6 +464,64 @@ TEST(ProfiledFixpoint, RecordsRoundsAndPeakAccumulator) {
   EXPECT_GE(star->runtime.peak_rows, star->runtime.actual_rows);
   std::string text = ExplainAnalyze(*p);
   EXPECT_NE(text.find(" rounds="), std::string::npos) << text;
+}
+
+// Every node of a subtree (the root included).
+void ForEachNode(const PlanNode& n, const std::function<void(const PlanNode&)>& f) {
+  f(n);
+  for (const PlanPtr& c : n.children) ForEachNode(*c, f);
+}
+
+// The general-recursive program of tests/cli/both_ways.dl on Figure 1's
+// shape: the fixpoint's step runs once per round, and the profile sums
+// the rounds instead of keeping only the last one.  Every step node
+// loops once per round; the Delta leaf reads each accumulated row in
+// exactly one round; FixpointStar's self time excludes every round's
+// step time; the trace nests and EXPLAIN ANALYZE prints the loops.
+TEST(ProfiledFixpoint, StepSumsEveryRoundOnBothWaysProgram) {
+  auto text = ReadFileToString(std::string(TRIAL_TESTS_DIR) +
+                               "/cli/both_ways.dl");
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  auto program = datalog::ParseProgram(*text);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  TripleStore store = TransportNetwork(TransportOptions{});
+  auto p = datalog::PlanProgram(*program, store);
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  PlanNode& root = **p;
+  auto r = ExecutePlan(root, store, {}, /*profile=*/true);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(root.op, PlanOp::kFixpointStar) << Explain(root);
+  const size_t rounds = root.runtime.rounds;
+  ASSERT_GE(rounds, 3u) << ExplainAnalyze(root);
+  EXPECT_EQ(root.runtime.loops, 1u);
+  EXPECT_EQ(root.runtime.actual_rows, r->size());
+
+  const PlanNode& step = *root.children.back();
+  size_t delta_rows = 0, deltas = 0;
+  ForEachNode(step, [&](const PlanNode& n) {
+    EXPECT_EQ(n.runtime.loops, rounds) << PlanOpName(n.op);
+    if (n.op == PlanOp::kDelta) {
+      delta_rows += n.runtime.actual_rows;
+      ++deltas;
+    }
+  });
+  ASSERT_GT(deltas, 0u) << Explain(root);
+  EXPECT_EQ(delta_rows, deltas * r->size()) << ExplainAnalyze(root);
+
+  uint64_t child_ns = 0;
+  for (const PlanPtr& c : root.children) child_ns += c->runtime.cum_ns;
+  EXPECT_EQ(root.runtime.self_ns, root.runtime.cum_ns - child_ns);
+  EXPECT_LT(step.runtime.cum_ns, step.runtime.end_ns - step.runtime.start_ns);
+
+  QueryTrace trace = CollectTrace(root, "both_ways");
+  EXPECT_EQ(trace.spans.size(), root.TreeSize());
+  CheckSpanInvariants(trace);
+  const std::string analyzed = ExplainAnalyze(root);
+  EXPECT_NE(analyzed.find(" loops=" + std::to_string(rounds)),
+            std::string::npos)
+      << analyzed;
+  EXPECT_NE(TraceToJson(trace).find("\"loops\": " + std::to_string(rounds)),
+            std::string::npos);
 }
 
 // The anti-probe difference on every reporting surface.  EXPLAIN

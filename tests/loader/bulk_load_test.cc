@@ -13,6 +13,8 @@
 #include "loader/bulk_load.h"
 #include "loader/ntriples_writer.h"
 #include "rdf/ntriples.h"
+#include "storage/segment/segment_format.h"
+#include "storage/segment/store_snapshot.h"
 
 namespace trial {
 namespace {
@@ -165,6 +167,113 @@ TEST(BulkLoad, FileAndMemoryPathsAgree) {
   std::string diff;
   EXPECT_TRUE(StoresEquivalent(*mem, *file, &diff)) << diff;
   EXPECT_FALSE(BulkLoadNTriplesFile(path + ".missing", opts).ok());
+}
+
+// Escaped IRIs reach the sink as views into parser scratch storage
+// that lives for one callback, so the loader's batch flushes before
+// them.  A document interleaving them with plain lines (across many
+// batches) loads to exactly the ids and triples of per-triple
+// interning in document order.
+TEST(BulkLoad, EscapedTermsInterleavedWithBatchesKeepPerTripleIds) {
+  std::string doc;
+  for (int i = 0; i < 1000; ++i) {
+    const std::string n = std::to_string(i % 97);
+    const std::string m = std::to_string((i * 7) % 131);
+    if (i % 3 == 0) {
+      doc += "<s\\>" + n + "> <p" + std::to_string(i % 4) + "> <o" + m + "> .\n";
+    } else if (i % 11 == 0) {
+      doc += "<s" + n + "> <p\\t> <o\\\\" + m + "> .\n";
+    } else {
+      doc += "<s" + n + "> <p" + std::to_string(i % 4) + "> <o" + m + "> .\n";
+    }
+  }
+  TripleStore want;
+  const RelId rel = want.AddRelation("E");
+  ASSERT_TRUE(ParseNTriplesChunk(
+                  doc, ParseOptions{}, 1,
+                  [&](std::string_view s, std::string_view p,
+                      std::string_view o) {
+                    ObjId ids[3] = {want.InternObject(s), want.InternObject(p),
+                                    want.InternObject(o)};
+                    want.Add(rel, ids[0], ids[1], ids[2]);
+                  },
+                  nullptr)
+                  .ok());
+  BulkLoadOptions opts;
+  opts.num_threads = 1;
+  auto got = BulkLoadNTriples(doc, opts);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(got->NumObjects(), want.NumObjects());
+  for (ObjId id = 0; id < want.NumObjects(); ++id) {
+    ASSERT_EQ(got->ObjectName(id), want.ObjectName(id)) << "id " << id;
+  }
+  EXPECT_NE(want.FindObject("s>1"), kInvalidIntern);
+  EXPECT_NE(want.FindObject("o\\5"), kInvalidIntern);
+  ASSERT_EQ(got->NumRelations(), 1u);
+  EXPECT_EQ(got->Relation(0), want.Relation(rel));
+}
+
+TEST(BulkLoad, OneAndFourWorkersAreNameIdentical) {
+  std::string doc = DirtyDoc(30'000, /*seed=*/17);
+  for (bool by_pred : {false, true}) {
+    BulkLoadOptions opts;
+    opts.parse.accept_unsupported = true;
+    opts.relation_per_predicate = by_pred;
+    opts.chunk_bytes = 64 << 10;
+    opts.num_threads = 1;
+    auto one = BulkLoadNTriples(doc, opts);
+    opts.num_threads = 4;
+    BulkLoadStats stats;
+    auto four = BulkLoadNTriples(doc, opts, &stats);
+    ASSERT_TRUE(one.ok()) << one.status().ToString();
+    ASSERT_TRUE(four.ok()) << four.status().ToString();
+    EXPECT_EQ(stats.threads, 4u);
+    std::string diff;
+    EXPECT_TRUE(StoresEquivalent(*one, *four, &diff))
+        << "by_pred=" << by_pred << ": " << diff;
+    EXPECT_TRUE(StoresEquivalent(*four, *one, &diff))
+        << "by_pred=" << by_pred << ": " << diff;
+  }
+}
+
+// A small fixed document: plain IRIs, bare tokens, escaped IRIs (whose
+// parsed views live in parser scratch storage) and repeated names.
+constexpr char kFixedDoc[] =
+    "<alice> <knows> <bob> .\n"
+    "<bob> <knows> <carol\\>x> .\n"
+    "# a comment line\n"
+    "<carol\\>x> <likes> <tab\\tname> .\n"
+    "dave knows alice .\n"
+    "<tab\\tname> <knows> <alice> .\n"
+    "<bob> <likes> <bob> .\n"
+    "<eve> <knows> <new\\\\line> .\n"
+    "<new\\\\line> <likes> <alice> .\n";
+
+uint64_t SnapshotChecksum(const TripleStore& store, const std::string& name) {
+  std::string path = testing::TempDir() + "/" + name;
+  EXPECT_TRUE(SaveStoreSnapshot(store, path).ok());
+  auto bytes = ReadFileToString(path);
+  std::remove(path.c_str());
+  EXPECT_TRUE(bytes.ok());
+  return Checksum64(bytes->data(), bytes->size());
+}
+
+// Ids are part of the on-disk format: the fixed document's snapshot
+// bytes are pinned, so a change to how the loader assigns ids (order of
+// first occurrence, one worker) shows up here.
+TEST(BulkLoad, FixedDocumentSnapshotBytesArePinned) {
+  // Recorded from the per-triple interning loader.
+  const uint64_t kPinned[2] = {0xa7b32a2f96dcff15ULL, 0x95392bfe794e233aULL};
+  for (bool by_pred : {false, true}) {
+    BulkLoadOptions opts;
+    opts.relation_per_predicate = by_pred;
+    opts.num_threads = 1;
+    auto store = BulkLoadNTriples(kFixedDoc, opts);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    EXPECT_EQ(store->ObjectName(store->FindObject("carol>x")), "carol>x");
+    EXPECT_EQ(SnapshotChecksum(*store, "fixed_doc.trial"), kPinned[by_pred])
+        << "by_pred=" << by_pred;
+  }
 }
 
 TEST(Writer, WriteSyntheticNTriplesStreamsSameBytes) {

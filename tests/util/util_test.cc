@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "util/bit_matrix.h"
 #include "util/fit.h"
 #include "util/interner.h"
@@ -67,7 +71,128 @@ TEST(Interner, ReserveAndHeterogeneousLookup) {
   EXPECT_EQ(in.Get(a), "alpha");
 }
 
-TEST(Interner, CopiesReKeyTheirIndex) {
+// Many names through many table growths and arena blocks: every view
+// handed out earlier still reads the same bytes at the same address.
+TEST(Interner, ViewsSurviveTableGrowth) {
+  StringInterner in;
+  std::vector<std::string_view> views;
+  constexpr int kNames = 120'000;
+  for (int i = 0; i < kNames; ++i) {
+    const std::string name = "http://example.org/resource/" + std::to_string(i);
+    ASSERT_EQ(in.Intern(name), static_cast<InternId>(i));
+    views.push_back(in.Get(static_cast<InternId>(i)));
+  }
+  ASSERT_EQ(in.size(), static_cast<size_t>(kNames));
+  for (int i = 0; i < kNames; ++i) {
+    const std::string name = "http://example.org/resource/" + std::to_string(i);
+    ASSERT_EQ(views[i], name);
+    ASSERT_EQ(in.Get(static_cast<InternId>(i)).data(), views[i].data());
+    ASSERT_EQ(in.TryGet(name), static_cast<InternId>(i));
+  }
+  EXPECT_EQ(in.TryGet("http://example.org/resource/-1"), kInvalidIntern);
+  // A name longer than an arena block gets a block of its own.
+  const std::string long_name(200'000, 'x');
+  const InternId id = in.Intern(long_name);
+  EXPECT_EQ(in.Get(id), long_name);
+  EXPECT_EQ(in.Intern(long_name), id);
+  EXPECT_EQ(views[0], "http://example.org/resource/0");
+}
+
+TEST(Interner, CopyThatGrowsLeavesTheOriginalAlone) {
+  StringInterner a;
+  for (int i = 0; i < 1000; ++i) a.Intern("n" + std::to_string(i));
+  StringInterner b = a;
+  // Both intern different new names at the same next id; neither sees
+  // the other's, and the shared names keep their ids in both.
+  EXPECT_EQ(b.Intern("only-in-b"), 1000u);
+  for (int i = 0; i < 5000; ++i) b.Intern("b" + std::to_string(i));
+  EXPECT_EQ(a.Intern("only-in-a"), 1000u);
+  EXPECT_EQ(a.size(), 1001u);
+  EXPECT_EQ(a.TryGet("only-in-b"), kInvalidIntern);
+  EXPECT_EQ(a.TryGet("b0"), kInvalidIntern);
+  EXPECT_EQ(b.TryGet("only-in-a"), kInvalidIntern);
+  EXPECT_EQ(a.Get(1000), "only-in-a");
+  EXPECT_EQ(b.Get(1000), "only-in-b");
+  for (int i = 0; i < 1000; ++i) {
+    const std::string name = "n" + std::to_string(i);
+    EXPECT_EQ(a.TryGet(name), static_cast<InternId>(i));
+    EXPECT_EQ(b.TryGet(name), static_cast<InternId>(i));
+  }
+}
+
+TEST(Interner, AdoptFrozenThenInternContinuesTheIds) {
+  // A frozen block in the snapshot layout: bytes plus count + 1 offsets.
+  const std::string bytes = "alphabetagamma";
+  const std::vector<uint64_t> offsets = {0, 5, 9, 14};
+  FrozenStrings frozen;
+  frozen.bytes = bytes.data();
+  frozen.offsets = offsets.data();
+  frozen.count = 3;
+  StringInterner in;
+  in.AdoptFrozen(frozen);
+  EXPECT_EQ(in.size(), 3u);
+  EXPECT_EQ(in.Get(1), "beta");
+  EXPECT_EQ(in.Intern("delta"), 3u);
+  EXPECT_EQ(in.Intern("gamma"), 2u);
+  EXPECT_EQ(in.TryGet("alpha"), 0u);
+  EXPECT_EQ(in.TryGet("delta"), 3u);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(in.Intern("x" + std::to_string(i)), static_cast<InternId>(4 + i));
+  }
+  EXPECT_EQ(in.Get(0), "alpha");
+  EXPECT_EQ(in.Get(3), "delta");
+  // A copy of an adopted interner whose table is not built yet.
+  StringInterner lazy;
+  lazy.AdoptFrozen(frozen);
+  StringInterner copy = lazy;
+  EXPECT_EQ(copy.Intern("beta"), 1u);
+  EXPECT_EQ(copy.Intern("epsilon"), 3u);
+  EXPECT_EQ(lazy.TryGet("epsilon"), kInvalidIntern);
+}
+
+TEST(Interner, BatchEqualsPerNameIntern) {
+  StringInterner batched, single;
+  for (StringInterner* in : {&batched, &single}) {
+    for (int i = 0; i < 50; ++i) in->Intern("pre" + std::to_string(i));
+  }
+  // Old names, new names, a new name repeated inside the batch, and
+  // enough names to span several internal groups and table growths.
+  std::vector<std::string> names;
+  for (int i = 0; i < 3000; ++i) {
+    names.push_back("pre" + std::to_string(i % 70));
+    names.push_back("new" + std::to_string(i % 997));
+    if (i % 5 == 0) names.push_back("twice");
+  }
+  std::vector<std::string_view> views(names.begin(), names.end());
+  std::vector<InternId> ids(views.size());
+  batched.InternBatch(views.data(), views.size(), ids.data());
+  for (size_t i = 0; i < views.size(); ++i) {
+    ASSERT_EQ(ids[i], single.Intern(views[i])) << "name " << i;
+  }
+  EXPECT_EQ(batched.size(), single.size());
+  for (InternId id = 0; id < single.size(); ++id) {
+    EXPECT_EQ(batched.Get(id), single.Get(id));
+  }
+  batched.InternBatch(nullptr, 0, nullptr);  // an empty batch is a no-op
+  EXPECT_EQ(batched.size(), single.size());
+}
+
+TEST(Interner, EmptyName) {
+  StringInterner in;
+  EXPECT_EQ(in.TryGet(""), kInvalidIntern);
+  const InternId e = in.Intern("");
+  EXPECT_EQ(in.Get(e), "");
+  EXPECT_EQ(in.TryGet(""), e);
+  const InternId a = in.Intern("a");
+  EXPECT_NE(a, e);
+  EXPECT_EQ(in.Intern(""), e);
+  std::string_view empty;
+  InternId id;
+  in.InternBatch(&empty, 1, &id);
+  EXPECT_EQ(id, e);
+}
+
+TEST(Interner, CopiesAndMovesKeepTheirIds) {
   StringInterner a;
   InternId x = a.Intern("x");
   StringInterner b = a;
