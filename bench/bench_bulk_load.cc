@@ -8,11 +8,9 @@
 // single-threaded, and additionally scale with workers (on multi-core
 // hosts; a single-core container pins the parallel rows to ~1x).
 //
-// When TRIAL_BENCH_JSON names a file, the measurements are written
-// there in the BENCH_bulk_load.json schema, so the committed baseline
-// is regenerated by the bench itself.
+// TRIAL_BENCH_JSON=BENCH_bulk_load.json regenerates the committed
+// baseline.
 
-#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -20,30 +18,19 @@
 #include "bench_common.h"
 #include "loader/bulk_load.h"
 #include "loader/ntriples_writer.h"
-#include "util/parallel.h"
 
 namespace trial {
 namespace {
-
-const size_t kThreadSweep[] = {1, 2, 4};
-
-struct Measurement {
-  size_t num_triples = 0;  // requested document size
-  size_t bytes = 0;
-  size_t triples_loaded = 0;
-  double legacy_s = 0;
-  double bulk_s[3] = {0, 0, 0};  // indexed like kThreadSweep
-};
-
-std::vector<Measurement> g_measurements;
 
 void Run() {
   bench::Banner("bulk load: parallel ingestion pipeline vs legacy parser",
                 "dictionary-encoded streaming ingestion loads an order of "
                 "magnitude faster than materializing the name-triple set");
 
-  TablePrinter table({"triples", "MB", "legacy_s", "bulk1_s", "bulk2_s",
-                      "bulk4_s", "bulk1 Mt/s"});
+  bench::Table& table = bench::AddTable(
+      "load", {"num_triples", "bytes", "triples_loaded", "legacy_s",
+               "bulk_1thread_s", "bulk_2thread_s", "bulk_4thread_s",
+               "bulk_1thread_triples_per_s"});
   std::vector<double> sizes, t_legacy, t_bulk1;
   for (size_t n : bench::Sweep({100'000, 250'000, 500'000, 1'000'000})) {
     SyntheticNTriplesOptions gen;
@@ -53,35 +40,28 @@ void Run() {
     gen.seed = 23;
     std::string doc = SyntheticNTriples(gen);
 
-    Measurement m;
-    m.num_triples = n;
-    m.bytes = doc.size();
-    m.legacy_s = bench::TimeOnce([&doc] {
+    double legacy_s = bench::TimeOnce([&doc] {
       auto store = LegacyLoadNTriples(doc);
       if (!store.ok()) std::abort();
     });
-    for (size_t ti = 0; ti < 3; ++ti) {
+    size_t loaded = 0;
+    double bulk_s[3] = {};  // 1, 2 and 4 workers
+    for (int i = 0; i < 3; ++i) {
       BulkLoadOptions opts;
-      opts.num_threads = kThreadSweep[ti];
-      m.bulk_s[ti] = bench::TimeOnce([&doc, &opts, &m] {
+      opts.num_threads = size_t{1} << i;
+      bulk_s[i] = bench::TimeOnce([&doc, &opts, &loaded] {
         BulkLoadStats stats;
         auto store = BulkLoadNTriples(doc, opts, &stats);
         if (!store.ok()) std::abort();
-        m.triples_loaded = stats.triples_loaded;
+        loaded = stats.triples_loaded;
       });
     }
-    table.AddRow({TablePrinter::Fmt(n),
-                  TablePrinter::Fmt(static_cast<double>(m.bytes) / 1e6),
-                  TablePrinter::Fmt(m.legacy_s),
-                  TablePrinter::Fmt(m.bulk_s[0]),
-                  TablePrinter::Fmt(m.bulk_s[1]),
-                  TablePrinter::Fmt(m.bulk_s[2]),
-                  TablePrinter::Fmt(static_cast<double>(n) / m.bulk_s[0] /
-                                    1e6)});
+    table.AddRow({n, doc.size(), loaded, legacy_s, bulk_s[0], bulk_s[1],
+                  bulk_s[2], bench::Cell(static_cast<double>(n) / bulk_s[0],
+                                         0)});
     sizes.push_back(static_cast<double>(n));
-    t_legacy.push_back(m.legacy_s);
-    t_bulk1.push_back(m.bulk_s[0]);
-    g_measurements.push_back(m);
+    t_legacy.push_back(legacy_s);
+    t_bulk1.push_back(bulk_s[0]);
   }
   table.Print();
   bench::ReportFit("legacy ParseNTriples path", sizes, t_legacy);
@@ -92,59 +72,13 @@ void Run() {
       "drops further with workers when cores are available.\n");
 }
 
-void WriteJson(const char* path) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path);
-    return;
-  }
-  size_t host_cores = HardwareThreads();
-  std::fprintf(f,
-               "{\n"
-               "  \"benchmark\": \"bench_bulk_load\",\n"
-               "  \"description\": \"N-Triples ingestion: legacy "
-               "RdfGraph path vs parallel bulk-load pipeline "
-               "(1/2/4 workers)\",\n"
-               "  \"host_cores\": %zu,\n"
-               "  \"core_bound_note\": \"%s\",\n"
-               "  \"measurements\": [\n",
-               host_cores,
-               host_cores <= 1
-                   ? "single-core host: >1-worker rows are core-bound and "
-                     "measure chunking overhead, not speedup; re-record on "
-                     "real cores"
-                   : "");
-  for (size_t i = 0; i < g_measurements.size(); ++i) {
-    const Measurement& m = g_measurements[i];
-    std::fprintf(
-        f,
-        "    {\n"
-        "      \"num_triples\": %zu,\n"
-        "      \"bytes\": %zu,\n"
-        "      \"triples_loaded\": %zu,\n"
-        "      \"legacy_s\": %.3f,\n"
-        "      \"bulk_1thread_s\": %.3f,\n"
-        "      \"bulk_2thread_s\": %.3f,\n"
-        "      \"bulk_4thread_s\": %.3f,\n"
-        "      \"bulk_1thread_triples_per_s\": %.0f\n"
-        "    }%s\n",
-        m.num_triples, m.bytes, m.triples_loaded, m.legacy_s, m.bulk_s[0],
-        m.bulk_s[1], m.bulk_s[2],
-        static_cast<double>(m.num_triples) / m.bulk_s[0],
-        i + 1 == g_measurements.size() ? "" : ",");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path);
-}
-
 }  // namespace
 }  // namespace trial
 
 int main() {
   trial::Run();
-  if (const char* path = std::getenv("TRIAL_BENCH_JSON")) {
-    trial::WriteJson(path);
-  }
-  return 0;
+  return trial::bench::Finish(
+      "bench_bulk_load",
+      "N-Triples ingestion: legacy RdfGraph path vs parallel bulk-load "
+      "pipeline (1/2/4 workers)");
 }

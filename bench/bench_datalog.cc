@@ -65,20 +65,19 @@ void Run() {
   TripleStore store = TransportNetwork(topts);
 
   std::printf("(a) translation cost vs program size (chain programs)\n");
-  TablePrinter ta({"rules", "|expr|", "translate_us"});
+  bench::Table& ta =
+      bench::AddTable("translation", {"rules", "expr_size", "translate_us"});
   std::vector<double> sizes, times;
   for (int k : {4, 8, 16, 32, 64}) {
     auto prog = datalog::ParseProgram(ChainProgram(k));
-    if (!prog.ok()) continue;
+    bench::Require(prog.ok(), "chain program parse error");
     double t = bench::TimeStable([&] {
       auto e = datalog::ProgramToTriAL(*prog, store,
                                        "p" + std::to_string(k));
       (void)e;
     });
     auto e = datalog::ProgramToTriAL(*prog, store, "p" + std::to_string(k));
-    ta.AddRow({TablePrinter::Fmt(static_cast<size_t>(k + 1)),
-               TablePrinter::Fmt(e.ok() ? (*e)->Size() : 0),
-               TablePrinter::Fmt(t * 1e6)});
+    ta.AddRow({k + 1, e.ok() ? (*e)->Size() : 0, t * 1e6});
     sizes.push_back(k + 1);
     times.push_back(t);
   }
@@ -88,12 +87,10 @@ void Run() {
   std::printf("\n(b) ReachTripleDatalog evaluation, translated to TriAL*\n");
   auto prog = datalog::ParseProgram(kReachProgram);
   auto general = datalog::ParseProgram(kGeneralProgram);
-  if (!prog.ok() || !general.ok()) {
-    std::printf("parse error\n");
-    return;
-  }
+  bench::Require(prog.ok() && general.ok(), "program parse error");
   auto smart = MakeSmartEvaluator();
-  TablePrinter tb({"|T|", "translate+eval_ms", "answers"});
+  bench::Table& tb = bench::AddTable(
+      "reach_program", {"triples", "translate_eval_ms", "answers"});
   std::vector<double> bsizes, t_translated;
   for (size_t n : bench::Sweep({500, 1000, 2000, 4000, 8000})) {
     TripleStore bench_store = TransportAt(n);
@@ -104,9 +101,8 @@ void Run() {
     auto e = datalog::ProgramToTriAL(*prog, bench_store, "ans");
     auto out = e.ok() ? smart->Eval(*e, bench_store)
                       : Result<TripleSet>(e.status());
-    tb.AddRow({TablePrinter::Fmt(bench_store.TotalTriples()),
-               TablePrinter::Fmt(tt * 1e3),
-               TablePrinter::Fmt(out.ok() ? out->size() : 0)});
+    tb.AddRow({bench_store.TotalTriples(), tt * 1e3,
+               out.ok() ? out->size() : 0});
     bsizes.push_back(static_cast<double>(bench_store.TotalTriples()));
     t_translated.push_back(tt);
   }
@@ -114,20 +110,19 @@ void Run() {
   bench::ReportFit("translated to TriAL*", bsizes, t_translated);
 
   std::printf("\n(c) general recursion on the semi-naive FixpointStar\n");
-  TablePrinter tc({"|T|", "fixpoint_ms", "rounds", "answers"});
+  bench::Table& tc = bench::AddTable(
+      "general_recursion", {"triples", "fixpoint_ms", "rounds", "answers"});
   for (size_t n : bench::Sweep({500, 1000, 2000})) {
     TripleStore bench_store = TransportAt(n);
     auto pl = datalog::PlanProgram(*general, bench_store);
-    if (!pl.ok()) continue;
+    bench::Require(pl.ok(), "general program plan error");
     size_t answers = 0;
     double tf = bench::TimeStable([&] {
       auto out = plan::ExecutePlan(**pl, bench_store);
       answers = out.ok() ? out->size() : 0;
     });
-    tc.AddRow({TablePrinter::Fmt(bench_store.TotalTriples()),
-               TablePrinter::Fmt(tf * 1e3),
-               TablePrinter::Fmt((*pl)->runtime.rounds),
-               TablePrinter::Fmt(answers)});
+    tc.AddRow({bench_store.TotalTriples(), tf * 1e3, (*pl)->runtime.rounds,
+               answers});
   }
   tc.Print();
   std::printf(
@@ -140,5 +135,9 @@ void Run() {
 
 int main() {
   trial::Run();
-  return 0;
+  return trial::bench::Finish(
+      "bench_datalog",
+      "Corollary 1: Datalog-to-TriAL translation cost, a reach program "
+      "translated and evaluated, and a general-recursive program on the "
+      "plan layer's FixpointStar");
 }

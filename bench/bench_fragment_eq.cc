@@ -40,7 +40,8 @@ void Run() {
   auto smart = MakeSmartEvaluator();
 
   std::printf("sweep (a): |T| grows, |O| = 256 fixed\n");
-  TablePrinter ta({"|T|", "naive_ms", "smart_ms"});
+  bench::Table& ta =
+      bench::AddTable("triples_sweep", {"triples", "naive_ms", "smart_ms"});
   std::vector<double> sizes, t_naive, t_smart;
   for (size_t n : bench::Sweep({1000, 2000, 4000, 8000, 16000})) {
     RandomStoreOptions opts;
@@ -50,8 +51,7 @@ void Run() {
     TripleStore store = RandomTripleStore(opts);
     double tn = bench::TimeStable([&] { naive->Eval(e, store); });
     double ts = bench::TimeStable([&] { smart->Eval(e, store); });
-    ta.AddRow({TablePrinter::Fmt(store.TotalTriples()),
-               TablePrinter::Fmt(tn * 1e3), TablePrinter::Fmt(ts * 1e3)});
+    ta.AddRow({store.TotalTriples(), tn * 1e3, ts * 1e3});
     sizes.push_back(static_cast<double>(store.TotalTriples()));
     t_naive.push_back(tn);
     t_smart.push_back(ts);
@@ -61,7 +61,8 @@ void Run() {
   bench::ReportFit("smart vs |T|", sizes, t_smart);
 
   std::printf("\nsweep (b): |O| grows, |T| = 8000 fixed\n");
-  TablePrinter tb({"|O|", "naive_ms", "smart_ms"});
+  bench::Table& tb =
+      bench::AddTable("objects_sweep", {"objects", "naive_ms", "smart_ms"});
   std::vector<double> os, bt_naive, bt_smart;
   for (size_t o : {64, 128, 256, 512, 1024}) {
     RandomStoreOptions opts;
@@ -71,8 +72,7 @@ void Run() {
     TripleStore store = RandomTripleStore(opts);
     double tn = bench::TimeStable([&] { naive->Eval(e, store); });
     double ts = bench::TimeStable([&] { smart->Eval(e, store); });
-    tb.AddRow({TablePrinter::Fmt(store.NumObjects()),
-               TablePrinter::Fmt(tn * 1e3), TablePrinter::Fmt(ts * 1e3)});
+    tb.AddRow({store.NumObjects(), tn * 1e3, ts * 1e3});
     os.push_back(static_cast<double>(store.NumObjects()));
     bt_naive.push_back(tn);
     bt_smart.push_back(ts);
@@ -91,5 +91,8 @@ void Run() {
 
 int main() {
   trial::Run();
-  return 0;
+  return trial::bench::Finish(
+      "bench_fragment_eq",
+      "Proposition 4: naive vs smart engines on a TriAL= join, sweeping "
+      "the triple count and the object count");
 }

@@ -1,22 +1,19 @@
-// Micro-benchmarks of the evaluator kernels (google-benchmark): the
-// hash-join vs nested-loop join, the semi-naive star, selective probe
-// joins, the galloping merge join against the probe and hash kernels,
-// the triple sort kernel, and set operations on TripleSets.
+// Micro-benchmarks of the evaluator kernels: the nested-loop join, the
+// semi-naive fixpoint star, selective probe joins, the galloping merge
+// join against the probe and hash kernels, the triple sort kernel, and
+// set operations on TripleSets.  Every cell is the best of three
+// TimeStable runs.
 //
-// When TRIAL_BENCH_JSON names a file, the google-benchmark JSON
-// reporter writes the results there (the same mechanism as
-// bench_reachta / bench_bulk_load), so the committed
-// BENCH_join_kernels.json baseline is regenerated by the bench itself:
-//
-//   TRIAL_BENCH_JSON=BENCH_join_kernels.json ./bench_join_kernels
-
-#include <benchmark/benchmark.h>
+// TRIAL_BENCH_JSON=BENCH_join_kernels.json regenerates the committed
+// baseline.
 
 #include <algorithm>
-#include <cstdlib>
+#include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/builder.h"
 #include "core/eval.h"
 #include "core/plan/plan.h"
@@ -34,57 +31,13 @@ TripleStore MakeStore(size_t triples) {
   opts.seed = 97;
   TripleStore store = RandomTripleStore(opts);
   // Force the one-time lazy normalization (sort) of the relation at
-  // setup, so single-iteration rows (MinTime-capped sweeps)
-  // measure the join kernels rather than the first-touch sort.  Index
-  // permutations are deliberately NOT built here — their lazy,
-  // amortization-gated builds are part of what the probe benches
-  // measure.
+  // setup, so the rows measure the join kernels rather than the
+  // first-touch sort.  Index permutations are deliberately NOT built
+  // here — their lazy, amortization-gated builds are part of what the
+  // probe benches measure.
   store.FindRelation("E")->triples();
   return store;
 }
-
-ExprPtr CompositionJoin() {
-  return Expr::Join(Expr::Rel("E"), Expr::Rel("E"),
-                    Spec(Pos::P1, Pos::P2, Pos::P3p, {Eq(Pos::P3, Pos::P1p)}));
-}
-
-void BM_NestedLoopJoin(benchmark::State& state) {
-  TripleStore store = MakeStore(static_cast<size_t>(state.range(0)));
-  auto engine = MakeNaiveEvaluator();
-  ExprPtr e = CompositionJoin();
-  for (auto _ : state) {
-    auto r = engine->Eval(e, store);
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_NestedLoopJoin)->Range(128, 2048)->Complexity();
-
-void BM_HashJoin(benchmark::State& state) {
-  TripleStore store = MakeStore(static_cast<size_t>(state.range(0)));
-  auto engine = MakeSmartEvaluator();
-  ExprPtr e = CompositionJoin();
-  for (auto _ : state) {
-    auto r = engine->Eval(e, store);
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_HashJoin)->Range(128, 16384)->Complexity();
-
-void BM_SemiNaiveStar(benchmark::State& state) {
-  TripleStore store = MakeStore(static_cast<size_t>(state.range(0)));
-  auto engine = MakeSmartEvaluator();
-  // A non-reach spec forces the generic semi-naive path.
-  ExprPtr e = Expr::StarRight(
-      Expr::Rel("E"),
-      Spec(Pos::P1, Pos::P2p, Pos::P3p, {Eq(Pos::P3, Pos::P1p)}));
-  for (auto _ : state) {
-    auto r = engine->Eval(e, store);
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_SemiNaiveStar)->Range(128, 2048);
 
 // ---- selective single-column joins ------------------------------------
 //
@@ -113,68 +66,46 @@ ObjId ColdSubject(const TripleStore& store) {
   return rel.triples().back().s;
 }
 
-// σ_{1=c}(E) ⋈^{1,2,3'}_{3=1'} E — the join key binds the right side's
-// subject column, served by the SPO order directly.
-void BM_SelectiveJoin(benchmark::State& state) {
-  TripleStore store = MakeSkewedStore(static_cast<size_t>(state.range(0)));
-  auto engine = MakeSmartEvaluator();
-  ExprPtr e = Expr::Join(
-      Expr::Select(Expr::Rel("E"), Where({EqConst(Pos::P1, ColdSubject(store))})),
-      Expr::Rel("E"),
-      Spec(Pos::P1, Pos::P2, Pos::P3p, {Eq(Pos::P3, Pos::P1p)}));
-  for (auto _ : state) {
-    auto r = engine->Eval(e, store);
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetComplexityN(state.range(0));
+// σ_{1=c}(E) ⋈^{1,2,3'}_{3=key} E with c a cold subject.
+ExprPtr SelectiveJoin(const TripleStore& store, Pos key) {
+  return Expr::Join(
+      Expr::Select(Expr::Rel("E"),
+                   Where({EqConst(Pos::P1, ColdSubject(store))})),
+      Expr::Rel("E"), Spec(Pos::P1, Pos::P2, Pos::P3p, {Eq(Pos::P3, key)}));
 }
-BENCHMARK(BM_SelectiveJoin)->Range(128, 65536)->Complexity();
 
-// σ_{1=c}(E) ⋈^{1,2,3'}_{3=3'} E — the key binds the right side's
-// object column, exercising the lazily-built OSP permutation.
-void BM_SelectiveJoinObjKey(benchmark::State& state) {
-  TripleStore store = MakeSkewedStore(static_cast<size_t>(state.range(0)));
-  auto engine = MakeSmartEvaluator();
-  ExprPtr e = Expr::Join(
-      Expr::Select(Expr::Rel("E"), Where({EqConst(Pos::P1, ColdSubject(store))})),
-      Expr::Rel("E"),
-      Spec(Pos::P1, Pos::P2, Pos::P3p, {Eq(Pos::P3, Pos::P3p)}));
-  for (auto _ : state) {
-    auto r = engine->Eval(e, store);
-    benchmark::DoNotOptimize(r);
+// A table of `engine`'s Eval time on expr(make(n)) for each size n,
+// with its fitted growth exponent.
+void EvalSweep(const char* name, Evaluator& engine,
+               std::initializer_list<size_t> sizes,
+               TripleStore (*make)(size_t),
+               const std::function<ExprPtr(const TripleStore&)>& expr) {
+  std::printf("\n--- %s ---\n", name);
+  bench::Table& table = bench::AddTable(name, {"triples", "us"});
+  std::vector<double> xs, ts;
+  for (size_t n : bench::Sweep(sizes)) {
+    TripleStore store = make(n);
+    ExprPtr e = expr(store);
+    double t = bench::TimeBest([&] { (void)engine.Eval(e, store); });
+    table.AddRow({n, t * 1e6});
+    xs.push_back(static_cast<double>(n));
+    ts.push_back(t);
   }
-  state.SetComplexityN(state.range(0));
+  table.Print();
+  bench::ReportFit(name, xs, ts);
 }
-BENCHMARK(BM_SelectiveJoinObjKey)->Range(128, 65536)->Complexity();
-
-// σ_{3=c}(E) alone: constant-selection pushdown through the OSP index
-// versus the former linear filter.
-void BM_IndexedSelect(benchmark::State& state) {
-  TripleStore store = MakeSkewedStore(static_cast<size_t>(state.range(0)));
-  const TripleSet& rel = *store.FindRelation("E");
-  ObjId c = 0;  // the largest object id present: the coldest Zipf rank
-  for (const Triple& t : rel) c = std::max(c, t.o);
-  auto engine = MakeSmartEvaluator();
-  ExprPtr e = Expr::Select(Expr::Rel("E"), Where({EqConst(Pos::P3, c)}));
-  for (auto _ : state) {
-    auto r = engine->Eval(e, store);
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_IndexedSelect)->Range(1024, 65536)->Complexity();
 
 // ---- the galloping merge join ---------------------------------------------
 //
 // σ_{2=c}(S) ⋈^{1,2,3'}_{3=1'} E.  E is a 2^20-row SPO run over 2^18
 // subjects; S is |E|/ratio rows of the single predicate c, so the
 // selection is a whole POS range, born sorted on its object, and a
-// quarter of its objects are E subjects.  The first argument is the
-// ratio (1 to 256).  The second picks the kernel: 0 = the planned
-// MergeJoin (via=OSP/SPO), whose cursors gallop; 1 = the same plan run
-// as a HashJoin node, whose executor probes E's SPO run once per row or
+// quarter of its objects are E subjects.  The ratio runs 1 to 256.
+// Each ratio times two kernels: "merge" = the planned MergeJoin
+// (via=OSP/SPO), whose cursors gallop; "hash" = the same plan run as a
+// HashJoin node, whose executor probes E's SPO run once per row or
 // hashes E, whichever its size rule (PreferIndexProbe) picks; the
-// "probe" counter says which.
+// "probe" column says which.
 
 TripleStore MakeMergeStore(size_t ratio) {
   constexpr ObjId kRows = ObjId{1} << 20;
@@ -202,36 +133,33 @@ TripleStore MakeMergeStore(size_t ratio) {
   return store;
 }
 
-void BM_GallopMergeJoin(benchmark::State& state) {
-  const size_t ratio = static_cast<size_t>(state.range(0));
-  const bool merge = state.range(1) == 0;
-  TripleStore store = MakeMergeStore(ratio);
-  ExprPtr e = Expr::Join(
-      Expr::Select(Expr::Rel("S"), Where({EqConst(Pos::P2, 7)})),
-      Expr::Rel("E"),
-      Spec(Pos::P1, Pos::P2, Pos::P3p, {Eq(Pos::P3, Pos::P1p)}));
-  plan::PlanPtr p = plan::PlanExpr(e, store);
-  if (p->op != plan::PlanOp::kMergeJoin) {
-    state.SkipWithError("the planner did not choose a merge join");
-    return;
+void RunGallopMergeJoin() {
+  std::printf("\n--- gallop_merge_join ---\n");
+  bench::Table& table = bench::AddTable(
+      "gallop_merge_join", {"ratio", "plan", "ms", "rows", "probe"});
+  for (size_t ratio : bench::Sweep({1, 4, 16, 64, 256})) {
+    TripleStore store = MakeMergeStore(ratio);
+    ExprPtr e = Expr::Join(
+        Expr::Select(Expr::Rel("S"), Where({EqConst(Pos::P2, 7)})),
+        Expr::Rel("E"),
+        Spec(Pos::P1, Pos::P2, Pos::P3p, {Eq(Pos::P3, Pos::P1p)}));
+    plan::PlanPtr p = plan::PlanExpr(e, store);
+    bench::Require(p->op == plan::PlanOp::kMergeJoin,
+                   "planner must choose MergeJoin");
+    for (plan::PlanOp op : {plan::PlanOp::kMergeJoin, plan::PlanOp::kHashJoin}) {
+      p->op = op;
+      double t = bench::TimeBest([&] { (void)plan::ExecutePlan(*p, store); });
+      // Counted outside the timed runs: size() sorts the staged output.
+      auto r = plan::ExecutePlan(*p, store);
+      bench::Require(r.ok(), "gallop_merge_join failed");
+      const bool probe = p->runtime.strategy != nullptr &&
+                         std::string(p->runtime.strategy) == "probe";
+      table.AddRow({ratio, op == plan::PlanOp::kMergeJoin ? "merge" : "hash",
+                    t * 1e3, r->size(), probe ? 1 : 0});
+    }
   }
-  if (!merge) p->op = plan::PlanOp::kHashJoin;
-  for (auto _ : state) {
-    auto r = plan::ExecutePlan(*p, store);
-    benchmark::DoNotOptimize(r);
-  }
-  // Counted outside the timed loop: size() sorts the staged output.
-  auto r = plan::ExecutePlan(*p, store);
-  state.counters["rows"] = r.ok() ? static_cast<double>(r->size()) : -1;
-  state.counters["probe"] =
-      p->runtime.strategy != nullptr &&
-              std::string(p->runtime.strategy) == "probe"
-          ? 1
-          : 0;
+  table.Print();
 }
-BENCHMARK(BM_GallopMergeJoin)
-    ->ArgsProduct({{1, 4, 16, 64, 256}, {0, 1}})
-    ->Unit(benchmark::kMillisecond);
 
 // ---- the triple sort kernel ----------------------------------------------
 //
@@ -239,74 +167,111 @@ BENCHMARK(BM_GallopMergeJoin)
 // replaced, on shuffled rows whose ids span an sp2b_read-sized
 // dictionary (~2.6e5 ids, 18 bits).  The sizes are the staged outputs
 // of sp2b_read's `correlated` query: 66k, 413k and 828k rows.  The
-// second argument picks the kernel: 0 = std::sort (reference),
+// radix column picks the kernel: 0 = std::sort (reference),
 // 1 = SortTriples.
 
-void BM_SortTriples(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const bool radix = state.range(1) != 0;
-  Rng rng(131);
-  std::vector<Triple> input(n);
-  for (Triple& t : input) {
-    t = Triple{static_cast<ObjId>(rng.Below(263819)),
-               static_cast<ObjId>(rng.Below(263819)),
-               static_cast<ObjId>(rng.Below(263819))};
-  }
-  std::vector<Triple> v;
-  for (auto _ : state) {
-    state.PauseTiming();
-    v = input;
-    state.ResumeTiming();
-    if (radix) {
-      SortTriples(&v, IndexOrder::kSPO);
-    } else {
-      std::sort(v.begin(), v.end());
+void RunSortTriples() {
+  std::printf("\n--- sort_triples ---\n");
+  bench::Table& table = bench::AddTable(
+      "sort_triples", {"triples", "radix", "ms", "triples_per_s"});
+  for (size_t n : bench::Sweep({66000, 413000, 828000})) {
+    Rng rng(131);
+    std::vector<Triple> input(n);
+    for (Triple& t : input) {
+      t = Triple{static_cast<ObjId>(rng.Below(263819)),
+                 static_cast<ObjId>(rng.Below(263819)),
+                 static_cast<ObjId>(rng.Below(263819))};
     }
-    benchmark::DoNotOptimize(v.data());
+    std::vector<Triple> v;
+    for (bool radix : {false, true}) {
+      // The input copy runs before each repetition, outside the timing.
+      double t = bench::TimeBest(
+          [&] {
+            if (radix) {
+              SortTriples(&v, IndexOrder::kSPO);
+            } else {
+              std::sort(v.begin(), v.end());
+            }
+          },
+          [&] { v = input; });
+      table.AddRow({n, radix ? 1 : 0, t * 1e3,
+                    bench::Cell(static_cast<double>(n) / t, 0)});
+    }
   }
-  state.counters["radix"] = radix ? 1 : 0;
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+  table.Print();
 }
-BENCHMARK(BM_SortTriples)
-    ->ArgsProduct({{66000, 413000, 828000}, {0, 1}})
-    ->Unit(benchmark::kMillisecond);
 
-void BM_TripleSetUnion(benchmark::State& state) {
-  TripleStore a = MakeStore(static_cast<size_t>(state.range(0)));
-  RandomStoreOptions opts;
-  opts.num_objects = static_cast<size_t>(state.range(0)) / 8 + 4;
-  opts.num_triples = static_cast<size_t>(state.range(0));
-  opts.seed = 101;
-  TripleStore b = RandomTripleStore(opts);
-  const TripleSet& x = *a.FindRelation("E");
-  const TripleSet& y = *b.FindRelation("E");
-  for (auto _ : state) {
-    TripleSet u = TripleSet::Union(x, y);
-    benchmark::DoNotOptimize(u);
+void RunTripleSetUnion() {
+  std::printf("\n--- triple_set_union ---\n");
+  bench::Table& table = bench::AddTable("triple_set_union", {"triples", "us"});
+  for (size_t n : bench::Sweep({1024, 4096, 32768, 65536})) {
+    TripleStore a = MakeStore(n);
+    RandomStoreOptions opts;
+    opts.num_objects = n / 8 + 4;
+    opts.num_triples = n;
+    opts.seed = 101;
+    TripleStore b = RandomTripleStore(opts);
+    const TripleSet& x = *a.FindRelation("E");
+    const TripleSet& y = *b.FindRelation("E");
+    double t = bench::TimeBest([&] { TripleSet::Union(x, y); });
+    table.AddRow({n, t * 1e6});
   }
+  table.Print();
 }
-BENCHMARK(BM_TripleSetUnion)->Range(1024, 65536);
+
+void Run() {
+  bench::Banner("evaluator kernels",
+                "joins, stars, selective probes, merge vs probe vs hash, "
+                "the triple sort and set union, each swept over its input");
+  auto naive = MakeNaiveEvaluator();
+  auto smart = MakeSmartEvaluator();
+  const JoinSpec composition =
+      Spec(Pos::P1, Pos::P2, Pos::P3p, {Eq(Pos::P3, Pos::P1p)});
+  EvalSweep("nested_loop_join", *naive, {128, 512, 2048}, MakeStore,
+            [&](const TripleStore&) {
+              return Expr::Join(Expr::Rel("E"), Expr::Rel("E"), composition);
+            });
+  // A non-reach spec plans the semi-naive FixpointStar.
+  EvalSweep("fixpoint_star", *smart, {128, 512, 2048}, MakeStore,
+            [](const TripleStore&) {
+              return Expr::StarRight(
+                  Expr::Rel("E"), Spec(Pos::P1, Pos::P2p, Pos::P3p,
+                                       {Eq(Pos::P3, Pos::P1p)}));
+            });
+  // The key binds the right side's subject column, served by the SPO
+  // order directly.
+  EvalSweep("selective_join", *smart, {128, 512, 4096, 32768, 65536},
+            MakeSkewedStore,
+            [](const TripleStore& s) { return SelectiveJoin(s, Pos::P1p); });
+  // The key binds the right side's object column, exercising the
+  // lazily-built OSP permutation.
+  EvalSweep("selective_join_obj_key", *smart, {128, 512, 4096, 32768, 65536},
+            MakeSkewedStore,
+            [](const TripleStore& s) { return SelectiveJoin(s, Pos::P3p); });
+  // σ_{3=c}(E) alone, c the coldest object: constant-selection pushdown
+  // through the OSP index.
+  EvalSweep("indexed_select", *smart, {1024, 4096, 32768, 65536},
+            MakeSkewedStore, [](const TripleStore& s) {
+              ObjId c = 0;
+              for (const Triple& t : *s.FindRelation("E")) {
+                c = std::max(c, t.o);
+              }
+              return Expr::Select(Expr::Rel("E"), Where({EqConst(Pos::P3, c)}));
+            });
+  RunGallopMergeJoin();
+  RunSortTriples();
+  RunTripleSetUnion();
+}
 
 }  // namespace
 }  // namespace trial
 
-// BENCHMARK_MAIN, plus TRIAL_BENCH_JSON support: the env var is turned
-// into --benchmark_out flags before Initialize consumes the arg list.
-int main(int argc, char** argv) {
-  std::vector<char*> args(argv, argv + argc);
-  std::string out_flag, format_flag;
-  if (const char* path = std::getenv("TRIAL_BENCH_JSON")) {
-    out_flag = std::string("--benchmark_out=") + path;
-    format_flag = "--benchmark_out_format=json";
-    args.push_back(out_flag.data());
-    args.push_back(format_flag.data());
-  }
-  int args_count = static_cast<int>(args.size());
-  benchmark::Initialize(&args_count, args.data());
-  if (benchmark::ReportUnrecognizedArguments(args_count, args.data())) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+int main() {
+  trial::Run();
+  return trial::bench::Finish(
+      "bench_join_kernels",
+      "evaluator kernel micro-benchmarks, best of three: nested-loop join, "
+      "fixpoint star, selective probe joins, indexed select, galloping "
+      "merge join vs the probe/hash kernels (1:1 to 1:256), SortTriples vs "
+      "std::sort, TripleSet union");
 }

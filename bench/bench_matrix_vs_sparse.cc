@@ -29,8 +29,8 @@ void Run() {
   auto smart = MakeSmartEvaluator();
 
   constexpr size_t kObjects = 96;  // n^3 = 884k cells
-  TablePrinter table(
-      {"|T|", "density", "matrix_ms", "naive_ms", "smart_ms"});
+  bench::Table& table = bench::AddTable(
+      "density", {"triples", "density", "matrix_ms", "naive_ms", "smart_ms"});
   for (size_t t : bench::Sweep({100, 400, 1600, 6400, 25600})) {
     RandomStoreOptions opts;
     opts.num_objects = kObjects;
@@ -42,9 +42,8 @@ void Run() {
     double ds = bench::TimeStable([&] { smart->Eval(join, store); });
     double density = static_cast<double>(store.TotalTriples()) /
                      (static_cast<double>(kObjects) * kObjects * kObjects);
-    table.AddRow({TablePrinter::Fmt(store.TotalTriples()),
-                  TablePrinter::Fmt(density, 5), TablePrinter::Fmt(dm * 1e3),
-                  TablePrinter::Fmt(dn * 1e3), TablePrinter::Fmt(ds * 1e3)});
+    table.AddRow({store.TotalTriples(), bench::Cell(density, 5), dm * 1e3,
+                  dn * 1e3, ds * 1e3});
   }
   table.Print();
   std::printf(
@@ -59,5 +58,8 @@ void Run() {
 
 int main() {
   trial::Run();
-  return 0;
+  return trial::bench::Finish(
+      "bench_matrix_vs_sparse",
+      "dense n^3 tensor engine vs naive and smart sparse engines as the "
+      "density of a 96-object store grows");
 }

@@ -1,24 +1,20 @@
-// Plan-optimizer benchmarks (google-benchmark): the order-preserving
-// merge join against the per-call hash join on the same inputs, and the
-// DP join reorderer's bushy order against the written order on a
-// Zipf-skewed 3-relation join.  Both A/B pairs run the same executor on
-// explicit plan trees, so the deltas isolate plan choice — kernel and
-// order — rather than engine overheads.
+// Plan-optimizer benchmarks: the order-preserving merge join against
+// the per-call hash join on the same inputs, and the DP join
+// reorderer's bushy order against the written order on a Zipf-skewed
+// 3-relation join.  Both A/B pairs run the same executor on explicit
+// plan trees, so the deltas isolate plan choice — kernel and order —
+// rather than engine overheads.  Every cell is the best of three
+// TimeStable runs.
 //
-// When TRIAL_BENCH_JSON names a file, the google-benchmark JSON
-// reporter writes the results there (same mechanism as
-// bench_join_kernels), so the committed BENCH_plan_opt.json baseline is
-// regenerated by the bench itself:
-//
-//   TRIAL_BENCH_JSON=BENCH_plan_opt.json ./bench_plan_opt
+// TRIAL_BENCH_JSON=BENCH_plan_opt.json regenerates the committed
+// baseline.
 
-#include <benchmark/benchmark.h>
-
-#include <cstdlib>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/builder.h"
 #include "core/plan/plan.h"
 #include "graph/generators.h"
@@ -28,12 +24,12 @@ namespace trial {
 namespace {
 
 // Uniform store (same shape as bench_join_kernels' MakeStore),
-// pre-normalized so first-touch sorts don't pollute single-iteration
-// rows.  Permutations are NOT pre-built: their lazy, store-shared
-// builds are part of what the merge rows amortize.  Uniform rather
-// than Zipf here on purpose: under heavy skew both kernels spend their
-// time emitting the same giant equal-key cross products, which masks
-// the per-tuple kernel difference this pair isolates.
+// pre-normalized so first-touch sorts don't pollute the timed runs.
+// Permutations are NOT pre-built: their lazy, store-shared builds are
+// part of what the merge rows amortize.  Uniform rather than Zipf here
+// on purpose: under heavy skew both kernels spend their time emitting
+// the same giant equal-key cross products, which masks the per-tuple
+// kernel difference this pair isolates.
 TripleStore MakeUniformStore(size_t triples) {
   RandomStoreOptions opts;
   opts.num_objects = triples / 8 + 4;
@@ -74,33 +70,31 @@ JoinSpec Composition() {
 // them in step where the hash join rebuilds an |E|-entry table on every
 // call.
 
-void BM_SelfJoinMergePlan(benchmark::State& state) {
-  TripleStore store = MakeUniformStore(static_cast<size_t>(state.range(0)));
-  ExprPtr e = Expr::Join(Expr::Rel("E"), Expr::Rel("E"), Composition());
-  plan::PlanPtr p = plan::PlanExpr(e, store);
-  for (auto _ : state) {
-    auto r = plan::ExecutePlan(*p, store);
-    benchmark::DoNotOptimize(r);
+void RunSelfJoin() {
+  std::printf("\n--- self_join: planned merge vs pinned hash ---\n");
+  bench::Table& table = bench::AddTable(
+      "self_join", {"triples", "merge_ms", "hash_ms", "hash_over_merge"});
+  std::vector<double> sizes, t_merge, t_hash;
+  for (size_t n : bench::Sweep({4096, 32768, 65536})) {
+    TripleStore store = MakeUniformStore(n);
+    ExprPtr e = Expr::Join(Expr::Rel("E"), Expr::Rel("E"), Composition());
+    plan::PlanPtr merge = plan::PlanExpr(e, store);
+    // The planner must actually choose the merge kernel, or this row
+    // measures the wrong thing.
+    bench::Require(merge->op == plan::PlanOp::kMergeJoin,
+                   "planner must choose MergeJoin");
+    plan::PlanPtr hash = HashJoinNode(Scan("E"), Scan("E"), Composition());
+    double tm = bench::TimeBest([&] { (void)plan::ExecutePlan(*merge, store); });
+    double th = bench::TimeBest([&] { (void)plan::ExecutePlan(*hash, store); });
+    table.AddRow({n, tm * 1e3, th * 1e3, bench::Cell(th / tm, 2)});
+    sizes.push_back(static_cast<double>(n));
+    t_merge.push_back(tm);
+    t_hash.push_back(th);
   }
-  // The planner must actually have chosen the merge kernel, or this
-  // row measures the wrong thing.
-  if (p->op != plan::PlanOp::kMergeJoin) {
-    state.SkipWithError("planner did not choose MergeJoin");
-  }
-  state.SetComplexityN(state.range(0));
+  table.Print();
+  bench::ReportFit("planned merge join", sizes, t_merge);
+  bench::ReportFit("pinned hash join", sizes, t_hash);
 }
-BENCHMARK(BM_SelfJoinMergePlan)->Range(4096, 65536)->Complexity();
-
-void BM_SelfJoinHashPlan(benchmark::State& state) {
-  TripleStore store = MakeUniformStore(static_cast<size_t>(state.range(0)));
-  plan::PlanPtr p = HashJoinNode(Scan("E"), Scan("E"), Composition());
-  for (auto _ : state) {
-    auto r = plan::ExecutePlan(*p, store);
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_SelfJoinHashPlan)->Range(4096, 65536)->Complexity();
 
 // ---- DP reordering on a 3-relation Zipf join ----------------------------
 //
@@ -130,60 +124,53 @@ TripleStore MultiJoinStore(size_t triples) {
   return store;
 }
 
-void BM_MultiJoinWrittenOrder(benchmark::State& state) {
-  TripleStore store = MultiJoinStore(static_cast<size_t>(state.range(0)));
-  // The written order as the pre-reorderer planner lowered it: pairwise
-  // joins in expression order (strategies still re-decided at runtime).
-  plan::PlanPtr p = HashJoinNode(
-      HashJoinNode(Scan("E"), Scan("E1"), Composition()), Scan("tiny"),
-      Composition());
-  for (auto _ : state) {
-    auto r = plan::ExecutePlan(*p, store);
-    benchmark::DoNotOptimize(r);
+void RunMultiJoin() {
+  std::printf("\n--- multi_join: written order vs DP-reordered ---\n");
+  bench::Table& table = bench::AddTable(
+      "multi_join",
+      {"triples", "written_ms", "reordered_ms", "written_over_reordered"});
+  std::vector<double> sizes, t_written, t_reordered;
+  for (size_t n : bench::Sweep({2048, 4096, 16384})) {
+    TripleStore store = MultiJoinStore(n);
+    // The written order as the pre-reorderer planner lowered it: pairwise
+    // joins in expression order (strategies still re-decided at runtime).
+    plan::PlanPtr written = HashJoinNode(
+        HashJoinNode(Scan("E"), Scan("E1"), Composition()), Scan("tiny"),
+        Composition());
+    ExprPtr e = Expr::Join(
+        Expr::Join(Expr::Rel("E"), Expr::Rel("E1"), Composition()),
+        Expr::Rel("tiny"), Composition());
+    plan::PlanPtr reordered = plan::PlanExpr(e, store);
+    // The DP must move "tiny" off the root, or the row is mislabeled.
+    bench::Require(reordered->children[0]->rel_name != "tiny" &&
+                       reordered->children[1]->rel_name != "tiny",
+                   "reorderer must move tiny");
+    double tw =
+        bench::TimeBest([&] { (void)plan::ExecutePlan(*written, store); });
+    double tr =
+        bench::TimeBest([&] { (void)plan::ExecutePlan(*reordered, store); });
+    table.AddRow({n, tw * 1e3, tr * 1e3, bench::Cell(tw / tr, 1)});
+    sizes.push_back(static_cast<double>(n));
+    t_written.push_back(tw);
+    t_reordered.push_back(tr);
   }
-  state.SetComplexityN(state.range(0));
+  table.Print();
+  bench::ReportFit("written order", sizes, t_written);
+  bench::ReportFit("DP-reordered", sizes, t_reordered);
 }
-BENCHMARK(BM_MultiJoinWrittenOrder)->Range(2048, 16384)->Complexity();
-
-void BM_MultiJoinReordered(benchmark::State& state) {
-  TripleStore store = MultiJoinStore(static_cast<size_t>(state.range(0)));
-  ExprPtr e = Expr::Join(
-      Expr::Join(Expr::Rel("E"), Expr::Rel("E1"), Composition()),
-      Expr::Rel("tiny"), Composition());
-  plan::PlanPtr p = plan::PlanExpr(e, store);
-  for (auto _ : state) {
-    auto r = plan::ExecutePlan(*p, store);
-    benchmark::DoNotOptimize(r);
-  }
-  // The DP must have moved "tiny" off the root, or the row is mislabeled.
-  if (p->children[0]->rel_name == "tiny" ||
-      p->children[1]->rel_name == "tiny") {
-    state.SkipWithError("reorderer kept the written order");
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_MultiJoinReordered)->Range(2048, 16384)->Complexity();
 
 }  // namespace
 }  // namespace trial
 
-// BENCHMARK_MAIN, plus TRIAL_BENCH_JSON support: the env var is turned
-// into --benchmark_out flags before Initialize consumes the arg list.
-int main(int argc, char** argv) {
-  std::vector<char*> args(argv, argv + argc);
-  std::string out_flag, format_flag;
-  if (const char* path = std::getenv("TRIAL_BENCH_JSON")) {
-    out_flag = std::string("--benchmark_out=") + path;
-    format_flag = "--benchmark_out_format=json";
-    args.push_back(out_flag.data());
-    args.push_back(format_flag.data());
-  }
-  int args_count = static_cast<int>(args.size());
-  benchmark::Initialize(&args_count, args.data());
-  if (benchmark::ReportUnrecognizedArguments(args_count, args.data())) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+int main() {
+  trial::bench::Banner("plan optimizer: join kernel and join order",
+                       "the planner's merge join and DP join order beat the "
+                       "hash join and the written order on the same inputs");
+  trial::RunSelfJoin();
+  trial::RunMultiJoin();
+  return trial::bench::Finish(
+      "bench_plan_opt",
+      "plan choice A/B on one executor: planned merge join vs pinned hash "
+      "join on the uniform composition self-join; written order vs the DP "
+      "reorderer's plan on a Zipf-skewed 3-relation join");
 }

@@ -37,8 +37,9 @@ void Run() {
   auto smart = MakeSmartEvaluator();
   auto matrix = MakeMatrixEvaluator();
 
-  TablePrinter table({"cities", "|T|", "naive_ms", "matrix_ms", "smart_ms",
-                      "answer_triples"});
+  bench::Table& table =
+      bench::AddTable("query_q", {"cities", "triples", "naive_ms", "matrix_ms",
+                                  "smart_ms", "answer_triples"});
   std::vector<double> sizes, t_smart;
   for (size_t cities : bench::Sweep({50, 100, 200, 400, 800})) {
     TransportOptions opts;
@@ -56,12 +57,10 @@ void Run() {
                     : -1.0;
     double ts = bench::TimeStable([&] { smart->Eval(q, store); });
     auto out = smart->Eval(q, store);
-    table.AddRow({TablePrinter::Fmt(cities),
-                  TablePrinter::Fmt(store.TotalTriples()),
-                  tn < 0 ? "-" : TablePrinter::Fmt(tn * 1e3),
-                  tm < 0 ? "-" : TablePrinter::Fmt(tm * 1e3),
-                  TablePrinter::Fmt(ts * 1e3),
-                  TablePrinter::Fmt(out.ok() ? out->size() : 0)});
+    table.AddRow({cities, store.TotalTriples(),
+                  tn < 0 ? bench::Cell() : bench::Cell(tn * 1e3),
+                  tm < 0 ? bench::Cell() : bench::Cell(tm * 1e3), ts * 1e3,
+                  out.ok() ? out->size() : 0});
     sizes.push_back(static_cast<double>(store.TotalTriples()));
     t_smart.push_back(ts);
   }
@@ -78,5 +77,8 @@ void Run() {
 
 int main() {
   trial::Run();
-  return 0;
+  return trial::bench::Finish(
+      "bench_query_q",
+      "query Q end to end on transport networks: naive, matrix and smart "
+      "engines");
 }

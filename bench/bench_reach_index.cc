@@ -28,11 +28,9 @@
 //                destination: the search walks SPO ranges, so query_ms
 //                follows the settled nodes, not |T|.
 //
-// When TRIAL_BENCH_JSON names a file, measurements are written in the
-// BENCH_reach_index.json schema (the committed baseline regenerates
-// from the bench itself).  Every kernel here is serial.
+// TRIAL_BENCH_JSON=BENCH_reach_index.json regenerates the committed
+// baseline.  Every kernel here is serial.
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -47,45 +45,9 @@
 #include "core/reach/reach_index.h"
 #include "graph/generators.h"
 #include "storage/data_value.h"
-#include "util/parallel.h"
 
 namespace trial {
 namespace {
-
-struct StarRow {
-  size_t num_triples = 0;
-  size_t num_objects = 0;
-  double build_ms = 0;      // one-time index construction
-  double procedure_ms = 0;  // Procedure 3
-  double indexed_ms = 0;    // warm-index EmitStar
-  size_t output_triples = 0;
-};
-
-struct DijkstraRow {
-  size_t num_triples = 0;
-  std::string src, dst;
-  double query_ms = 0;
-  long long distance = 0;
-  size_t path_edges = 0;
-  size_t settled = 0;
-};
-
-// One walk star at one store size: the route it takes today against
-// the route it replaced, outputs verified identical.
-struct WalkRow {
-  size_t num_triples = 0;
-  const char* walk = "";      // lift / same-middle / any-path
-  const char* base = "";      // stored / derived
-  const char* baseline = "";  // the replaced route
-  double baseline_ms = 0;
-  double build_ms = 0;    // index construction alone
-  double indexed_ms = 0;  // warm-index walk (stored) or build + walk
-  size_t output_triples = 0;
-};
-
-std::vector<StarRow> g_star;
-std::vector<WalkRow> g_walk;
-std::vector<DijkstraRow> g_dijkstra;
 
 TripleStore MakeStore(size_t n) {
   TransportOptions opts;
@@ -97,48 +59,33 @@ TripleStore MakeStore(size_t n) {
   return TransportNetwork(opts);
 }
 
-// Best-of-3 TimeStable: the minimum is the noise-robust statistic on a
-// shared host, where one descheduled run can
-// inflate a cell by 50%.
-double TimeBest(const std::function<void()>& fn) {
-  double best = bench::TimeStable(fn);
-  for (int i = 0; i < (bench::SmokeMode() ? 0 : 2); ++i) {
-    best = std::min(best, bench::TimeStable(fn));
-  }
-  return best;
-}
-
 void RunStar() {
   std::printf("\n--- star: warm interval index vs Procedure 3 ---\n");
-  TablePrinter table({"|T|", "|O|", "build_ms", "proc_ms", "idx_ms",
-                      "speedup", "out"});
+  bench::Table& table = bench::AddTable(
+      "star", {"num_triples", "num_objects", "build_ms", "procedure_ms",
+               "indexed_ms", "speedup", "output_triples"});
   std::vector<double> sizes, t_proc, t_idx;
   for (size_t n : bench::Sweep({250, 500, 1000, 2000, 4000})) {
     TripleStore store = MakeStore(n);
     const TripleSet& base = *store.FindRelation("E");
     base.Materialize(IndexOrder::kSPO);
 
-    double build_ms = TimeBest([&] { reach::ReachIndex::Build(base); }) * 1e3;
+    double build_ms =
+        bench::TimeBest([&] { reach::ReachIndex::Build(base); }) * 1e3;
     auto idx = reach::ReachIndex::Build(base);
     TripleSet want = StarReachAnyPath(base);
     // Warm the memoized closures once so the timed runs measure steady
     // state (the cached-index regime the planner routes to).
-    auto warm = idx->EmitStar(base, SIZE_MAX);
-    if (!warm.ok() || *warm != want) {
-      std::fprintf(stderr, "FATAL: indexed star differs from Procedure 3\n");
-      std::exit(1);
-    }
-    double tp = TimeBest([&] { StarReachAnyPath(base); });
-    double ti = TimeBest([&] { (void)idx->EmitStar(base, SIZE_MAX); });
+    auto warm = idx->EmitWalk(base, 2, SIZE_MAX);
+    bench::Require(warm.ok() && *warm == want,
+                   "indexed star differs from Procedure 3");
+    double tp = bench::TimeBest([&] { StarReachAnyPath(base); });
+    double ti =
+        bench::TimeBest([&] { (void)idx->EmitWalk(base, 2, SIZE_MAX); });
     t_proc.push_back(tp);
     t_idx.push_back(ti);
-    g_star.push_back({store.TotalTriples(), store.NumObjects(), build_ms,
-                      tp * 1e3, ti * 1e3, want.size()});
-    table.AddRow({TablePrinter::Fmt(store.TotalTriples()),
-                  TablePrinter::Fmt(store.NumObjects()),
-                  TablePrinter::Fmt(build_ms), TablePrinter::Fmt(tp * 1e3),
-                  TablePrinter::Fmt(ti * 1e3), TablePrinter::Fmt(tp / ti),
-                  TablePrinter::Fmt(want.size())});
+    table.AddRow({store.TotalTriples(), store.NumObjects(), build_ms,
+                  tp * 1e3, ti * 1e3, bench::Cell(tp / ti, 1), want.size()});
     sizes.push_back(static_cast<double>(store.TotalTriples()));
   }
   table.Print();
@@ -171,25 +118,29 @@ TripleStore MakeRegions(size_t regions) {
   return all;
 }
 
-void CheckSame(const TripleSet& got, const TripleSet& want, const char* what) {
-  if (got != want) {
-    std::fprintf(stderr, "FATAL: %s differs from its replaced route\n", what);
-    std::exit(1);
-  }
-}
-
 void RunWalks() {
   std::printf("\n--- walks: lift and same-middle stars, stored and derived ---\n");
-  TablePrinter table({"|T|", "walk", "base", "baseline", "base_ms", "build_ms",
-                      "idx_ms", "speedup", "out"});
+  bench::Table& table = bench::AddTable(
+      "walks", {"num_triples", "walk", "base", "baseline", "baseline_ms",
+                "build_ms", "indexed_ms", "speedup", "output_triples"});
   const ExecLimits limits;
-  auto add = [&](const WalkRow& r) {
-    g_walk.push_back(r);
-    table.AddRow({TablePrinter::Fmt(r.num_triples), r.walk, r.base,
-                  r.baseline, TablePrinter::Fmt(r.baseline_ms),
-                  TablePrinter::Fmt(r.build_ms), TablePrinter::Fmt(r.indexed_ms),
-                  TablePrinter::Fmt(r.baseline_ms / r.indexed_ms),
-                  TablePrinter::Fmt(r.output_triples)});
+  // One walk star at one store size: the route it takes today
+  // (`indexed`: a warm walk on a stored base, build + walk on a derived
+  // one) against the route it replaced, outputs verified identical; the
+  // index build is also timed alone.
+  auto row = [&](size_t n, const char* walk, const char* base,
+                 const char* baseline, const TripleSet& want,
+                 const std::function<void()>& replaced,
+                 const std::function<void()>& build,
+                 const std::function<Result<TripleSet>()>& indexed) {
+    auto got = indexed();
+    bench::Require(got.ok() && *got == want,
+                   "walk differs from its replaced route");
+    double baseline_ms = bench::TimeBest(replaced) * 1e3;
+    double build_ms = bench::TimeBest(build) * 1e3;
+    double indexed_ms = bench::TimeBest([&] { (void)indexed(); }) * 1e3;
+    table.AddRow({n, walk, base, baseline, baseline_ms, build_ms, indexed_ms,
+                  bench::Cell(baseline_ms / indexed_ms, 1), want.size()});
   };
   const reach::ReachGraph label = reach::ReachGraph::kLabelProduct;
   for (size_t regions : bench::Sweep({50, 200, 1000})) {
@@ -212,65 +163,40 @@ void RunWalks() {
     hints.fixpoints = &defs;
     plan::PlanPtr fix = plan::PlanExpr(defs[0].self, store, hints);
     TripleSet lift = *plan::ExecutePlan(*fix, store, limits);
-    WalkRow r{n, "lift", "stored", "FixpointStar"};
-    r.baseline_ms =
-        TimeBest([&] { (void)plan::ExecutePlan(*fix, store, limits); }) * 1e3;
-    r.build_ms = TimeBest([&] { reach::ReachIndex::Build(e); }) * 1e3;
     auto so = reach::ReachIndex::Build(e);
-    CheckSame(*so->EmitWalk(e, 1, SIZE_MAX), lift, "lift walk");
-    r.indexed_ms =
-        TimeBest([&] { (void)so->EmitWalk(e, 1, SIZE_MAX); }) * 1e3;
-    r.output_triples = lift.size();
-    add(r);
+    row(n, "lift", "stored", "FixpointStar", lift,
+        [&] { (void)plan::ExecutePlan(*fix, store, limits); },
+        [&] { reach::ReachIndex::Build(e); },
+        [&] { return so->EmitWalk(e, 1, SIZE_MAX); });
 
     // Same-middle: warm label-product index vs Procedure 4.
-    TripleSet same = StarReachSameMiddle(e);
-    r = WalkRow{n, "same-middle", "stored", "Procedure 4"};
-    r.baseline_ms = TimeBest([&] { StarReachSameMiddle(e); }) * 1e3;
-    r.build_ms = TimeBest([&] { reach::ReachIndex::Build(e, label); }) * 1e3;
     auto lp = reach::ReachIndex::Build(e, label);
-    CheckSame(*lp->EmitStar(e, SIZE_MAX), same, "same-middle walk");
-    r.indexed_ms =
-        TimeBest([&] { (void)lp->EmitStar(e, SIZE_MAX); }) * 1e3;
-    r.output_triples = same.size();
-    add(r);
+    row(n, "same-middle", "stored", "Procedure 4", StarReachSameMiddle(e),
+        [&] { StarReachSameMiddle(e); },
+        [&] { reach::ReachIndex::Build(e, label); },
+        [&] { return lp->EmitWalk(e, 2, SIZE_MAX); });
 
     // Derived base (the lift's output, as in the paper's query Q): every
     // run pays a cold build, since a derived set's cache dies with it.
     const TripleSet& d = lift;
-    TripleSet any_d = StarReachAnyPath(d);
-    TripleSet same_d = StarReachSameMiddle(d);
-    r = WalkRow{d.size(), "any-path", "derived", "Procedure 3"};
-    r.baseline_ms = TimeBest([&] { StarReachAnyPath(d); }) * 1e3;
-    r.build_ms = TimeBest([&] { reach::ReachIndex::Build(d); }) * 1e3;
-    CheckSame(*reach::ReachIndex::Build(d)->EmitStar(d, SIZE_MAX),
-              any_d, "derived any-path walk");
-    r.indexed_ms = TimeBest([&] {
-                     (void)reach::ReachIndex::Build(d)->EmitStar(d, SIZE_MAX);
-                   }) * 1e3;
-    r.output_triples = any_d.size();
-    add(r);
-    r = WalkRow{d.size(), "same-middle", "derived", "Procedure 4"};
-    r.baseline_ms = TimeBest([&] { StarReachSameMiddle(d); }) * 1e3;
-    r.build_ms =
-        TimeBest([&] { reach::ReachIndex::Build(d, label); }) * 1e3;
-    CheckSame(
-        *reach::ReachIndex::Build(d, label)->EmitStar(d, SIZE_MAX),
-        same_d, "derived same-middle walk");
-    r.indexed_ms = TimeBest([&] {
-                     (void)reach::ReachIndex::Build(d, label)
-                         ->EmitStar(d, SIZE_MAX);
-                   }) * 1e3;
-    r.output_triples = same_d.size();
-    add(r);
+    row(d.size(), "any-path", "derived", "Procedure 3", StarReachAnyPath(d),
+        [&] { StarReachAnyPath(d); }, [&] { reach::ReachIndex::Build(d); },
+        [&] { return reach::ReachIndex::Build(d)->EmitWalk(d, 2, SIZE_MAX); });
+    row(d.size(), "same-middle", "derived", "Procedure 4",
+        StarReachSameMiddle(d), [&] { StarReachSameMiddle(d); },
+        [&] { reach::ReachIndex::Build(d, label); },
+        [&] {
+          return reach::ReachIndex::Build(d, label)->EmitWalk(d, 2, SIZE_MAX);
+        });
   }
   table.Print();
 }
 
 void RunDijkstra() {
   std::printf("\n--- dijkstra: weighted shortest path over the city line ---\n");
-  TablePrinter table({"|T|", "src->dst", "query_ms", "dist", "edges",
-                      "settled"});
+  bench::Table& table = bench::AddTable(
+      "dijkstra", {"num_triples", "src", "dst", "query_ms", "distance",
+                   "path_edges", "settled"});
   for (size_t n : bench::Sweep({1000, 4000, 120000})) {
     TripleStore store = MakeStore(n);
     // Weight the service predicates: svc_i costs (i % 7) + 1 hops-worth,
@@ -290,106 +216,16 @@ void RunDijkstra() {
     for (const char* dst_name : {"city16", static_cast<const char*>(last)}) {
       ObjId dst = store.FindObject(dst_name);
       auto sp = reach::DijkstraShortestPath(base, store, src, dst);
-      if (!sp.ok() || !sp->reached) {
-        std::fprintf(stderr, "FATAL: %s unreachable\n", dst_name);
-        std::exit(1);
-      }
-      double ms = TimeBest([&] {
+      bench::Require(sp.ok() && sp->reached, "destination unreachable");
+      double ms = bench::TimeBest([&] {
                     (void)reach::DijkstraShortestPath(base, store, src, dst);
                   }) *
                   1e3;
-      g_dijkstra.push_back({store.TotalTriples(), "city0", dst_name, ms,
-                            static_cast<long long>(sp->distance),
-                            sp->edges.size(), sp->settled});
-      table.AddRow({TablePrinter::Fmt(store.TotalTriples()),
-                    "city0->" + std::string(dst_name), TablePrinter::Fmt(ms),
-                    TablePrinter::Fmt(static_cast<size_t>(sp->distance)),
-                    TablePrinter::Fmt(sp->edges.size()),
-                    TablePrinter::Fmt(sp->settled)});
+      table.AddRow({store.TotalTriples(), "city0", dst_name, ms, sp->distance,
+                    sp->edges.size(), sp->settled});
     }
   }
   table.Print();
-}
-
-void WriteJson(const char* path) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path);
-    return;
-  }
-  size_t host_cores = HardwareThreads();
-  std::fprintf(
-      f,
-      "{\n"
-      "  \"benchmark\": \"bench_reach_index\",\n"
-      "  \"description\": \"interval reachability index baseline: warm-index "
-      "star emission vs Procedure 3 (same host, same build, same run — the "
-      "A/B is meaningless across hosts), index build cost reported "
-      "separately; walk stars on graph_nav-shaped stores (lift vs "
-      "FixpointStar, same-middle vs Procedure 4, warm index on the stored "
-      "relation; cold build + walk on the lift's derived output vs "
-      "Procedures 3/4), serial kernels; plus weighted Dijkstra path "
-      "queries\",\n"
-      "  \"host_cores\": %zu,\n"
-      "  \"star\": [\n",
-      host_cores);
-  for (size_t i = 0; i < g_star.size(); ++i) {
-    const StarRow& m = g_star[i];
-    std::fprintf(f,
-                 "    {\n"
-                 "      \"num_triples\": %zu,\n"
-                 "      \"num_objects\": %zu,\n"
-                 "      \"build_ms\": %.3f,\n"
-                 "      \"procedure_ms\": %.3f,\n"
-                 "      \"indexed_ms\": %.3f,\n"
-                 "      \"speedup\": %.1f,\n"
-                 "      \"output_triples\": %zu\n"
-                 "    }%s\n",
-                 m.num_triples, m.num_objects, m.build_ms,
-                 m.procedure_ms, m.indexed_ms,
-                 m.indexed_ms > 0 ? m.procedure_ms / m.indexed_ms : 0,
-                 m.output_triples, i + 1 == g_star.size() ? "" : ",");
-  }
-  std::fprintf(f, "  ],\n  \"walks\": [\n");
-  for (size_t i = 0; i < g_walk.size(); ++i) {
-    const WalkRow& m = g_walk[i];
-    std::fprintf(f,
-                 "    {\n"
-                 "      \"num_triples\": %zu,\n"
-                 "      \"walk\": \"%s\",\n"
-                 "      \"base\": \"%s\",\n"
-                 "      \"baseline\": \"%s\",\n"
-                 "      \"baseline_ms\": %.3f,\n"
-                 "      \"build_ms\": %.3f,\n"
-                 "      \"indexed_ms\": %.3f,\n"
-                 "      \"speedup\": %.1f,\n"
-                 "      \"output_triples\": %zu\n"
-                 "    }%s\n",
-                 m.num_triples, m.walk, m.base, m.baseline, m.baseline_ms,
-                 m.build_ms, m.indexed_ms,
-                 m.indexed_ms > 0 ? m.baseline_ms / m.indexed_ms : 0,
-                 m.output_triples, i + 1 == g_walk.size() ? "" : ",");
-  }
-  std::fprintf(f, "  ],\n  \"dijkstra\": [\n");
-  for (size_t i = 0; i < g_dijkstra.size(); ++i) {
-    const DijkstraRow& m = g_dijkstra[i];
-    std::fprintf(f,
-                 "    {\n"
-                 "      \"num_triples\": %zu,\n"
-                 "      \"src\": \"%s\",\n"
-                 "      \"dst\": \"%s\",\n"
-                 "      \"query_ms\": %.3f,\n"
-                 "      \"distance\": %lld,\n"
-                 "      \"path_edges\": %zu,\n"
-                 "      \"settled\": %zu\n"
-                 "    }%s\n",
-                 m.num_triples, m.src.c_str(), m.dst.c_str(), m.query_ms,
-                 m.distance, m.path_edges, m.settled,
-                 i + 1 == g_dijkstra.size() ? "" : ",");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path);
 }
 
 void Run() {
@@ -404,7 +240,6 @@ void Run() {
       "\nexpected: warm-index emission is a closure copy (output-bound),\n"
       "so it beats Procedure 3's per-source DFS by >= 10x at the larger\n"
       "sizes; the one-time build cost amortizes across repeated stars.\n");
-  if (const char* path = std::getenv("TRIAL_BENCH_JSON")) WriteJson(path);
 }
 
 }  // namespace
@@ -412,5 +247,13 @@ void Run() {
 
 int main() {
   trial::Run();
-  return 0;
+  return trial::bench::Finish(
+      "bench_reach_index",
+      "interval reachability index baseline: warm-index star emission vs "
+      "Procedure 3 (same host, same build, same run; the A/B is "
+      "meaningless across hosts), index build cost reported separately; "
+      "walk stars on graph_nav-shaped stores (lift vs FixpointStar, "
+      "same-middle vs Procedure 4, warm index on the stored relation; cold "
+      "build + walk on the lift's derived output vs Procedures 3/4), serial "
+      "kernels; plus weighted Dijkstra path queries");
 }

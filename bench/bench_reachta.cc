@@ -7,13 +7,10 @@
 // directly.  The planner runs these stars on the interval reachability
 // index instead; bench_reach_index A/Bs the index against Procedure 3.
 //
-// When TRIAL_BENCH_JSON names a file, the measurements are also written
-// there in the BENCH_reachta.json schema, so the committed baseline is
-// regenerated by the bench itself instead of transcribed by hand.
+// TRIAL_BENCH_JSON=BENCH_reachta.json regenerates the committed
+// baseline.
 
 #include <cstdio>
-#include <cstdlib>
-#include <string>
 #include <vector>
 
 #include "bench_common.h"
@@ -21,30 +18,20 @@
 #include "core/eval.h"
 #include "core/fast_reach.h"
 #include "graph/generators.h"
-#include "util/parallel.h"
 
 namespace trial {
 namespace {
 
-struct Measurement {
-  std::string section;
-  size_t num_triples = 0;
-  size_t num_objects = 0;
-  double naive_ms = -1;  // < 0: skipped
-  double procedure_ms = 0;
-  size_t output_triples = 0;
-};
-
-std::vector<Measurement> g_measurements;
-
-void RunOne(const char* title, bool same_middle) {
+void RunOne(const char* table_name, const char* title, bool same_middle) {
   std::printf("\n--- %s ---\n", title);
   ExprPtr star = same_middle ? ReachSameMiddle(Expr::Rel("E"))
                              : ReachAnyPath(Expr::Rel("E"));
   auto naive = MakeNaiveEvaluator();
   auto procedure = same_middle ? StarReachSameMiddle : StarReachAnyPath;
 
-  TablePrinter table({"|T|", "|O|", "naive_ms", "proc_ms", "out"});
+  bench::Table& table = bench::AddTable(
+      table_name, {"num_triples", "num_objects", "naive_ms", "procedure_ms",
+                   "output_triples"});
   std::vector<double> sizes, t_naive, t_fast;
   for (size_t n : bench::Sweep({250, 500, 1000, 2000, 4000})) {
     TransportOptions opts;
@@ -63,12 +50,9 @@ void RunOne(const char* title, bool same_middle) {
                     : -1.0;
     const TripleSet out = procedure(base);
     double tf = bench::TimeStable([&] { procedure(base); });
-    table.AddRow({TablePrinter::Fmt(store.TotalTriples()),
-                  TablePrinter::Fmt(store.NumObjects()),
-                  tn < 0 ? "-" : TablePrinter::Fmt(tn * 1e3),
-                  TablePrinter::Fmt(tf * 1e3), TablePrinter::Fmt(out.size())});
-    g_measurements.push_back({title, store.TotalTriples(), store.NumObjects(),
-                              tn >= 0 ? tn * 1e3 : -1, tf * 1e3, out.size()});
+    table.AddRow({store.TotalTriples(), store.NumObjects(),
+                  tn < 0 ? bench::Cell() : bench::Cell(tn * 1e3), tf * 1e3,
+                  out.size()});
     sizes.push_back(static_cast<double>(store.TotalTriples()));
     t_fast.push_back(tf);
     if (tn >= 0) t_naive.push_back(tn);
@@ -78,59 +62,19 @@ void RunOne(const char* title, bool same_middle) {
   bench::ReportFit(same_middle ? "Procedure 4" : "Procedure 3", sizes, t_fast);
 }
 
-void WriteJson(const char* path) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path);
-    return;
-  }
-  size_t host_cores = HardwareThreads();
-  std::fprintf(f,
-               "{\n"
-               "  \"benchmark\": \"bench_reachta\",\n"
-               "  \"description\": \"Proposition 5 reachTA= baseline: naive "
-               "fixpoint vs Procedures 3/4 called directly (serial)\",\n"
-               "  \"host_cores\": %zu,\n"
-               "  \"measurements\": [\n",
-               host_cores);
-  for (size_t i = 0; i < g_measurements.size(); ++i) {
-    const Measurement& m = g_measurements[i];
-    std::fprintf(f,
-                 "    {\n"
-                 "      \"section\": \"%s\",\n"
-                 "      \"num_triples\": %zu,\n"
-                 "      \"num_objects\": %zu,\n",
-                 m.section.c_str(), m.num_triples, m.num_objects);
-    if (m.naive_ms < 0) {
-      std::fprintf(f, "      \"naive_ms\": null,\n");
-    } else {
-      std::fprintf(f, "      \"naive_ms\": %.3f,\n", m.naive_ms);
-    }
-    std::fprintf(f,
-                 "      \"procedure_ms\": %.3f,\n"
-                 "      \"output_triples\": %zu\n"
-                 "    }%s\n",
-                 m.procedure_ms, m.output_triples,
-                 i + 1 == g_measurements.size() ? "" : ",");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path);
-}
-
 void Run() {
   bench::Banner("Proposition 5: reachTA= in O(|e| . |O| . |T|)",
                 "the two reachability star shapes admit near-linear "
                 "algorithms (Procedures 3 and 4)");
-  RunOne("arbitrary path: (R JOIN[1,2,3'; 3=1'])*", /*same_middle=*/false);
-  RunOne("same middle:    (R JOIN[1,2,3'; 3=1',2=2'])*",
+  RunOne("arbitrary_path", "arbitrary path: (R JOIN[1,2,3'; 3=1'])*",
+         /*same_middle=*/false);
+  RunOne("same_middle", "same middle:    (R JOIN[1,2,3'; 3=1',2=2'])*",
          /*same_middle=*/true);
   std::printf(
       "\nexpected: each procedure's time follows its output (O(|O| . |T|)\n"
       "worst case): about |T|^2 for the arbitrary-path star, whose output\n"
       "grows that fast on this network, near-linear for the same-middle\n"
       "star; both beat the naive fixpoint by orders of magnitude.\n");
-  if (const char* path = std::getenv("TRIAL_BENCH_JSON")) WriteJson(path);
 }
 
 }  // namespace
@@ -138,5 +82,8 @@ void Run() {
 
 int main() {
   trial::Run();
-  return 0;
+  return trial::bench::Finish(
+      "bench_reachta",
+      "Proposition 5 reachTA= baseline: naive fixpoint vs Procedures 3/4 "
+      "called directly (serial)");
 }

@@ -39,8 +39,9 @@ void Run() {
   ExprPtr reach = ReachAnyPath(Expr::Rel("E"));
   auto smart = MakeSmartEvaluator();
 
-  TablePrinter table({"|D|", "|sigma(D)| edges", "nre_on_sigma_ms",
-                      "trial_on_D_ms", "pairs(nre)", "triples(trial)"});
+  bench::Table& table = bench::AddTable(
+      "sigma", {"rdf_triples", "sigma_edges", "nre_on_sigma_ms",
+                "trial_on_d_ms", "nre_pairs", "trial_triples"});
   for (size_t n : bench::Sweep({250, 500, 1000, 2000, 4000})) {
     TransportOptions opts;
     opts.num_cities = n / 2;
@@ -56,12 +57,9 @@ void Run() {
     Result<TripleSet> trial_result = TripleSet();
     double tt = bench::TimeStable([&] { trial_result = smart->Eval(reach, store); });
 
-    table.AddRow({TablePrinter::Fmt(d.size()),
-                  TablePrinter::Fmt(sigma.NumEdges()),
-                  TablePrinter::Fmt(tn * 1e3), TablePrinter::Fmt(tt * 1e3),
-                  TablePrinter::Fmt(nre_result.size()),
-                  TablePrinter::Fmt(trial_result.ok() ? trial_result->size()
-                                                      : 0)});
+    table.AddRow({d.size(), sigma.NumEdges(), tn * 1e3, tt * 1e3,
+                  nre_result.size(),
+                  trial_result.ok() ? trial_result->size() : 0});
   }
   table.Print();
   std::printf(
@@ -75,5 +73,8 @@ void Run() {
 
 int main() {
   trial::Run();
-  return 0;
+  return trial::bench::Finish(
+      "bench_sigma_overhead",
+      "reachability through the sigma(D) encoding (NRE next*) vs natively "
+      "on triples (TriAL* star)");
 }

@@ -16,9 +16,11 @@
 // views rebuilt after those writes (the stats add the delta to the
 // body's; each view is one linear merge of body and delta).
 //
-// When TRIAL_BENCH_JSON names a file, the measurements are written
-// there in the BENCH_store_open.json schema, so the committed baseline
-// is regenerated by the bench itself.
+// TRIAL_BENCH_JSON=BENCH_store_open.json regenerates the committed
+// baseline.  The scratch snapshots under /tmp carry the process id, so
+// concurrent runs do not clobber each other.
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -33,32 +35,14 @@
 #include "loader/bulk_load.h"
 #include "loader/ntriples_writer.h"
 #include "storage/segment/store_snapshot.h"
-#include "util/parallel.h"
 
 namespace trial {
 namespace {
 
-struct Measurement {
-  size_t num_triples = 0;  // requested document size
-  size_t nt_bytes = 0;     // N-Triples source size
-  size_t snapshot_bytes = 0;
-  double load_s = 0;       // bulk parse+load of the source
-  double save_s = 0;       // snapshot write
-  double open_s = 0;       // mmap open (metadata only)
-  double first_scan_s = 0; // decoding every relation's SPO permutation
-};
-
-std::vector<Measurement> g_measurements;
-
-// Writes on a warm store of `num_triples` triples.
-struct AppendMeasurement {
-  size_t num_triples = 0;
-  bool snapshot = false;        // snapshot-backed (else in-memory) store
-  double append_select_ms = 0;  // median append-16 + sigma[1=s] read-back
-  double rebuild_ms = 0;        // exact stats + SPO/POS/OSP after writes
-};
-
-std::vector<AppendMeasurement> g_appends;
+std::string ScratchPath(const char* what) {
+  return "/tmp/trial_bench_store_" + std::string(what) + "." +
+         std::to_string(getpid()) + ".trial";
+}
 
 constexpr size_t kAppendWrites = 16;
 constexpr size_t kAppendBatch = 16;
@@ -66,11 +50,11 @@ constexpr size_t kAppendBatch = 16;
 // Warms relation E the way a read workload does (stats and every
 // permutation), then times kAppendWrites appends of kAppendBatch
 // triples on a fresh subject, each read back through the smart
-// evaluator, and the rebuild of stats and views after them.
-AppendMeasurement MeasureAppends(TripleStore* store, bool snapshot) {
-  AppendMeasurement m;
-  m.num_triples = store->TotalTriples();
-  m.snapshot = snapshot;
+// evaluator, and the rebuild of stats and views after them.  Records
+// the median append + read-back and the rebuild.
+void MeasureAppends(TripleStore* store, const char* backing,
+                    bench::Table* table) {
+  const size_t num_triples = store->TotalTriples();
   const RelId e = 0;
   store->RelationStats(e);
   for (IndexOrder order :
@@ -101,8 +85,7 @@ AppendMeasurement MeasureAppends(TripleStore* store, bool snapshot) {
     if (rows != kAppendBatch) std::abort();
   }
   std::sort(ms.begin(), ms.end());
-  m.append_select_ms = ms[ms.size() / 2];
-  m.rebuild_ms = 1e3 * bench::TimeOnce([&] {
+  const double rebuild_ms = 1e3 * bench::TimeOnce([&] {
     store->RelationStats(e);
     for (IndexOrder order :
          {IndexOrder::kSPO, IndexOrder::kPOS, IndexOrder::kOSP}) {
@@ -110,10 +93,11 @@ AppendMeasurement MeasureAppends(TripleStore* store, bool snapshot) {
     }
   });
   if (store->RelationStats(e).num_triples !=
-      m.num_triples + kAppendWrites * kAppendBatch) {
+      num_triples + kAppendWrites * kAppendBatch) {
     std::abort();
   }
-  return m;
+  table->AddRow({num_triples, backing, bench::Cell(ms[ms.size() / 2], 4),
+                 rebuild_ms});
 }
 
 void RunAppends() {
@@ -121,8 +105,9 @@ void RunAppends() {
                 "appends go to a small sorted delta next to the shared "
                 "body, so a write costs microseconds at any store size; "
                 "the stats + view rebuild after it is three linear merges");
-  const std::string path = "/tmp/trial_bench_store_append.trial";
-  TablePrinter table({"triples", "backing", "append+read ms", "rebuild ms"});
+  const std::string path = ScratchPath("append");
+  bench::Table& table = bench::AddTable(
+      "appends", {"num_triples", "backing", "append_select_ms", "rebuild_ms"});
   for (size_t n : bench::Sweep({100'000, 1'000'000})) {
     SyntheticNTriplesOptions gen;
     gen.num_triples = n;
@@ -135,15 +120,8 @@ void RunAppends() {
     if (!loaded.ok()) std::abort();
     auto opened = OpenStoreSnapshot(path);
     if (!opened.ok()) std::abort();
-    for (TripleStore* store : {&*loaded, &*opened}) {
-      const bool snapshot = store == &*opened;
-      AppendMeasurement m = MeasureAppends(store, snapshot);
-      table.AddRow({TablePrinter::Fmt(m.num_triples),
-                    snapshot ? "snapshot" : "in-memory",
-                    TablePrinter::Fmt(m.append_select_ms),
-                    TablePrinter::Fmt(m.rebuild_ms)});
-      g_appends.push_back(m);
-    }
+    MeasureAppends(&*loaded, "in-memory", &table);
+    MeasureAppends(&*opened, "snapshot", &table);
   }
   table.Print();
   std::printf(
@@ -158,9 +136,10 @@ void Run() {
                 "orders of magnitude faster than a parse and does not "
                 "grow with the triple count");
 
-  const std::string path = "/tmp/trial_bench_store_open.trial";
-  TablePrinter table({"triples", "nt MB", "snap MB", "load_s", "save_s",
-                      "open_ms", "scan_s", "load/open"});
+  const std::string path = ScratchPath("open");
+  bench::Table& table = bench::AddTable(
+      "open", {"num_triples", "nt_bytes", "snapshot_bytes", "load_s",
+               "save_s", "open_ms", "first_scan_s", "load_over_open"});
   std::vector<double> sizes, t_open;
   for (size_t n : bench::Sweep({100'000, 250'000, 500'000, 1'000'000})) {
     SyntheticNTriplesOptions gen;
@@ -170,27 +149,22 @@ void Run() {
     gen.seed = 23;
     std::string doc = SyntheticNTriples(gen);
 
-    Measurement m;
-    m.num_triples = n;
-    m.nt_bytes = doc.size();
     BulkLoadOptions opts;
     opts.snapshot_path = path;
     BulkLoadStats stats;
-    m.load_s = bench::TimeOnce([&] {
+    double load_s = bench::TimeOnce([&] {
       auto store = BulkLoadNTriples(doc, opts, &stats);
       if (!store.ok()) std::abort();
     });
-    m.load_s -= stats.save_seconds;  // loader timed save separately
-    m.save_s = stats.save_seconds;
-    m.snapshot_bytes = stats.snapshot_bytes;
+    load_s -= stats.save_seconds;  // loader timed save separately
 
     std::optional<TripleStore> opened;
-    m.open_s = bench::TimeOnce([&] {
+    const double open_s = bench::TimeOnce([&] {
       auto r = OpenStoreSnapshot(path);
       if (!r.ok()) std::abort();
       opened.emplace(std::move(*r));
     });
-    m.first_scan_s = bench::TimeOnce([&] {
+    const double first_scan_s = bench::TimeOnce([&] {
       size_t total = 0;
       for (RelId r = 0; r < opened->NumRelations(); ++r) {
         total += opened->Relation(r).triples().size();
@@ -200,17 +174,11 @@ void Run() {
       }
     });
 
-    table.AddRow({TablePrinter::Fmt(n),
-                  TablePrinter::Fmt(static_cast<double>(m.nt_bytes) / 1e6),
-                  TablePrinter::Fmt(static_cast<double>(m.snapshot_bytes) /
-                                    1e6),
-                  TablePrinter::Fmt(m.load_s), TablePrinter::Fmt(m.save_s),
-                  TablePrinter::Fmt(m.open_s * 1e3),
-                  TablePrinter::Fmt(m.first_scan_s),
-                  TablePrinter::Fmt(m.load_s / m.open_s)});
+    table.AddRow({n, doc.size(), stats.snapshot_bytes, load_s,
+                  stats.save_seconds, open_s * 1e3, first_scan_s,
+                  bench::Cell(load_s / open_s, 0)});
     sizes.push_back(static_cast<double>(n));
-    t_open.push_back(m.open_s);
-    g_measurements.push_back(m);
+    t_open.push_back(open_s);
   }
   table.Print();
   bench::ReportFit("snapshot open", sizes, t_open);
@@ -221,70 +189,15 @@ void Run() {
   std::remove(path.c_str());
 }
 
-void WriteJson(const char* path) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path);
-    return;
-  }
-  size_t host_cores = HardwareThreads();
-  std::fprintf(f,
-               "{\n"
-               "  \"benchmark\": \"bench_store_open\",\n"
-               "  \"description\": \"store persistence: N-Triples bulk "
-               "load vs snapshot save, mmap open, and first-scan "
-               "decode; writes: append-16 + sigma[1=s] read-back and the "
-               "stats + view rebuild after them\",\n"
-               "  \"host_cores\": %zu,\n"
-               "  \"core_bound_note\": \"%s\",\n"
-               "  \"append_rows\": [\n",
-               host_cores,
-               host_cores <= 1
-                   ? "single-core host: parallel-load rows are core-bound "
-                     "and measure chunking overhead, not speedup; re-record "
-                     "on real cores"
-                   : "");
-  for (size_t i = 0; i < g_appends.size(); ++i) {
-    const AppendMeasurement& m = g_appends[i];
-    std::fprintf(f,
-                 "    {\"num_triples\": %zu, \"backing\": \"%s\", "
-                 "\"append_select_ms\": %.4f, \"rebuild_ms\": %.2f}%s\n",
-                 m.num_triples, m.snapshot ? "snapshot" : "in-memory",
-                 m.append_select_ms, m.rebuild_ms,
-                 i + 1 == g_appends.size() ? "" : ",");
-  }
-  std::fprintf(f, "  ],\n  \"measurements\": [\n");
-  for (size_t i = 0; i < g_measurements.size(); ++i) {
-    const Measurement& m = g_measurements[i];
-    std::fprintf(
-        f,
-        "    {\n"
-        "      \"num_triples\": %zu,\n"
-        "      \"nt_bytes\": %zu,\n"
-        "      \"snapshot_bytes\": %zu,\n"
-        "      \"load_s\": %.3f,\n"
-        "      \"save_s\": %.3f,\n"
-        "      \"open_s\": %.6f,\n"
-        "      \"first_scan_s\": %.3f,\n"
-        "      \"load_over_open\": %.0f\n"
-        "    }%s\n",
-        m.num_triples, m.nt_bytes, m.snapshot_bytes, m.load_s, m.save_s,
-        m.open_s, m.first_scan_s, m.load_s / m.open_s,
-        i + 1 == g_measurements.size() ? "" : ",");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path);
-}
-
 }  // namespace
 }  // namespace trial
 
 int main() {
   trial::Run();
   trial::RunAppends();
-  if (const char* path = std::getenv("TRIAL_BENCH_JSON")) {
-    trial::WriteJson(path);
-  }
-  return 0;
+  return trial::bench::Finish(
+      "bench_store_open",
+      "store persistence: N-Triples bulk load vs snapshot save, mmap open, "
+      "and first-scan decode; writes: append-16 + sigma[1=s] read-back and "
+      "the stats + view rebuild after them");
 }

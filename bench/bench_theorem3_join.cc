@@ -36,8 +36,9 @@ void Run() {
   auto matrix = MakeMatrixEvaluator();
   auto smart = MakeSmartEvaluator();
 
-  TablePrinter table({"|T|", "|O|", "naive_ms", "matrix_ms", "smart(neq)_ms",
-                      "smart(eq)_ms", "out_triples"});
+  bench::Table& table = bench::AddTable(
+      "join", {"triples", "objects", "naive_ms", "matrix_ms", "smart_neq_ms",
+               "smart_eq_ms", "out_triples"});
   std::vector<double> sizes, t_naive, t_matrix, t_smart, t_smart_eq;
   for (size_t n : bench::Sweep({200, 400, 800, 1600, 3200, 6400})) {
     RandomStoreOptions opts;
@@ -50,11 +51,8 @@ void Run() {
     double ts = bench::TimeStable([&] { smart->Eval(join_neq, store); });
     double te = bench::TimeStable([&] { smart->Eval(join_eq, store); });
     auto out = smart->Eval(join_neq, store);
-    table.AddRow({TablePrinter::Fmt(store.TotalTriples()),
-                  TablePrinter::Fmt(store.NumObjects()),
-                  TablePrinter::Fmt(tn * 1e3), TablePrinter::Fmt(tm * 1e3),
-                  TablePrinter::Fmt(ts * 1e3), TablePrinter::Fmt(te * 1e3),
-                  TablePrinter::Fmt(out.ok() ? out->size() : 0)});
+    table.AddRow({store.TotalTriples(), store.NumObjects(), tn * 1e3,
+                  tm * 1e3, ts * 1e3, te * 1e3, out.ok() ? out->size() : 0});
     sizes.push_back(static_cast<double>(store.TotalTriples()));
     t_naive.push_back(tn);
     t_matrix.push_back(tm);
@@ -77,5 +75,8 @@ void Run() {
 
 int main() {
   trial::Run();
-  return 0;
+  return trial::bench::Finish(
+      "bench_theorem3_join",
+      "Theorem 3 joins: naive, matrix and smart engines on an inequality "
+      "join, smart on its equality-only variant");
 }

@@ -30,8 +30,9 @@ void Run() {
   auto naive = MakeNaiveEvaluator();
   auto smart = MakeSmartEvaluator();
 
-  TablePrinter table(
-      {"|T|", "|O|", "naive_ms", "semi-naive_ms", "out_triples"});
+  bench::Table& table = bench::AddTable(
+      "star", {"triples", "objects", "naive_ms", "semi_naive_ms",
+               "out_triples"});
   std::vector<double> sizes, t_naive, t_smart;
   for (size_t n : bench::Sweep({100, 200, 400, 800, 1600})) {
     RandomStoreOptions opts;
@@ -42,10 +43,8 @@ void Run() {
     double tn = bench::TimeStable([&] { naive->Eval(star, store); });
     double ts = bench::TimeStable([&] { smart->Eval(star, store); });
     auto out = smart->Eval(star, store);
-    table.AddRow({TablePrinter::Fmt(store.TotalTriples()),
-                  TablePrinter::Fmt(store.NumObjects()),
-                  TablePrinter::Fmt(tn * 1e3), TablePrinter::Fmt(ts * 1e3),
-                  TablePrinter::Fmt(out.ok() ? out->size() : 0)});
+    table.AddRow({store.TotalTriples(), store.NumObjects(), tn * 1e3,
+                  ts * 1e3, out.ok() ? out->size() : 0});
     sizes.push_back(static_cast<double>(store.TotalTriples()));
     t_naive.push_back(tn);
     t_smart.push_back(ts);
@@ -65,5 +64,8 @@ void Run() {
 
 int main() {
   trial::Run();
-  return 0;
+  return trial::bench::Finish(
+      "bench_theorem3_star",
+      "Theorem 3 stars: naive full-rejoin fixpoint (Procedure 2) vs "
+      "semi-naive delta iteration");
 }

@@ -20,8 +20,8 @@
 //   --relation=NAME  target relation in single-relation mode (default E)
 //   --by-predicate   one relation per distinct predicate
 //   --strict         hard-error on literals/blank nodes (default: skip+count)
-//   --legacy         load via the legacy ParseNTriplesFile path instead
-//   --verify         load both ways, check name-level store equivalence
+//   --verify         also load through the legacy ParseNTriplesFile
+//                    path and check name-level store equivalence
 //   --demo           use Figure 1's store instead of <file>; alone, run
 //                    a built-in same-operator reachability program
 //   --query=EXPR     evaluate a TriAL(*) expression, print the result
@@ -101,7 +101,6 @@ struct Args {
   std::string relation = "E";
   bool by_predicate = false;
   bool strict = false;
-  bool legacy = false;
   bool verify = false;
   bool demo = false;
   std::string query;
@@ -173,7 +172,7 @@ bool ParseReal(const char* flag, const char* v, double max, double* out) {
 bool ParseArgs(int argc, char** argv, Args* a) {
   const std::pair<const char*, bool*> switches[] = {
       {"--by-predicate", &a->by_predicate}, {"--strict", &a->strict},
-      {"--legacy", &a->legacy},   {"--verify", &a->verify},
+      {"--verify", &a->verify},
       {"--demo", &a->demo},       {"--explain", &a->explain},
       {"--analyze", &a->analyze}, {"--open", &a->open}};
   const std::pair<const char*, std::string*> texts[] = {
@@ -238,12 +237,12 @@ bool ParseArgs(int argc, char** argv, Args* a) {
     return false;
   }
   const bool loads_file =
-      a->gen > 0 || a->legacy || a->verify || !a->save.empty();
+      a->gen > 0 || a->verify || !a->save.empty();
   if ((a->demo && (a->open || !a->file.empty() || loads_file)) ||
       (a->open && loads_file)) {
     std::fprintf(stderr,
                  "--demo takes no input file; --demo and --open exclude "
-                 "each other and --gen/--legacy/--verify/--save\n");
+                 "each other and --gen/--verify/--save\n");
     return false;
   }
   if (!a->query.empty() + !a->program.empty() + !a->sp_src.empty() > 1) {
@@ -558,32 +557,6 @@ int main(int argc, char** argv) {
     stats.triples_loaded = ostats.triples;
     stats.objects = ostats.objects;
     stats.relations = ostats.relations;
-  } else if (args.legacy) {
-    Timer t;
-    loaded = LegacyLoadNTriplesFile(args.file, opts, &stats.parse);
-    stats.total_seconds = t.Seconds();
-    if (loaded.ok()) {
-      stats.threads = 1;
-      stats.triples_loaded = loaded->TotalTriples();
-      stats.objects = loaded->NumObjects();
-      stats.relations = loaded->NumRelations();
-      if (std::FILE* f = std::fopen(args.file.c_str(), "rb")) {
-        std::fseek(f, 0, SEEK_END);
-        long size = std::ftell(f);
-        if (size > 0) stats.bytes = static_cast<size_t>(size);
-        std::fclose(f);
-      }
-      if (!args.save.empty()) {
-        SaveSnapshotStats ss;
-        Status st = SaveStoreSnapshot(*loaded, args.save, &ss);
-        if (!st.ok()) {
-          std::fprintf(stderr, "save: %s\n", st.ToString().c_str());
-          return 1;
-        }
-        stats.save_seconds = ss.seconds;
-        stats.snapshot_bytes = ss.bytes;
-      }
-    }
   } else {
     opts.snapshot_path = args.save;  // segment-emitting loader sink
     loaded = BulkLoadNTriplesFile(args.file, opts, &stats);
@@ -616,8 +589,7 @@ int main(int argc, char** argv) {
                   open_seconds * 1e3);
     }
   } else {
-    std::printf("loaded %s (%s path)\n", args.file.c_str(),
-                args.legacy ? "legacy" : "bulk");
+    std::printf("loaded %s\n", args.file.c_str());
     std::printf("  lines      %zu  (skipped: %zu literal, %zu blank)\n",
                 stats.parse.lines, stats.parse.skipped_literals,
                 stats.parse.skipped_blanks);
@@ -650,14 +622,10 @@ int main(int argc, char** argv) {
   }
 
   if (args.verify) {
-    // Cross-check against the *other* load path, so --legacy --verify
-    // still exercises the bulk pipeline.
-    auto other = args.legacy ? BulkLoadNTriplesFile(args.file, opts, nullptr)
-                             : LegacyLoadNTriplesFile(args.file, opts,
-                                                      nullptr);
+    // Cross-check against the legacy load path.
+    auto other = LegacyLoadNTriplesFile(args.file, opts, nullptr);
     if (!other.ok()) {
-      std::fprintf(stderr, "verify (%s load): %s\n",
-                   args.legacy ? "bulk" : "legacy",
+      std::fprintf(stderr, "verify (legacy load): %s\n",
                    other.status().ToString().c_str());
       return 1;
     }

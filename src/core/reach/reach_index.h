@@ -99,23 +99,12 @@ class ReachIndex {
   Result<TripleSet> EmitWalk(const TripleSet& base, int col,
                              size_t max_result_triples) const;
 
-  /// EmitWalk of column 2: the arbitrary-path star
-  /// (R JOIN[1,2,3'; 3=1'])* over a kSubjectObject index, the
-  /// same-middle star over a kLabelProduct index.
-  Result<TripleSet> EmitStar(const TripleSet& base,
-                             size_t max_result_triples) const {
-    return EmitWalk(base, 2, max_result_triples);
-  }
-
   /// Σ over base triples of the closure size of their column-`col`
   /// node (1 for a value outside the graph): EmitWalk's output count
   /// before duplicates merge.  Exact unless two triples of one output
   /// group — same values outside `col` — reach overlapping closures.
   /// 0 for a column the index does not serve.
   uint64_t walk_output_rows(int col) const { return walk_rows_[col]; }
-
-  /// walk_output_rows(2): the bound on EmitStar's output.
-  uint64_t star_output_rows() const { return walk_rows_[2]; }
 
   ReachGraph graph() const { return graph_; }
   size_t num_nodes() const { return num_nodes_; }

@@ -155,11 +155,4 @@ TripleSet TripleSet::Difference(const TripleSet& a, const TripleSet& b) {
   return FromBody(std::move(out));
 }
 
-TripleSet TripleSet::Intersection(const TripleSet& a, const TripleSet& b) {
-  std::vector<Triple> out;
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(out));
-  return FromBody(std::move(out));
-}
-
 }  // namespace trial

@@ -237,10 +237,9 @@ class TripleSet {
     return SnapshotHealth();
   }
 
-  /// Set union / difference / intersection (merge on sorted vectors).
+  /// Set union / difference (merge on sorted vectors).
   static TripleSet Union(const TripleSet& a, const TripleSet& b);
   static TripleSet Difference(const TripleSet& a, const TripleSet& b);
-  static TripleSet Intersection(const TripleSet& a, const TripleSet& b);
 
   bool operator==(const TripleSet& o) const { return triples() == o.triples(); }
   bool operator!=(const TripleSet& o) const { return !(*this == o); }

@@ -41,7 +41,6 @@ std::string TablePrinter::Fmt(double v, int prec) {
   return buf;
 }
 
-std::string TablePrinter::Fmt(size_t v) { return std::to_string(v); }
 std::string TablePrinter::Fmt(int64_t v) { return std::to_string(v); }
 
 }  // namespace trial

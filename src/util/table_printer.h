@@ -24,7 +24,6 @@ class TablePrinter {
 
   /// Formats a double with `prec` decimals.
   static std::string Fmt(double v, int prec = 3);
-  static std::string Fmt(size_t v);
   static std::string Fmt(int64_t v);
 
  private:

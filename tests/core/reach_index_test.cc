@@ -1,5 +1,5 @@
 // The interval reachability index (core/reach): SCC contraction +
-// interval labels answer Reaches like a brute DFS, EmitStar is
+// interval labels answer Reaches like a brute DFS, the column-2 walk is
 // byte-identical to Procedure 3 and the naive fixpoint (including
 // cyclic SCC-heavy graphs), the index follows the permutation-cache
 // lifecycle (shared between copies, invalidated by mutation), the
@@ -186,7 +186,7 @@ TEST(ReachIndexBuild, ReachesMatchesBruteDfs) {
   }
 }
 
-// ---- EmitStar equivalence (the tentpole's correctness pin) ------------
+// ---- star equivalence (the tentpole's correctness pin) ------------
 
 TEST(ReachIndexStar, ByteIdenticalToProcedure3AndNaive) {
   auto naive = MakeNaiveEvaluator();
@@ -198,7 +198,7 @@ TEST(ReachIndexStar, ByteIdenticalToProcedure3AndNaive) {
     auto ref = naive->Eval(star, store);
     ASSERT_TRUE(ref.ok());
     ASSERT_EQ(procedure3, *ref) << "Procedure 3 vs naive, seed=" << seed;
-    auto got = ReachIndex::Build(base)->EmitStar(base, 50'000'000);
+    auto got = ReachIndex::Build(base)->EmitWalk(base, 2, 50'000'000);
     ASSERT_TRUE(got.ok()) << got.status().message();
     EXPECT_EQ(*got, procedure3) << "seed=" << seed;
   }
@@ -209,9 +209,9 @@ TEST(ReachIndexStar, OutputBoundAndOverflowGuard) {
   const TripleSet& base = *store.FindRelation("E");
   auto idx = ReachIndex::Build(base);
   TripleSet want = StarReachAnyPath(base);
-  // star_output_rows is an upper bound on the actual star cardinality.
-  EXPECT_GE(idx->star_output_rows(), want.size());
-  auto r = idx->EmitStar(base, want.size() - 1);
+  // walk_output_rows(2) is an upper bound on the actual star cardinality.
+  EXPECT_GE(idx->walk_output_rows(2), want.size());
+  auto r = idx->EmitWalk(base, 2, want.size() - 1);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
 }
@@ -307,7 +307,7 @@ TEST(ReachIndexPlan, WarmIndexRoutesToIndexScan) {
   ASSERT_EQ(warm->op, PlanOp::kReachIndexScan) << Explain(*warm);
   // The warm plan's estimate is the index's exact output bound.
   EXPECT_DOUBLE_EQ(warm->est_rows,
-                   static_cast<double>(idx->star_output_rows()));
+                   static_cast<double>(idx->walk_output_rows(2)));
 
   auto r = ExecutePlan(*warm, store);
   ASSERT_TRUE(r.ok());
@@ -935,7 +935,7 @@ TEST(WalkStars, LabelIndexCachesBesideTheSubjectObjectIndex) {
   auto wrong = by_label->EmitWalk(rel, 1, 50'000'000);
   ASSERT_FALSE(wrong.ok());
   EXPECT_EQ(wrong.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(*by_label->EmitStar(rel, 50'000'000),
+  EXPECT_EQ(*by_label->EmitWalk(rel, 2, 50'000'000),
             StarReachSameMiddle(rel));
 }
 
